@@ -240,16 +240,23 @@ class LpBoundResult:
     actions: np.ndarray | None     # executed orders (periods, p)
     solver_status: str
     iterations: int
+    kkt_residual: float | None     # largest KKT violation of the optimum
 
 
 def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
-                   engine: str = "auto", max_iters: int = 200_000,
+                   max_iters: int = 500_000,
                    time_limit: float | None = None,
                    reward: RewardParams = RewardParams()) -> LpBoundResult:
-    """Hindsight LP bound over a window, plus its replayed true reward."""
+    """Hindsight LP bound over a window, plus its replayed true reward.
+
+    HiGHS solves the perfect-information LP within ``max_iters`` and
+    ``time_limit``; a run out of either budget reports status 'dnf'. An
+    optimal solve carries its certificate: ``kkt_residual`` is the largest
+    of the primal, dual and complementary-slackness residuals.
+    """
     problem, lay = build_perfect_info_lp(
         catalog, x0, demand, wastage_weight=reward.wastage_weight)
-    sol = simplex.solve_lp(problem, max_iters=max_iters, engine=engine,
+    sol = simplex.solve_lp(problem, max_iters=max_iters,
                            time_limit=time_limit)
     if sol.status != "optimal":
         status = "dnf" if sol.status in ("iteration_limit", "time_limit") \
@@ -257,7 +264,8 @@ def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
         return LpBoundResult(status=status, mean_surrogate=None,
                              mean_true_reward=None, actions=None,
                              solver_status=sol.status,
-                             iterations=sol.iterations)
+                             iterations=sol.iterations, kkt_residual=None)
+    kkt = simplex.kkt_residuals(problem, sol)
 
     periods, p = np.asarray(demand).shape
     actions = np.empty((periods, p))
@@ -279,4 +287,5 @@ def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
         mean_true_reward=float(true_rewards.mean()),
         actions=actions,
         solver_status=sol.status,
-        iterations=sol.iterations)
+        iterations=sol.iterations,
+        kkt_residual=max(kkt.values()))

@@ -75,7 +75,6 @@ def _add_lp_bound(sub):
     p.add_argument("--dataset", required=True)
     p.add_argument("--window", choices=("train", "test"), default="test")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", default="auto")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--out", default=None)
 
@@ -171,23 +170,15 @@ def main(argv=None) -> int:
         ds = datagen.load(args.dataset)
         start, length = (ds.train_window if args.window == "train"
                          else ds.test_window)
-        x0 = harness.episode_inventories(ds.spec.products, args.seed, 1, 0)
+        x0 = harness.episode_inventories(ds.spec.products, args.seed,
+                                         harness._PURPOSE_EVAL, 0)
         res = baselines.lp_upper_bound(
             ds.catalog, x0, ds.demand[start:start + length],
-            engine=args.engine, time_limit=args.time_limit,
-            reward=RewardParams())
-        payload = {"status": res.status, "mean_surrogate": res.mean_surrogate,
-                   "mean_true_reward": res.mean_true_reward,
-                   "iterations": res.iterations, "window": args.window}
-        print(json.dumps(payload, indent=2))
+            time_limit=args.time_limit, reward=RewardParams())
+        row = harness.lp_bound_row(args.window, start, length, res)
+        print(json.dumps(dict(zip(harness.LP_COLUMNS, row)), indent=2))
         if args.out:
-            harness.write_csv(args.out, harness.LP_COLUMNS,
-                              [[args.window, start, length, res.status,
-                                "" if res.mean_surrogate is None
-                                else res.mean_surrogate,
-                                "" if res.mean_true_reward is None
-                                else res.mean_true_reward,
-                                res.iterations]])
+            harness.write_csv(args.out, harness.LP_COLUMNS, [row])
         return 0
 
     if args.command == "summarize":

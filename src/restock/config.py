@@ -10,6 +10,10 @@ import yaml
 
 ALGORITHMS = ("heuristic", "dqn", "dqn_gvf", "dez_dqn_gvf", "lp_bound")
 
+# keys of older manifests that chose or sized a second LP engine; they are
+# accepted and dropped so those manifests still replay
+_RETIRED_KEYS = ("lp_engine", "lp_max_iters")
+
 
 @dataclass(frozen=True)
 class EnvParams:
@@ -44,6 +48,13 @@ class AgentParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One algorithm on one dataset across seeds.
+
+    ``lp_time_limit`` (seconds per window, None for no limit) is the one
+    budget of the ``lp_bound`` algorithm's HiGHS solves; a window that runs
+    out of it is reported as 'dnf'.
+    """
+
     dataset: str
     algorithm: str
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
@@ -52,8 +63,6 @@ class ExperimentConfig:
     agent: AgentParams = AgentParams()
     reward_mod: RewardMod = RewardMod()
     heuristic_target: float = 0.5
-    lp_engine: str = "auto"
-    lp_max_iters: int = 500_000
     lp_time_limit: float | None = None
     collect_decisions: bool = True
 
@@ -71,7 +80,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
+        data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
         if "env" in data and isinstance(data["env"], dict):
             data["env"] = EnvParams(**data["env"])
         if "agent" in data and isinstance(data["agent"], dict):

@@ -3,7 +3,7 @@
 All quantities are normalized per product: inventory ``x_i``, order ``u_i``
 and demand ``w_i`` are fractions of product i's shelf capacity, so every
 state component lives in [0, 1]. One period runs as: clip the requested
-order to free shelf space, scale the whole order down if it exceeds the
+order to [0, free shelf space], scale the whole order down if it exceeds the
 shared transport capacity, receive stock, serve demand, spoil the unsold
 residue, then score the outcome.
 """
@@ -121,8 +121,9 @@ class StepOutcome:
 
 
 def clip_action(state: StoreState, raw: np.ndarray) -> np.ndarray:
-    """Clip each requested order to the free shelf space 1 - x_i."""
-    return np.minimum(np.asarray(raw, dtype=float), 1.0 - state.x)
+    """Clip each requested order to [0, 1 - x_i]: no negative order (which
+    would dispose of stock for free) and no order beyond the free shelf."""
+    return np.clip(np.asarray(raw, dtype=float), 0.0, 1.0 - state.x)
 
 
 def capacity_ratio(catalog: ProductCatalog, u: np.ndarray) -> float:
@@ -215,6 +216,8 @@ def step(catalog: ProductCatalog, state: StoreState, raw_action: np.ndarray,
     """Advance one period. Pure function of its inputs."""
     p = catalog.num_products
     raw = _as_vector(raw_action, p, "action")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("action must be finite")
     w = _as_vector(demand, p, "demand")
     if state.x.shape[0] != p:
         raise ValueError(f"state has {state.x.shape[0]} products, catalog {p}")

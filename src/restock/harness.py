@@ -99,7 +99,18 @@ DECISION_COLUMNS = ("period", "product", "inventory", "order", "action_index",
                     "action_value", "tag", "gvf1", "gvf2", "gvf3")
 EVAL_COLUMNS = ("window_start", "window_len") + EpisodeMetrics.COLUMNS
 LP_COLUMNS = ("window", "window_start", "window_len", "status",
-              "mean_surrogate", "mean_true_reward", "iterations")
+              "solver_status", "mean_surrogate", "mean_true_reward",
+              "iterations", "kkt_residual")
+
+
+def lp_bound_row(label: str, start: int, length: int,
+                 res: baselines.LpBoundResult) -> list:
+    """One ``lp_bound.csv`` row (see ``LP_COLUMNS``); blanks for a dnf."""
+    def blank(v):
+        return "" if v is None else v
+    return [label, start, length, res.status, res.solver_status,
+            blank(res.mean_surrogate), blank(res.mean_true_reward),
+            res.iterations, blank(res.kkt_residual)]
 
 
 def _write_decisions(path, log: DecisionLog) -> None:
@@ -171,12 +182,8 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
                                        ("test", ds.test_window)):
             res = baselines.lp_upper_bound(
                 ds.catalog, x0_eval, ds.demand[start:start + length],
-                engine=cfg.lp_engine, max_iters=cfg.lp_max_iters,
                 time_limit=cfg.lp_time_limit, reward=rparams)
-            rows.append([label, start, length, res.status,
-                         "" if res.mean_surrogate is None else res.mean_surrogate,
-                         "" if res.mean_true_reward is None else res.mean_true_reward,
-                         res.iterations])
+            rows.append(lp_bound_row(label, start, length, res))
         write_csv(seed_dir / "lp_bound.csv", LP_COLUMNS, rows)
         return
 

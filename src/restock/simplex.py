@@ -1,18 +1,18 @@
-"""Linear programming: bounded-variable primal simplex plus a HiGHS bridge.
+"""Linear programming: a HiGHS bridge plus KKT certificates.
 
-The in-house solver keeps a dense tableau, prices with Dantzig's rule and
-falls back to Bland's rule after a run of degenerate pivots, which keeps it
-deterministic and cycle-free. It is meant for desk-scale programs (a few
-thousand rows); ``solve_lp(engine="auto")`` hands anything larger to
-scipy's HiGHS behind the same problem/solution types.
+``solve_lp`` hands an ``LpProblem`` to scipy's HiGHS (Huangfu & Hall, Math.
+Prog. Comp. 2018) and maps its status, solution and row duals back onto
+``LpSolution``. Row duals are reported for the stated problem: the dual of a
+row is the objective change per unit of extra right-hand side.
 
-Row duals are reported for the stated problem: the dual of a row is the
-objective change per unit of extra right-hand side.
+``kkt_residuals`` measures how far a solution is from satisfying the
+optimality conditions (primal feasibility, dual feasibility and
+complementary slackness), so a bound can carry its own certificate instead
+of trusting the solver's status alone.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +21,7 @@ import scipy.sparse as sp
 
 SENSES = ("<", "=", ">")
 
-_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
-_COST_TOL = 1e-9
-_PIVOT_TOL = 1e-10
-_BLAND_AFTER = 40  # consecutive degenerate pivots before switching rule
-
-#: problems with more rows than this go to HiGHS under engine="auto"
-OWN_ENGINE_MAX_ROWS = 2000
+_AT_BOUND_TOL = 1e-7  # a variable this close to a bound counts as at it
 
 
 @dataclass(frozen=True)
@@ -85,228 +79,8 @@ class LpSolution:
 
 
 def solve_lp(problem: LpProblem, max_iters: int = 50_000,
-             engine: str = "auto",
              time_limit: float | None = None) -> LpSolution:
-    """Solve an LP. engine: "own", "scipy", or "auto" (picks by row count)."""
-    if engine == "auto":
-        engine = "own" if problem.num_rows <= OWN_ENGINE_MAX_ROWS else "scipy"
-    if engine == "own":
-        return _solve_dense_simplex(problem, max_iters, time_limit)
-    if engine == "scipy":
-        return _solve_scipy(problem, max_iters, time_limit)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-# ------------------------------------------------------------- own engine
-
-class _Tableau:
-    """Dense bounded-variable simplex state (internally a minimization).
-
-    Columns: n structural variables, one slack per inequality row, one
-    artificial per row. Artificial columns double as the running inverse
-    basis, which is what the final duals and the drift-free solution
-    recovery are read from.
-    """
-
-    def __init__(self, problem: LpProblem):
-        m, n = problem.num_rows, problem.num_vars
-        A = problem.A.toarray()
-        b = problem.b.copy()
-        senses = problem.senses.copy()
-
-        flip = senses == ">"
-        A[flip] *= -1.0
-        b[flip] *= -1.0
-        senses[flip] = "<"
-        self.row_flipped = flip
-
-        ineq_rows = np.where(senses == "<")[0]
-        n_slack = len(ineq_rows)
-        self.n, self.m, self.n_slack = n, m, n_slack
-        cols = n + n_slack + m
-        self.cols = cols
-        self.art_start = n + n_slack
-
-        self.A_full = np.zeros((m, cols))
-        self.A_full[:, :n] = A
-        for k, r in enumerate(ineq_rows):
-            self.A_full[r, n + k] = 1.0
-
-        self.lo = np.concatenate([problem.lo, np.zeros(n_slack), np.zeros(m)])
-        self.hi = np.concatenate([problem.hi, np.full(n_slack, np.inf),
-                                  np.full(m, np.inf)])
-        self.b = b
-        self.c_phase2 = np.zeros(cols)
-        self.c_phase2[:n] = -problem.c if problem.maximize else problem.c
-
-        # start all structural/slack variables at their lower bound
-        self.status = np.full(cols, _AT_LOWER, dtype=np.int8)
-        self.values = np.where(np.isfinite(self.lo), self.lo, 0.0)
-
-        resid = b - self.A_full[:, :self.art_start] @ self.values[:self.art_start]
-        self.art_sign = np.where(resid >= 0.0, 1.0, -1.0)
-        self.A_full[np.arange(m), self.art_start + np.arange(m)] = self.art_sign
-
-        self.basis = np.arange(self.art_start, cols)
-        self.status[self.basis] = _BASIC
-
-        # B = diag(art_sign) so B^-1 A is A with the negative rows flipped
-        self.T = self.A_full.copy()
-        self.T[self.art_sign < 0] *= -1.0
-        self.xB = np.abs(resid)
-        self.iterations = 0
-
-    # -- pricing --------------------------------------------------------
-
-    def reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        return c - c[self.basis] @ self.T
-
-    def _entering(self, d: np.ndarray, allowed: np.ndarray, bland: bool):
-        movable = allowed & (self.hi - self.lo > 0)
-        can_inc = movable & (self.status == _AT_LOWER) & (d < -_COST_TOL)
-        can_dec = movable & (self.status == _AT_UPPER) & (d > _COST_TOL)
-        eligible = can_inc | can_dec
-        if not eligible.any():
-            return -1, 0
-        idx = np.where(eligible)[0]
-        j = int(idx[0]) if bland else int(idx[np.argmax(np.abs(d[idx]))])
-        return j, (1 if self.status[j] == _AT_LOWER else -1)
-
-    def _ratio_test(self, j: int, direction: int):
-        """Largest step for entering j; ties broken by lowest variable index.
-
-        Returns (t, leaving_row, leave_to); leaving_row -1 means the
-        entering variable flips to its opposite bound.
-        """
-        col = direction * self.T[:, j]
-        best_t = self.hi[j] - self.lo[j]  # own span, may be inf
-        leave_row, leave_to, leave_var = -1, -1, j if np.isfinite(best_t) else -1
-
-        inc = col > _PIVOT_TOL   # basic value falls toward its lower bound
-        dec = col < -_PIVOT_TOL  # basic value rises toward its upper bound
-        for k in np.where(inc)[0]:
-            var = self.basis[k]
-            t = max((self.xB[k] - self.lo[var]) / col[k], 0.0)
-            if t < best_t - _PIVOT_TOL or (t <= best_t + _PIVOT_TOL
-                                           and (leave_var == -1 or var < leave_var)):
-                best_t, leave_row, leave_to, leave_var = t, int(k), _AT_LOWER, var
-        for k in np.where(dec)[0]:
-            var = self.basis[k]
-            if not np.isfinite(self.hi[var]):
-                continue
-            t = max((self.xB[k] - self.hi[var]) / col[k], 0.0)
-            if t < best_t - _PIVOT_TOL or (t <= best_t + _PIVOT_TOL
-                                           and (leave_var == -1 or var < leave_var)):
-                best_t, leave_row, leave_to, leave_var = t, int(k), _AT_UPPER, var
-        if leave_var == j:
-            leave_row = -1  # prefer the bound flip when it ties at lowest index
-        return best_t, leave_row, leave_to
-
-    def _pivot(self, j: int, direction: int, t: float, leave_row: int,
-               leave_to: int, d: np.ndarray) -> None:
-        if t > 0.0:
-            self.xB -= direction * t * self.T[:, j]
-            self.values[j] += direction * t
-        if leave_row == -1:
-            self.status[j] = _AT_UPPER if direction > 0 else _AT_LOWER
-            return
-        leaving = self.basis[leave_row]
-        self.values[leaving] = (self.lo[leaving] if leave_to == _AT_LOWER
-                                else self.hi[leaving])
-        self.status[leaving] = leave_to
-
-        piv = self.T[leave_row, j]
-        self.T[leave_row] /= piv
-        col = self.T[:, j].copy()
-        col[leave_row] = 0.0
-        self.T -= np.outer(col, self.T[leave_row])
-        d -= d[j] * self.T[leave_row]
-
-        self.xB[leave_row] = self.values[j]
-        self.basis[leave_row] = j
-        self.status[j] = _BASIC
-
-    def run(self, c: np.ndarray, allowed: np.ndarray, max_iters: int,
-            deadline: float | None) -> str:
-        d = self.reduced_costs(c)
-        degenerate_run = 0
-        while True:
-            if self.iterations >= max_iters:
-                return "iteration_limit"
-            if deadline is not None and time.monotonic() > deadline:
-                return "time_limit"
-            j, direction = self._entering(d, allowed, degenerate_run >= _BLAND_AFTER)
-            if j < 0:
-                # incremental reduced costs drift; confirm with a fresh pass
-                d = self.reduced_costs(c)
-                j, direction = self._entering(d, allowed, False)
-                if j < 0:
-                    return "optimal"
-            t, leave_row, leave_to = self._ratio_test(j, direction)
-            if not np.isfinite(t):
-                return "unbounded"
-            self._pivot(j, direction, t, leave_row, leave_to, d)
-            degenerate_run = degenerate_run + 1 if t <= _PIVOT_TOL else 0
-            self.iterations += 1
-
-    def refined_values(self) -> np.ndarray:
-        """Full variable values with basics recomputed from the inverse basis."""
-        binv = self.T[:, self.art_start:] * self.art_sign  # columns of B^-1
-        x = self.values.copy()
-        nonbasic = np.where(self.status != _BASIC)[0]
-        nb_vals = x[nonbasic]
-        xb = binv @ self.b - self.T[:, nonbasic] @ nb_vals
-        x[self.basis] = xb
-        return x
-
-
-def _solve_dense_simplex(problem: LpProblem, max_iters: int,
-                         time_limit: float | None) -> LpSolution:
-    tab = _Tableau(problem)
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-
-    def fail(status):
-        return LpSolution(status=status, x=None, objective=None, duals=None,
-                          iterations=tab.iterations, engine="own")
-
-    # phase 1: price out the artificials
-    c1 = np.zeros(tab.cols)
-    c1[tab.art_start:] = 1.0
-    status = tab.run(c1, np.ones(tab.cols, dtype=bool), max_iters, deadline)
-    if status in ("iteration_limit", "time_limit"):
-        return fail(status)
-    x_full = tab.refined_values()
-    if x_full[tab.art_start:].sum() > 1e-7:
-        return fail("infeasible")
-    tab.lo[tab.art_start:] = 0.0
-    tab.hi[tab.art_start:] = 0.0
-
-    allowed = np.ones(tab.cols, dtype=bool)
-    allowed[tab.art_start:] = False
-    status = tab.run(tab.c_phase2, allowed, max_iters, deadline)
-    if status in ("iteration_limit", "time_limit"):
-        return fail(status)
-    if status == "unbounded":
-        return fail("unbounded")
-
-    x = tab.refined_values()[:tab.n]
-    obj = float(problem.c @ x + problem.c0)
-
-    # duals: artificial columns carry B^-1, so their reduced costs are -y
-    d = tab.reduced_costs(tab.c_phase2)
-    y_internal = -tab.art_sign * d[tab.art_start:]
-    y = -y_internal
-    y[tab.row_flipped] *= -1.0
-    if not problem.maximize:
-        y = -y
-    return LpSolution(status="optimal", x=x, objective=obj, duals=y,
-                      iterations=tab.iterations, engine="own")
-
-
-# ------------------------------------------------------------ scipy engine
-
-def _solve_scipy(problem: LpProblem, max_iters: int,
-                 time_limit: float | None) -> LpSolution:
+    """Solve an LP with HiGHS within an iteration and a time budget."""
     A = problem.A
     le = problem.senses == "<"
     ge = problem.senses == ">"
@@ -362,47 +136,30 @@ def _solve_scipy(problem: LpProblem, max_iters: int,
 def kkt_residuals(problem: LpProblem, solution: LpSolution) -> dict[str, float]:
     """Max primal/dual/complementary-slackness violations of a solution."""
     x, y = solution.x, solution.duals
+    le = problem.senses == "<"
+    ge = problem.senses == ">"
     slack = problem.b - problem.A @ x
+    sign = 1.0 if problem.maximize else -1.0
 
-    primal = 0.0
-    for r in range(problem.num_rows):
-        s = problem.senses[r]
-        if s == "<":
-            primal = max(primal, -slack[r])
-        elif s == ">":
-            primal = max(primal, slack[r])
-        else:
-            primal = max(primal, abs(slack[r]))
-    primal = max(primal,
+    row_viol = np.where(le, -slack, np.where(ge, slack, np.abs(slack)))
+    primal = max(float(np.max(row_viol, initial=0.0)),
                  float(np.max(problem.lo - x, initial=0.0)),
                  float(np.max(x - problem.hi, initial=0.0)))
 
-    sign = 1.0 if problem.maximize else -1.0
-    dual = comp = 0.0
-    for r in range(problem.num_rows):
-        s = problem.senses[r]
-        if s == "<":
-            dual = max(dual, -sign * y[r])
-            comp = max(comp, abs(y[r] * slack[r]))
-        elif s == ">":
-            dual = max(dual, sign * y[r])
-            comp = max(comp, abs(y[r] * slack[r]))
+    # an inequality's dual must have the sign that relaxing it helps
+    wrong_sign = np.where(le, -sign * y, np.where(ge, sign * y, 0.0))
+    comp = float(np.max(np.abs(y * slack)[le | ge], initial=0.0))
 
-    z = problem.c - problem.A.T @ y
-    for j in range(problem.num_vars):
-        at_lo = x[j] <= problem.lo[j] + 1e-7
-        at_hi = np.isfinite(problem.hi[j]) and x[j] >= problem.hi[j] - 1e-7
-        zj = sign * z[j]
-        if at_lo and at_hi:
-            continue
-        if at_lo:
-            dual = max(dual, zj)   # raising x_j must not help
-        elif at_hi:
-            dual = max(dual, -zj)  # lowering x_j must not help
-        else:
-            dual = max(dual, abs(zj))
-    return {"primal": float(primal), "dual": float(dual),
-            "complementary": float(comp)}
+    # reduced costs: raising x_j at its lower bound (or lowering it at its
+    # upper bound) must not help, and a free-floating x_j needs zero cost
+    z = sign * (problem.c - problem.A.T @ y)
+    at_lo = x <= problem.lo + _AT_BOUND_TOL
+    at_hi = np.isfinite(problem.hi) & (x >= problem.hi - _AT_BOUND_TOL)
+    col_viol = np.where(at_lo & at_hi, 0.0,
+                        np.where(at_lo, z, np.where(at_hi, -z, np.abs(z))))
+    dual = max(float(np.max(wrong_sign, initial=0.0)),
+               float(np.max(col_viol, initial=0.0)))
+    return {"primal": primal, "dual": dual, "complementary": comp}
 
 
 def certify_optimal(problem: LpProblem, solution: LpSolution,
@@ -410,30 +167,3 @@ def certify_optimal(problem: LpProblem, solution: LpSolution,
     if solution.status != "optimal":
         return False
     return all(v < atol for v in kkt_residuals(problem, solution).values())
-
-
-# ------------------------------------------------------------ text export
-
-def write_lp_file(problem: LpProblem, path) -> None:
-    """Dump in CPLEX LP text format for cross-checks with other solvers."""
-    A = problem.A.tocoo()
-    rows: list[list[str]] = [[] for _ in range(problem.num_rows)]
-    for r, j, v in zip(A.row, A.col, A.data):
-        rows[r].append(f"{v:+.17g} x{j}")
-    lines = ["Maximize" if problem.maximize else "Minimize"]
-    terms = [f"{v:+.17g} x{j}" for j, v in enumerate(problem.c) if v != 0.0]
-    if problem.c0 != 0.0:
-        terms.append(f"{problem.c0:+.17g}")
-    lines.append(" obj: " + (" ".join(terms) if terms else "0 x0"))
-    lines.append("Subject To")
-    op = {"<": "<=", "=": "=", ">": ">="}
-    for r in range(problem.num_rows):
-        body = " ".join(rows[r]) if rows[r] else "0 x0"
-        lines.append(f" c{r}: {body} {op[problem.senses[r]]} {problem.b[r]:.17g}")
-    lines.append("Bounds")
-    for j in range(problem.num_vars):
-        hi = "+inf" if np.isinf(problem.hi[j]) else f"{problem.hi[j]:.17g}"
-        lines.append(f" {problem.lo[j]:.17g} <= x{j} <= {hi}")
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -58,7 +58,7 @@ def test_one_product_one_period_hand_case():
     cat = make_catalog(p=1, spoilage=[0.96], critical=[0.05],
                        v_max=10.0, c_max=10.0)
     problem, lay = build_perfect_info_lp(cat, np.zeros(1), np.zeros((1, 1)))
-    sol = solve_lp(problem, engine="own")
+    sol = solve_lp(problem)
     assert sol.status == "optimal"
     assert certify_optimal(problem, sol)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
@@ -78,7 +78,7 @@ def test_lp_dominates_exhaustive_grid_policy():
     demand = np.array([[0.3], [0.2]])
     x0 = np.array([0.1])
     problem, _ = build_perfect_info_lp(cat, x0, demand)
-    sol = solve_lp(problem, engine="own")
+    sol = solve_lp(problem)
     assert sol.status == "optimal" and certify_optimal(problem, sol)
 
     grid = [0.0, 0.2, 0.4]
@@ -98,7 +98,7 @@ def test_capacity_duals_positive_when_demand_exceeds_capacity():
                        v_max=0.2, c_max=10.0)
     demand = np.full((4, 3), 0.4)  # total volume demand 1.2 >> 0.2
     problem, lay = build_perfect_info_lp(cat, np.zeros(3), demand)
-    sol = solve_lp(problem, engine="own")
+    sol = solve_lp(problem)
     assert sol.status == "optimal" and certify_optimal(problem, sol)
     vol_duals = [sol.duals[lay.capacity_rows(t)[0]] for t in range(4)]
     assert all(d > 1e-9 for d in vol_duals)
@@ -124,7 +124,7 @@ def test_lp_matches_tuned_heuristic_on_constructed_instance():
     heuristic_score = surrogate_scores(cat, x0, demand, executed).sum()
 
     problem, _ = build_perfect_info_lp(cat, x0, demand)
-    sol = solve_lp(problem, engine="own")
+    sol = solve_lp(problem)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(heuristic_score, abs=1e-6)
 
@@ -140,7 +140,7 @@ def test_upper_bound_property_on_small_instance():
     heuristic_score = surrogate_scores(ds.catalog, x0, window, executed).sum()
 
     problem, _ = build_perfect_info_lp(ds.catalog, x0, window)
-    sol = solve_lp(problem, engine="own")
+    sol = solve_lp(problem)
     assert sol.status == "optimal" and certify_optimal(problem, sol)
     assert sol.objective >= heuristic_score - 1e-9
 
@@ -148,7 +148,7 @@ def test_upper_bound_property_on_small_instance():
 def test_lp_upper_bound_result_and_replay():
     ds = generate(DatasetSpec(products=3, horizon=30, train_len=20, seed=4))
     x0 = initial_inventories(3, 2)
-    res = lp_upper_bound(ds.catalog, x0, ds.demand[20:30], engine="own")
+    res = lp_upper_bound(ds.catalog, x0, ds.demand[20:30])
     assert isinstance(res, LpBoundResult)
     assert res.status == "optimal"
     assert res.actions.shape == (10, 3)
@@ -157,17 +157,21 @@ def test_lp_upper_bound_result_and_replay():
                                     res.actions).mean()
     assert res.mean_surrogate >= replay_score - 1e-9
     assert res.mean_true_reward <= 1.0
+    assert 0.0 <= res.kkt_residual < 1e-7
 
 
 def test_lp_upper_bound_dnf_and_errors():
     ds = generate(DatasetSpec(products=3, horizon=30, train_len=20, seed=4))
     x0 = initial_inventories(3, 2)
-    res = lp_upper_bound(ds.catalog, x0, ds.demand[20:30], engine="own",
-                         max_iters=2)
+    res = lp_upper_bound(ds.catalog, x0, ds.demand[20:30], max_iters=2)
     assert res.status == "dnf" and res.mean_surrogate is None
+    assert res.solver_status == "iteration_limit"
+    assert res.kkt_residual is None
+    res = lp_upper_bound(ds.catalog, x0, ds.demand[20:30], time_limit=0.0)
+    assert res.status == "dnf" and res.solver_status == "time_limit"
 
     with pytest.raises(ValueError):
-        lp_upper_bound(ds.catalog, x0, ds.demand[20:20], engine="own")
+        lp_upper_bound(ds.catalog, x0, ds.demand[20:20])
     with pytest.raises(ValueError):
         build_perfect_info_lp(ds.catalog, x0[:2], ds.demand[20:30])
 
@@ -179,15 +183,25 @@ def test_lp_rejects_total_spoilage():
 
 
 def test_scipy_engine_agrees_on_structured_lp():
+    """The duals HiGHS reports prove its optimum: their Lagrangian dual
+    value over the variable box equals the primal objective, and the bound
+    that ``lp_upper_bound`` reports is that optimum with its certificate."""
     ds = generate(DatasetSpec(products=3, horizon=40, train_len=25, seed=6))
     x0 = initial_inventories(3, 5)
     problem, _ = build_perfect_info_lp(ds.catalog, x0, ds.demand[25:40])
-    own = solve_lp(problem, engine="own")
-    ref = solve_lp(problem, engine="scipy")
-    assert own.status == ref.status == "optimal"
-    assert own.objective == pytest.approx(ref.objective, abs=1e-7)
-    assert all(v < 1e-7 for v in kkt_residuals(problem, own).values())
-    assert all(v < 1e-6 for v in kkt_residuals(problem, ref).values())
+    sol = solve_lp(problem)
+    assert sol.status == "optimal"
+    assert all(v < 1e-7 for v in kkt_residuals(problem, sol).values())
+
+    assert np.all(np.isfinite(problem.hi))
+    z = problem.c - problem.A.T @ sol.duals
+    dual_value = (problem.b @ sol.duals + problem.c0
+                  + np.where(z > 0.0, z * problem.hi, z * problem.lo).sum())
+    assert dual_value == pytest.approx(sol.objective, abs=1e-7)
+
+    res = lp_upper_bound(ds.catalog, x0, ds.demand[25:40])
+    assert res.mean_surrogate * 15 == pytest.approx(sol.objective, abs=1e-9)
+    assert res.kkt_residual == max(kkt_residuals(problem, sol).values())
 
 
 def test_layout_row_bookkeeping():

@@ -254,6 +254,28 @@ def test_step_dimension_mismatch():
         step(cat, StoreState(t=0, x=np.zeros(2)), np.zeros(2), np.zeros(3))
 
 
+def test_step_clips_negative_order_to_zero():
+    """A negative order is no order, not free disposal of stock."""
+    cat = make_catalog(p=2, spoilage=[0.1, 0.1])
+    state = StoreState(t=0, x=np.array([0.8, 0.3]))
+    demand = np.array([0.0, 0.1])
+    out = step(cat, state, np.array([-0.5, 0.2]), demand)
+    ref = step(cat, state, np.array([0.0, 0.2]), demand)
+    np.testing.assert_array_equal(out.executed, [0.0, 0.2])
+    np.testing.assert_array_equal(out.next_state.x, ref.next_state.x)
+    assert out.next_state.x[0] == pytest.approx(0.72)
+    assert out.q_waste[0] == pytest.approx(0.08)
+    assert out.business_reward == ref.business_reward
+
+
+def test_step_rejects_nonfinite_action():
+    cat = make_catalog(p=2)
+    state = StoreState(t=0, x=np.full(2, 0.5))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            step(cat, state, np.array([0.1, bad]), np.zeros(2))
+
+
 def scalar_trace(x0, actions, demands, volume, weight, v_max, c_max,
                  spoilage, kappa, alpha=1.0):
     """Hand-computation oracle: pure-Python scalar replay of an episode."""

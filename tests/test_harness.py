@@ -101,14 +101,27 @@ def test_heuristic_run_is_seed_dependent_only_via_inventories(smoke_dataset,
 
 
 def test_lp_bound_run(smoke_dataset, tmp_path):
-    cfg = smoke_config(smoke_dataset, algorithm="lp_bound", seeds=(0,),
-                       lp_engine="own")
+    cfg = smoke_config(smoke_dataset, algorithm="lp_bound", seeds=(0,))
     out = run_experiment(cfg, tmp_path / "lp")
     cols, rows = harness.read_csv(out / "seed_0" / "lp_bound.csv")
+    assert tuple(cols) == harness.LP_COLUMNS
     assert [r[cols.index("window")] for r in rows] == ["train", "test"]
     for r in rows:
         assert r[cols.index("status")] == "optimal"
+        assert r[cols.index("solver_status")] == "optimal"
         assert float(r[cols.index("mean_surrogate")]) <= 1.0
+        assert 0.0 <= float(r[cols.index("kkt_residual")]) < 1e-7
+
+    # a manifest written before the LP engine options were retired
+    # still replays, to the same bytes
+    old = tmp_path / "old"
+    old.mkdir()
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"].update(lp_engine="own", lp_max_iters=500_000)
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    replayed = replay_manifest(old, tmp_path / "replay")
+    assert (replayed / "seed_0" / "lp_bound.csv").read_bytes() == \
+        (out / "seed_0" / "lp_bound.csv").read_bytes()
 
 
 def test_smoke_run_completes_quickly(smoke_dataset, tmp_path):
@@ -295,8 +308,10 @@ def test_cli_end_to_end(tmp_path):
                      "--out", str(tmp_path / "ft.csv")]) == 0
 
     assert cli.main(["lp-bound", "--dataset", str(data), "--window", "test",
-                     "--engine", "own",
                      "--out", str(tmp_path / "lp.csv")]) == 0
+    lp_cols, lp_rows = harness.read_csv(tmp_path / "lp.csv")
+    assert tuple(lp_cols) == harness.LP_COLUMNS
+    assert lp_rows[0][lp_cols.index("status")] == "optimal"
 
     assert cli.main(["summarize", str(run_dir),
                      "--out", str(tmp_path / "summary.csv")]) == 0
@@ -324,3 +339,14 @@ def test_config_validation(smoke_dataset):
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"dataset": "x", "algorithm": "dqn",
                                     "bogus": 1})
+
+
+def test_config_drops_retired_lp_keys():
+    base = {"dataset": "x", "algorithm": "lp_bound"}
+    old = ExperimentConfig.from_dict(
+        {**base, "lp_engine": "own", "lp_max_iters": 500000})
+    assert old == ExperimentConfig.from_dict(base)
+    assert "lp_engine" not in old.to_dict()
+    assert "lp_max_iters" not in old.to_dict()
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_dict({**base, "lp_engine": "own", "bogus": 1})

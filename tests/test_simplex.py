@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from restock.baselines import build_perfect_info_lp
+from restock.datagen import DatasetSpec, generate, initial_inventories
 from restock.simplex import (LpProblem, certify_optimal, kkt_residuals,
-                             solve_lp, write_lp_file)
+                             solve_lp)
 
 
 def make_problem(c, A, senses, b, lo=None, hi=None, maximize=True):
@@ -22,7 +25,7 @@ def make_problem(c, A, senses, b, lo=None, hi=None, maximize=True):
 
 def test_single_variable_max():
     prob = make_problem([1.0], [[1.0]], ["<"], [3.0])
-    sol = solve_lp(prob, engine="own")
+    sol = solve_lp(prob)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
     assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
@@ -30,13 +33,13 @@ def test_single_variable_max():
 
 def test_infeasible_pair():
     prob = make_problem([1.0], [[1.0], [1.0]], ["<", ">"], [1.0, 2.0])
-    sol = solve_lp(prob, engine="own")
+    sol = solve_lp(prob)
     assert sol.status == "infeasible"
 
 
 def test_unbounded():
     prob = make_problem([1.0, 0.0], [[1.0, -1.0]], ["<"], [1.0])
-    sol = solve_lp(prob, engine="own")
+    sol = solve_lp(prob)
     assert sol.status == "unbounded"
 
 
@@ -44,7 +47,7 @@ def test_iteration_limit():
     rng = np.random.default_rng(0)
     prob = make_problem(rng.random(6), rng.random((6, 6)), ["<"] * 6,
                         rng.random(6) + 1.0, hi=np.ones(6))
-    sol = solve_lp(prob, max_iters=1, engine="own")
+    sol = solve_lp(prob, max_iters=1)
     assert sol.status == "iteration_limit"
 
 
@@ -52,7 +55,7 @@ def test_time_limit():
     rng = np.random.default_rng(1)
     prob = make_problem(rng.random(6), rng.random((6, 6)), ["<"] * 6,
                         rng.random(6) + 1.0, hi=np.ones(6))
-    sol = solve_lp(prob, engine="own", time_limit=0.0)
+    sol = solve_lp(prob, time_limit=0.0)
     assert sol.status == "time_limit"
 
 
@@ -60,7 +63,7 @@ def test_equality_row_and_bound_flip():
     # forces x1 + x2 = 1.5 with both variables boxed
     prob = make_problem([2.0, 1.0], [[1.0, 1.0]], ["="], [1.5],
                         hi=[1.0, 1.0])
-    sol = solve_lp(prob, engine="own")
+    sol = solve_lp(prob)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [1.0, 0.5], atol=1e-9)
     assert certify_optimal(prob, sol)
@@ -74,7 +77,7 @@ def test_degenerate_cycling_guard():
          [0.0, 0.0, 1.0, 0.0]]
     prob = make_problem(c, A, ["<", "<", "<"], [0.0, 0.0, 1.0],
                         maximize=False)
-    sol = solve_lp(prob, engine="own")
+    sol = solve_lp(prob)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
     assert certify_optimal(prob, sol)
@@ -84,8 +87,8 @@ def test_determinism():
     rng = np.random.default_rng(5)
     prob = make_problem(rng.random(8), rng.standard_normal((6, 8)),
                         ["<"] * 6, rng.random(6) + 0.5, hi=np.ones(8))
-    a = solve_lp(prob, engine="own")
-    b = solve_lp(prob, engine="own")
+    a = solve_lp(prob)
+    b = solve_lp(prob)
     assert a.iterations == b.iterations
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.duals, b.duals)
@@ -158,12 +161,58 @@ def random_problem(rng):
                         maximize=bool(rng.random() < 0.7))
 
 
+def looped_kkt_residuals(problem: LpProblem, solution) -> dict[str, float]:
+    """Row-by-row and column-by-column reference for ``kkt_residuals``."""
+    x, y = solution.x, solution.duals
+    slack = problem.b - problem.A @ x
+
+    primal = 0.0
+    for r in range(problem.num_rows):
+        s = problem.senses[r]
+        if s == "<":
+            primal = max(primal, -slack[r])
+        elif s == ">":
+            primal = max(primal, slack[r])
+        else:
+            primal = max(primal, abs(slack[r]))
+    primal = max(primal,
+                 float(np.max(problem.lo - x, initial=0.0)),
+                 float(np.max(x - problem.hi, initial=0.0)))
+
+    sign = 1.0 if problem.maximize else -1.0
+    dual = comp = 0.0
+    for r in range(problem.num_rows):
+        s = problem.senses[r]
+        if s == "<":
+            dual = max(dual, -sign * y[r])
+            comp = max(comp, abs(y[r] * slack[r]))
+        elif s == ">":
+            dual = max(dual, sign * y[r])
+            comp = max(comp, abs(y[r] * slack[r]))
+
+    z = problem.c - problem.A.T @ y
+    for j in range(problem.num_vars):
+        at_lo = x[j] <= problem.lo[j] + 1e-7
+        at_hi = np.isfinite(problem.hi[j]) and x[j] >= problem.hi[j] - 1e-7
+        zj = sign * z[j]
+        if at_lo and at_hi:
+            continue
+        if at_lo:
+            dual = max(dual, zj)   # raising x_j must not help
+        elif at_hi:
+            dual = max(dual, -zj)  # lowering x_j must not help
+        else:
+            dual = max(dual, abs(zj))
+    return {"primal": float(primal), "dual": float(dual),
+            "complementary": float(comp)}
+
+
 def test_random_lps_match_vertex_enumeration():
     rng = np.random.default_rng(42)
     checked_optimal = 0
     for _ in range(20):
         prob = random_problem(rng)
-        sol = solve_lp(prob, engine="own")
+        sol = solve_lp(prob)
         expect = oracle_solve(prob)
         if expect is None:
             assert sol.status == "infeasible"
@@ -172,20 +221,39 @@ def test_random_lps_match_vertex_enumeration():
         assert sol.objective == pytest.approx(expect, abs=1e-6)
         res = kkt_residuals(prob, sol)
         assert all(v < 1e-7 for v in res.values()), res
+        assert res == looped_kkt_residuals(prob, sol)
         checked_optimal += 1
-
-        ref = solve_lp(prob, engine="scipy")
-        assert ref.status == "optimal"
-        assert ref.objective == pytest.approx(expect, abs=1e-6)
-        assert all(v < 1e-6 for v in kkt_residuals(prob, ref).values())
     assert checked_optimal >= 10
 
 
+def test_kkt_residuals_match_loops_on_perfect_info_lp():
+    ds = generate(DatasetSpec(products=4, horizon=40, train_len=25, seed=3))
+    problem, _ = build_perfect_info_lp(ds.catalog, initial_inventories(4, 7),
+                                       ds.demand[25:40])
+    sol = solve_lp(problem)
+    assert sol.status == "optimal"
+    assert kkt_residuals(problem, sol) == looped_kkt_residuals(problem, sol)
+    # an off-optimal point has nonzero residuals, and both agree on them
+    rng = np.random.default_rng(0)
+    nudged = dataclasses.replace(
+        sol, x=sol.x + 1e-3 * rng.standard_normal(sol.x.shape),
+        duals=sol.duals + 1e-3 * rng.standard_normal(sol.duals.shape))
+    res = kkt_residuals(problem, nudged)
+    assert min(res.values()) > 0.0
+    assert res == looped_kkt_residuals(problem, nudged)
+
+
 def test_scipy_engine_statuses():
-    prob = make_problem([1.0], [[1.0], [1.0]], ["<", ">"], [1.0, 2.0])
-    assert solve_lp(prob, engine="scipy").status == "infeasible"
-    prob = make_problem([1.0, 0.0], [[1.0, -1.0]], ["<"], [1.0])
-    assert solve_lp(prob, engine="scipy").status == "unbounded"
+    """A solve that is not optimal carries no solution, objective or duals."""
+    for prob, status in (
+            (make_problem([1.0], [[1.0], [1.0]], ["<", ">"], [1.0, 2.0]),
+             "infeasible"),
+            (make_problem([1.0, 0.0], [[1.0, -1.0]], ["<"], [1.0]),
+             "unbounded")):
+        sol = solve_lp(prob)
+        assert sol.status == status and sol.engine == "scipy"
+        assert sol.x is None and sol.objective is None and sol.duals is None
+        assert not certify_optimal(prob, sol)
 
 
 def test_problem_validation():
@@ -197,13 +265,3 @@ def test_problem_validation():
         make_problem([np.inf], [[1.0]], ["<"], [1.0])
     with pytest.raises(ValueError):
         make_problem([1.0], [[1.0]], ["<"], [1.0], lo=[-np.inf])
-
-
-def test_lp_file_dump(tmp_path):
-    prob = make_problem([3.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], ["<", ">"],
-                        [4.0, 0.0], hi=[5.0, np.inf])
-    path = tmp_path / "prob.lp"
-    write_lp_file(prob, path)
-    text = path.read_text()
-    assert "Maximize" in text and "Subject To" in text and "Bounds" in text
-    assert "c1:" in text and ">=" in text
