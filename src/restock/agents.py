@@ -94,6 +94,7 @@ class AgentBundle:
     target_sync: int = 500
     train_steps: int = 0
     episodes_seen: int = 0
+    checkpoint_meta: dict = field(default_factory=dict)
 
     @property
     def gvf_heads_enabled(self) -> bool:
@@ -145,9 +146,9 @@ def select_actions(params: nn.MlpParams, feats: np.ndarray, epsilon: float,
     decision is re-made every call (persistence one).
     """
     qs = nn.head_values(params, feats)
-    p = feats.shape[0] if feats.ndim == 2 else 1
-    actions = np.argmax(qs[0], axis=1)
-    tags = np.full(p, TAG_MAIN, dtype=np.int64)
+    p = qs.shape[1]
+    actions = qs[0].argmax(axis=1)
+    tags = np.zeros(p, dtype=np.int64)   # TAG_MAIN
 
     explore = rng.random(p) < epsilon
     if explore.any():
@@ -162,22 +163,14 @@ def select_actions(params: nn.MlpParams, feats: np.ndarray, epsilon: float,
                 actions[uniform] = rng.integers(0, NUM_ACTIONS,
                                                 size=int(uniform.sum()))
                 tags[uniform] = TAG_RANDOM
-            for k in range(1, NUM_GVFS + 1):
-                chosen = explore & (g == k)
-                if chosen.any():
-                    actions[chosen] = np.argmin(qs[k][chosen], axis=1)
-                    tags[chosen] = TAG_RANDOM + k
+            # each remaining explorer follows the minimizer of its GVF head
+            rows = np.flatnonzero(explore & (g > 0))
+            if rows.size:
+                actions[rows] = qs[g[rows], rows].argmin(axis=1)
+                tags[rows] = TAG_RANDOM + g[rows]
         else:
             raise ValueError(f"unknown exploration mode {mode!r}")
     return actions, tags, qs
-
-
-def select_action(params: nn.MlpParams, s: np.ndarray, epsilon: float,
-                  mode: str, rng: np.random.Generator):
-    """Single-state version; returns (action index, source tag)."""
-    actions, tags, _ = select_actions(params, np.atleast_2d(s), epsilon,
-                                      mode, rng)
-    return int(actions[0]), int(tags[0])
 
 
 def exploration_mode(bundle: AgentBundle) -> str:
@@ -197,8 +190,7 @@ def td_targets(bundle: AgentBundle, batch) -> np.ndarray:
     cont = np.where(terminal, 0.0, bundle.gamma)
     targets = np.empty((bundle.config.num_heads, len(a)))
     targets[0] = r + cont * qs_next[0].max(axis=1)
-    for k in range(1, 1 + NUM_GVFS):
-        targets[k] = c[:, k - 1] + cont * qs_next[k].min(axis=1)
+    targets[1:] = c.T + cont * qs_next[1:].min(axis=2)
     return targets
 
 
@@ -217,7 +209,7 @@ def train_step(bundle: AgentBundle, batch=None):
     bundle.opt.step(bundle.params, grads)
     bundle.train_steps += 1
     if bundle.train_steps % bundle.target_sync == 0:
-        bundle.target = bundle.params.copy()
+        np.copyto(bundle.target.flat, bundle.params.flat)
     return {"loss": loss, "train_steps": bundle.train_steps}
 
 
@@ -292,9 +284,7 @@ def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
         out = sim.step(ACTION_SET[actions])
         next_feats = sim.features()
 
-        totals += (out.business_reward, out.b_empty.mean(),
-                   out.b_critical.mean(), out.q_waste.mean(), out.spread,
-                   out.refused.mean(), out.capacity_penalty)
+        totals += out.component_means
 
         if train:
             bundle.buffer.push_block(feats, actions, out.per_product_rewards,
@@ -344,30 +334,23 @@ def train_agent(bundle: AgentBundle, sim: Simulator, episodes: int,
     return history
 
 
-def fine_tune(bundle: AgentBundle, sim: Simulator, episodes: int, start: int,
-              length: int, x0_provider,
-              epsilon: float = 0.1) -> list[EpisodeMetrics]:
-    """Continue training under (possibly modified) rewards at constant eps."""
-    history = []
-    for ep in range(episodes):
-        history.append(run_episode(bundle, sim, start, length,
-                                   x0_provider(ep), mode="train",
-                                   epsilon=epsilon, episode_index=ep))
-    return history
-
-
 # -------------------------------------------------------------- checkpoints
 
-def save_agent(path, bundle: AgentBundle) -> None:
+def save_agent(path, bundle: AgentBundle, env: dict | None = None,
+               reward_mod: dict | None = None) -> None:
+    """Checkpoint the policy with the env and reward-mod fields it was
+    trained under, so it can be scored under them again."""
     meta = {"variant": bundle.variant,
             "episodes_seen": bundle.episodes_seen,
             "train_steps": bundle.train_steps,
-            "gamma": bundle.gamma}
-    nn.save_checkpoint(path, bundle.params, bundle.config, metadata=meta)
+            "gamma": bundle.gamma,
+            "env": env or {}, "reward_mod": reward_mod or {}}
+    nn.save_checkpoint(path, bundle.params, metadata=meta)
 
 
 def load_agent(path, seed: int = 0, **bundle_kwargs) -> AgentBundle:
-    """Restore a trained policy into a fresh bundle (optimizer reset)."""
+    """Restore a trained policy into a fresh bundle (optimizer reset); the
+    checkpoint's metadata is kept as ``bundle.checkpoint_meta``."""
     params, cfg, meta = nn.load_checkpoint(path)
     bundle = make_bundle(meta["variant"], seed=seed,
                          gamma=meta.get("gamma", 0.99), **bundle_kwargs)
@@ -377,4 +360,5 @@ def load_agent(path, seed: int = 0, **bundle_kwargs) -> AgentBundle:
     bundle.opt = nn.AdamState(params, lr=bundle.opt.lr)
     bundle.episodes_seen = meta.get("episodes_seen", 0)
     bundle.train_steps = 0
+    bundle.checkpoint_meta = meta
     return bundle

@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, datagen, harness
-from .config import ExperimentConfig, RewardMod, load_config
-from .env import RewardParams
+from .config import EnvParams, ExperimentConfig, RewardMod, load_config
 
 
 def _add_datagen(sub):
@@ -174,7 +173,8 @@ def main(argv=None) -> int:
                                          harness._PURPOSE_EVAL, 0)
         res = baselines.lp_upper_bound(
             ds.catalog, x0, ds.demand[start:start + length],
-            time_limit=args.time_limit, reward=RewardParams())
+            time_limit=args.time_limit,
+            reward=harness.reward_params(EnvParams(), RewardMod()))
         row = harness.lp_bound_row(args.window, start, length, res)
         print(json.dumps(dict(zip(harness.LP_COLUMNS, row)), indent=2))
         if args.out:

@@ -257,8 +257,9 @@ def load(path) -> Dataset:
         if len(parts) != p:
             raise DatasetFormatError("demand", f"row {t} has {len(parts)} values")
         demand[t] = [float(v) for v in parts]
-    if np.any(demand < 0):
-        raise DatasetFormatError("demand", "negative demand value")
+    if not np.all((demand >= 0.0) & (demand <= 1.0)):
+        raise DatasetFormatError("demand", "demand values must be finite "
+                                 "and lie in [0, 1]")
 
     try:
         catalog = ProductCatalog(

@@ -85,6 +85,13 @@ class StoreState:
         if np.any(self.x < -1e-12) or np.any(self.x > 1 + 1e-12):
             raise ValueError("inventory levels must lie in [0, 1]")
 
+    @classmethod
+    def _trusted(cls, t: int, x: np.ndarray) -> "StoreState":
+        """A state the step kernel produced, without re-validation."""
+        state = object.__new__(cls)
+        state.t, state.x = t, x
+        return state
+
 
 @dataclass(frozen=True)
 class RewardParams:
@@ -118,12 +125,15 @@ class StepOutcome:
     business_reward: float
     per_product_rewards: np.ndarray
     cumulants: np.ndarray       # shape (3, p): wastage, stockout, depletion
+    #: (7,) business reward, empty, critical, wastage, spread, refused and
+    #: capacity penalty, each the period's mean over products
+    component_means: np.ndarray
 
 
 def clip_action(state: StoreState, raw: np.ndarray) -> np.ndarray:
     """Clip each requested order to [0, 1 - x_i]: no negative order (which
     would dispose of stock for free) and no order beyond the free shelf."""
-    return np.clip(np.asarray(raw, dtype=float), 0.0, 1.0 - state.x)
+    return np.minimum(np.maximum(raw, 0.0), 1.0 - state.x)
 
 
 def capacity_ratio(catalog: ProductCatalog, u: np.ndarray) -> float:
@@ -142,7 +152,7 @@ def enforce_capacity(u: np.ndarray, rho: float) -> np.ndarray:
 def apply_replenishment(state: StoreState, u: np.ndarray) -> np.ndarray:
     """Post-replenishment inventory x+ = x- + u."""
     x_plus = state.x + u
-    if np.any(x_plus > 1.0 + 1e-9):
+    if (x_plus > 1.0 + 1e-9).any():
         raise ValueError("replenished inventory exceeds shelf capacity; "
                          "action was not clipped")
     return np.minimum(x_plus, 1.0)
@@ -162,31 +172,46 @@ def apply_demand_and_spoilage(x_plus: np.ndarray, demand: np.ndarray,
     return x_next, q_waste, refused
 
 
+def _percentile(ranked: list[float], q: float) -> float:
+    """Linear interpolation between ranks, as ``np.percentile`` computes it
+    (including its two-sided lerp), on an ascending list."""
+    pos = (len(ranked) - 1) * (q / 100.0)
+    lo = int(pos)
+    t = pos - lo
+    if t == 0.0:
+        return ranked[lo]
+    a, b = ranked[lo], ranked[lo + 1]
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def percentile_spread(x: np.ndarray) -> float:
     """95th minus 5th percentile, linear interpolation between ranks."""
     if x.shape[0] == 1:
         return 0.0
-    hi, lo = np.percentile(x, [95.0, 5.0])
-    return float(hi - lo)
+    ranked = np.sort(x).tolist()
+    return _percentile(ranked, 95.0) - _percentile(ranked, 5.0)
 
 
 def empty_critical_flags(x_next: np.ndarray, catalog: ProductCatalog,
-                         reward: RewardParams):
-    kappa = (np.full_like(x_next, reward.critical_override)
-             if reward.critical_override is not None
+                         reward: RewardParams,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Stockout and below-critical flags (0/1) as the rows of a (2, p)
+    array, written into ``out`` when given."""
+    kappa = (reward.critical_override if reward.critical_override is not None
              else catalog.critical_level)
-    b_empty = (x_next == 0.0).astype(float)
-    b_critical = (x_next < kappa).astype(float)
-    return b_empty, b_critical
+    flags = np.empty((2, x_next.shape[0])) if out is None else out
+    np.equal(x_next, 0.0, out=flags[0])
+    np.less(x_next, kappa, out=flags[1])
+    return flags
 
 
-def business_reward(b_empty: np.ndarray, b_critical: np.ndarray,
-                    q_waste: np.ndarray, spread: float, refused: np.ndarray,
+def business_reward(empty: float, critical: float, wastage: float,
+                    spread: float, refused: float,
                     reward: RewardParams = RewardParams()) -> float:
-    """Store-level reward: 1 minus the five penalty components."""
-    return float(1.0 - b_empty.mean() - b_critical.mean()
-                 - reward.wastage_weight * q_waste.mean()
-                 - spread - refused.mean())
+    """Store-level reward: 1 minus the five penalty components, each given
+    as its mean over products (``spread`` is store-level already)."""
+    return 1.0 - empty - critical - reward.wastage_weight * wastage \
+        - spread - refused
 
 
 def per_product_rewards(b_empty: np.ndarray, b_critical: np.ndarray,
@@ -207,20 +232,26 @@ def per_product_rewards(b_empty: np.ndarray, b_critical: np.ndarray,
 def cumulants(q_waste: np.ndarray, b_empty: np.ndarray,
               x_next: np.ndarray) -> np.ndarray:
     """Predictive signals per product: wastage, stockout flag, depletion."""
-    return np.stack([q_waste, b_empty, 1.0 - x_next])
+    return np.array([q_waste, b_empty, 1.0 - x_next])
 
 
 def step(catalog: ProductCatalog, state: StoreState, raw_action: np.ndarray,
          demand: np.ndarray,
          reward: RewardParams = RewardParams()) -> StepOutcome:
-    """Advance one period. Pure function of its inputs."""
+    """Advance one period. Pure function of its inputs.
+
+    The catalog, the state and the demand are validated where they are
+    built; per period only the shapes and the action's finiteness are
+    checked. Every returned array is new, so outcomes never alias.
+    """
+    raw = np.asarray(raw_action, dtype=float)
+    w = np.asarray(demand, dtype=float)
     p = catalog.num_products
-    raw = _as_vector(raw_action, p, "action")
-    if not np.all(np.isfinite(raw)):
+    if not raw.shape == w.shape == state.x.shape == (p,):
+        raise ValueError(f"action {raw.shape}, demand {w.shape} and state "
+                         f"{state.x.shape} must all have shape ({p},)")
+    if not np.isfinite(raw).all():
         raise ValueError("action must be finite")
-    w = _as_vector(demand, p, "demand")
-    if state.x.shape[0] != p:
-        raise ValueError(f"state has {state.x.shape[0]} products, catalog {p}")
 
     requested = clip_action(state, raw)
     rho = capacity_ratio(catalog, requested)
@@ -230,13 +261,15 @@ def step(catalog: ProductCatalog, state: StoreState, raw_action: np.ndarray,
         x_plus, w, catalog.spoilage_rate)
 
     spread = percentile_spread(x_next)
-    b_empty, b_critical = empty_critical_flags(x_next, catalog, reward)
-    r_global = business_reward(b_empty, b_critical, q_waste, spread, refused,
-                               reward)
-    r_products = per_product_rewards(b_empty, b_critical, q_waste, spread,
-                                     refused, rho, reward)
+    components = np.empty((4, p))   # empty, critical, wastage, refused
+    empty_critical_flags(x_next, catalog, reward, out=components[:2])
+    components[2], components[3] = q_waste, refused
+    empty, critical, wastage, lost = (components.sum(axis=1) / p).tolist()
+    r_global = business_reward(empty, critical, wastage, spread, lost, reward)
+    penalty = reward.alpha * max(rho - 1.0, 0.0)
+    b_empty, b_critical, q_waste, refused = components
     return StepOutcome(
-        next_state=StoreState(t=state.t + 1, x=x_next),
+        next_state=StoreState._trusted(state.t + 1, x_next),
         requested=requested,
         executed=executed,
         b_empty=b_empty,
@@ -245,10 +278,13 @@ def step(catalog: ProductCatalog, state: StoreState, raw_action: np.ndarray,
         refused=refused,
         spread=spread,
         rho=rho,
-        capacity_penalty=reward.alpha * max(rho - 1.0, 0.0),
+        capacity_penalty=penalty,
         business_reward=r_global,
-        per_product_rewards=r_products,
+        per_product_rewards=per_product_rewards(
+            b_empty, b_critical, q_waste, spread, refused, rho, reward),
         cumulants=cumulants(q_waste, b_empty, x_next),
+        component_means=np.array([r_global, empty, critical, wastage,
+                                  spread, lost, penalty]),
     )
 
 
@@ -280,42 +316,10 @@ class ForecastState:
         return self.buffer.mean(axis=0)
 
 
-def update_forecast(fs: ForecastState, demand: np.ndarray) -> ForecastState:
-    fs.push(np.asarray(demand, dtype=float))
-    return fs
-
-
 def shelf_life(catalog: ProductCatalog) -> np.ndarray:
     """Normalized inverse spoilage rate, 1 for the longest-lived product."""
     inv = 1.0 / catalog.spoilage_rate
     return inv / inv.max()
-
-
-def feature_matrix(catalog: ProductCatalog, x: np.ndarray,
-                   forecast: np.ndarray) -> np.ndarray:
-    """Per-product observation rows, shape (p, 7).
-
-    Columns: inventory, forecast demand, normalized volume, normalized
-    weight, shelf life, total forecast volume / v_max, total forecast
-    weight / c_max. The last two are identical across products and tie the
-    shared capacity pressure into each clone's view.
-    """
-    p = catalog.num_products
-    feats = np.empty((p, NUM_FEATURES))
-    feats[:, 0] = x
-    feats[:, 1] = forecast
-    feats[:, 2] = catalog.unit_volume / catalog.unit_volume.max()
-    feats[:, 3] = catalog.unit_weight / catalog.unit_weight.max()
-    feats[:, 4] = shelf_life(catalog)
-    feats[:, 5] = catalog.unit_volume @ forecast / catalog.v_max
-    feats[:, 6] = catalog.unit_weight @ forecast / catalog.c_max
-    return feats
-
-
-def build_feature_vector(i: int, catalog: ProductCatalog, x: np.ndarray,
-                         forecast: np.ndarray) -> np.ndarray:
-    """Observation row for a single product."""
-    return feature_matrix(catalog, x, forecast)[i]
 
 
 class Simulator:
@@ -330,6 +334,8 @@ class Simulator:
         demand = np.asarray(demand, dtype=float)
         if demand.ndim != 2 or demand.shape[1] != catalog.num_products:
             raise ValueError("demand must be a (horizon, products) matrix")
+        if not np.all((demand >= 0.0) & (demand <= 1.0)):
+            raise ValueError("demand must be finite and lie in [0, 1]")
         self.catalog = catalog
         self.demand = demand
         self.reward = reward
@@ -348,6 +354,7 @@ class Simulator:
         return self.demand.shape[0]
 
     def reset(self, x0: np.ndarray, start: int = 0) -> StoreState:
+        """Start a window at period ``start``; ``x0`` is validated here."""
         p = self.catalog.num_products
         self.state = StoreState(t=start, x=_as_vector(x0, p, "x0").copy())
         self.forecaster = ForecastState(self.forecast_window, p)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from scipy import stats
 
 from . import __version__, agents, baselines, datagen
 from .agents import DecisionLog, EpisodeMetrics
-from .config import ExperimentConfig, RewardMod, config_hash
+from .config import EnvParams, ExperimentConfig, RewardMod, config_hash
 from .env import RewardParams, Simulator
 
 MANIFEST_NAME = "manifest.json"
@@ -34,10 +34,28 @@ def episode_inventories(p: int, seed: int, purpose: int, episode: int) -> np.nda
         p, np.random.SeedSequence([seed, purpose, episode]))
 
 
-def reward_params(cfg: ExperimentConfig) -> RewardParams:
-    return RewardParams(alpha=cfg.env.alpha,
-                        wastage_weight=cfg.reward_mod.wastage_weight,
-                        critical_override=cfg.reward_mod.critical_override)
+def reward_params(env: EnvParams, mod: RewardMod) -> RewardParams:
+    """The env's reward knobs: its penalty weight plus a reward mod."""
+    return RewardParams(alpha=env.alpha, wastage_weight=mod.wastage_weight,
+                        critical_override=mod.critical_override)
+
+
+def make_simulator(ds: datagen.Dataset, env: EnvParams,
+                   mod: RewardMod) -> Simulator:
+    return Simulator(ds.catalog, ds.demand, reward_params(env, mod),
+                     forecast_window=env.forecast_window)
+
+
+def checkpoint_simulator(bundle: agents.AgentBundle, ds: datagen.Dataset,
+                         env_params: EnvParams | None = None,
+                         reward_mod: RewardMod | None = None) -> Simulator:
+    """A simulator for a restored policy: the env and reward mod stored in
+    its checkpoint unless overridden (defaults for checkpoints that store
+    none)."""
+    meta = bundle.checkpoint_meta
+    return make_simulator(
+        ds, env_params or EnvParams(**meta.get("env", {})),
+        reward_mod or RewardMod(**meta.get("reward_mod", {})))
 
 
 def _fmt(v) -> str:
@@ -169,9 +187,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
 
 def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
     p = ds.spec.products
-    rparams = reward_params(cfg)
-    sim = Simulator(ds.catalog, ds.demand, rparams,
-                    forecast_window=cfg.env.forecast_window)
+    sim = make_simulator(ds, cfg.env, cfg.reward_mod)
     train_start, train_len = ds.train_window
     test_start, test_len = ds.test_window
     x0_eval = episode_inventories(p, seed, _PURPOSE_EVAL, 0)
@@ -182,7 +198,7 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
                                        ("test", ds.test_window)):
             res = baselines.lp_upper_bound(
                 ds.catalog, x0_eval, ds.demand[start:start + length],
-                time_limit=cfg.lp_time_limit, reward=rparams)
+                time_limit=cfg.lp_time_limit, reward=sim.reward)
             rows.append(lp_bound_row(label, start, length, res))
         write_csv(seed_dir / "lp_bound.csv", LP_COLUMNS, rows)
         return
@@ -215,7 +231,8 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
               [[test_start, test_len, *eval_m.as_row()]])
     if log is not None:
         _write_decisions(seed_dir / "decisions.csv", log)
-    agents.save_agent(seed_dir / "checkpoint.npz", bundle)
+    agents.save_agent(seed_dir / "checkpoint.npz", bundle,
+                      env=asdict(cfg.env), reward_mod=asdict(cfg.reward_mod))
 
 
 def replay_manifest(run_dir, out_dir) -> Path:
@@ -229,24 +246,20 @@ def replay_manifest(run_dir, out_dir) -> Path:
 # ----------------------------------------------------------------- transfer
 
 def evaluate_checkpoint(checkpoint_path, dataset, seed: int,
-                        env_params=None, reward_mod: RewardMod = RewardMod(),
+                        env_params: EnvParams | None = None,
+                        reward_mod: RewardMod | None = None,
                         collect_decisions: bool = False):
     """Greedy evaluation of a stored policy on a dataset's test window.
 
     Works unchanged across datasets because the observation is per-product
-    and normalized; evaluating on the native dataset reproduces the run's
-    own eval row exactly.
+    and normalized. The env and reward mod default to the ones stored in
+    the checkpoint, so evaluating on the native dataset reproduces the
+    run's own eval row exactly.
     """
     ds = dataset if isinstance(dataset, datagen.Dataset) else datagen.load(dataset)
     p = ds.spec.products
     bundle = agents.load_agent(checkpoint_path, seed=seed)
-    forecast_window = env_params.forecast_window if env_params else 8
-    alpha = env_params.alpha if env_params else 1.0
-    rparams = RewardParams(alpha=alpha,
-                           wastage_weight=reward_mod.wastage_weight,
-                           critical_override=reward_mod.critical_override)
-    sim = Simulator(ds.catalog, ds.demand, rparams,
-                    forecast_window=forecast_window)
+    sim = checkpoint_simulator(bundle, ds, env_params, reward_mod)
     test_start, test_len = ds.test_window
     x0 = episode_inventories(p, seed, _PURPOSE_EVAL, 0)
     log = DecisionLog() if collect_decisions else None
@@ -373,18 +386,16 @@ def run_finetune_suite(run_dirs: dict[str, Path], dataset_path,
                        reward_mod: RewardMod, out_path,
                        episodes: int = 100, epsilon: float = 0.1,
                        env_params=None) -> Path:
-    """Fine-tune stored checkpoints under a modified reward.
+    """Fine-tune stored checkpoints under a modified reward at a constant
+    ``epsilon``.
 
     ``run_dirs`` maps algorithm name to its pretraining run directory; all
-    algorithms and seeds share per-episode initial inventories.
+    algorithms and seeds share per-episode initial inventories. Each
+    checkpoint keeps the env it was trained under unless ``env_params`` is
+    given.
     """
     ds = datagen.load(dataset_path)
     p = ds.spec.products
-    forecast_window = env_params.forecast_window if env_params else 8
-    alpha = env_params.alpha if env_params else 1.0
-    rparams = RewardParams(alpha=alpha,
-                           wastage_weight=reward_mod.wastage_weight,
-                           critical_override=reward_mod.critical_override)
     train_start, train_len = ds.train_window
 
     rows = []
@@ -403,14 +414,13 @@ def run_finetune_suite(run_dirs: dict[str, Path], dataset_path,
                 batch_size=cfg.agent.batch_size,
                 train_every=cfg.agent.train_every,
                 target_sync=cfg.agent.target_sync,
-                hidden_dims=cfg.agent.hidden_dims)
-            sim = Simulator(ds.catalog, ds.demand, rparams,
-                            forecast_window=forecast_window)
-            history = agents.fine_tune(
+                hidden_dims=cfg.agent.hidden_dims,
+                schedule=agents.ExplorationSchedule(epsilon, epsilon))
+            sim = checkpoint_simulator(bundle, ds, env_params, reward_mod)
+            history = agents.train_agent(
                 bundle, sim, episodes, train_start, train_len,
                 x0_provider=lambda ep: episode_inventories(
-                    p, seed, _PURPOSE_FINETUNE, ep),
-                epsilon=epsilon)
+                    p, seed, _PURPOSE_FINETUNE, ep))
             for m in history:
                 rows.append([algorithm, seed, *m.as_row()])
     out_path = Path(out_path)

@@ -4,11 +4,16 @@ Plain numpy forward/backward in double precision, so analytic gradients can
 be checked tightly against central finite differences. The loss is a
 per-head mean squared TD error on the taken action, summed over the heads
 selected by a mask; the trunk accumulates every active head's gradient.
+
+Every weight lives in one contiguous vector, and the heads are fused into
+one (embedding, heads * actions) matrix, so each layer of the forward and
+backward pass is one matmul and the optimizer works on whole vectors.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,140 +30,130 @@ class MlpConfig:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
 
 
-@dataclass
 class MlpParams:
-    trunk_w: list[np.ndarray]
-    trunk_b: list[np.ndarray]
-    head_w: list[np.ndarray]
-    head_b: list[np.ndarray]
+    """All weights in one float64 vector ``flat``, with named views into it.
 
-    def arrays(self) -> list[np.ndarray]:
-        return [*self.trunk_w, *self.trunk_b, *self.head_w, *self.head_b]
+    ``flat`` holds trunk layer 0's weights and biases, then layer 1's, ...,
+    then the fused heads: ``heads_w`` (emb, num_heads * num_actions), in
+    which head h owns columns [h * num_actions, (h + 1) * num_actions), and
+    ``heads_b``. ``head_w[h]`` and ``head_b[h]`` view head h's part. Writing
+    through any view changes ``flat`` and the other way round.
+    """
+
+    def __init__(self, config: MlpConfig, flat: np.ndarray | None = None):
+        dims = (config.input_dim, *config.hidden_dims)
+        width = config.num_heads * config.num_actions
+        shapes = [s for fan_in, fan_out in zip(dims[:-1], dims[1:])
+                  for s in ((fan_in, fan_out), (fan_out,))]
+        shapes += [(dims[-1], width), (width,)]
+        size = sum(math.prod(s) for s in shapes)
+        if flat is None:
+            flat = np.zeros(size)
+        if flat.shape != (size,) or flat.dtype != np.float64:
+            raise ValueError(f"expected {size} float64 parameters, got "
+                             f"{flat.dtype} {flat.shape}")
+        self.config, self.flat = config, flat
+        views, start = [], 0
+        for shape in shapes:
+            views.append(flat[start:start + math.prod(shape)].reshape(shape))
+            start += math.prod(shape)
+        self.trunk_w, self.trunk_b = views[0:-2:2], views[1:-2:2]
+        self.heads_w, self.heads_b = views[-2:]
+        a = config.num_actions
+        self.head_w = [self.heads_w[:, h * a:(h + 1) * a]
+                       for h in range(config.num_heads)]
+        self.head_b = [self.heads_b[h * a:(h + 1) * a]
+                       for h in range(config.num_heads)]
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.trunk_w],
-                         [b.copy() for b in self.trunk_b],
-                         [w.copy() for w in self.head_w],
-                         [b.copy() for b in self.head_b])
-
-    def zeros_like(self) -> "MlpParams":
-        return MlpParams([np.zeros_like(w) for w in self.trunk_w],
-                         [np.zeros_like(b) for b in self.trunk_b],
-                         [np.zeros_like(w) for w in self.head_w],
-                         [np.zeros_like(b) for b in self.head_b])
+        return MlpParams(self.config, self.flat.copy())
 
 
 def init_params(config: MlpConfig, rng: np.random.Generator) -> MlpParams:
-    """He-uniform weights, zero biases."""
-    dims = (config.input_dim, *config.hidden_dims)
-    trunk_w, trunk_b = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / fan_in)
-        trunk_w.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        trunk_b.append(np.zeros(fan_out))
-    head_w, head_b = [], []
-    emb = dims[-1]
-    limit = np.sqrt(6.0 / emb)
-    for _ in range(config.num_heads):
-        head_w.append(rng.uniform(-limit, limit, size=(emb, config.num_actions)))
-        head_b.append(np.zeros(config.num_actions))
-    return MlpParams(trunk_w, trunk_b, head_w, head_b)
+    """He-uniform weights, zero biases; trunk layers first, then one
+    (emb, num_actions) draw per head."""
+    params = MlpParams(config)
+    for w in params.trunk_w + params.head_w:
+        limit = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return params
 
 
-def _trunk_forward(params: MlpParams, x: np.ndarray):
+def _trunk(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """Input and post-ReLU activations of every trunk layer."""
     acts = [x]
-    pre = []
-    h = x
     for w, b in zip(params.trunk_w, params.trunk_b):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0)
-        acts.append(h)
-    return acts, pre
+        z = acts[-1] @ w
+        z += b
+        acts.append(np.maximum(z, 0.0, out=z))
+    return acts
+
+
+def _fused_heads(params: MlpParams, emb: np.ndarray) -> np.ndarray:
+    """All head outputs side by side, (B, num_heads * num_actions)."""
+    q = emb @ params.heads_w
+    q += params.heads_b
+    return q
 
 
 def forward(params: MlpParams, x: np.ndarray):
-    """Returns (trunk embedding, list of per-head outputs), all (B, .)."""
+    """Returns (trunk embedding (B, emb), head outputs (num_heads, B,
+    num_actions))."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite feature input")
-    acts, _ = _trunk_forward(params, x)
-    emb = acts[-1]
-    heads = [emb @ w + b for w, b in zip(params.head_w, params.head_b)]
-    return emb, heads
+    emb = _trunk(params, x)[-1]
+    q = _fused_heads(params, emb)
+    cfg = params.config
+    qs = q.reshape(len(x), cfg.num_heads, cfg.num_actions)
+    return emb, qs.transpose(1, 0, 2)
 
 
 def head_values(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """All head outputs stacked to (num_heads, B, num_actions)."""
-    _, heads = forward(params, x)
-    return np.stack(heads)
-
-
-def td_loss(params: MlpParams, x: np.ndarray, actions: np.ndarray,
-            targets: np.ndarray, head_mask: np.ndarray) -> float:
-    """Masked sum over heads of mean((Q_h(s, a) - y_h)^2)."""
-    _, heads = forward(params, x)
-    idx = np.arange(len(actions))
-    total = 0.0
-    for h, q in enumerate(heads):
-        if head_mask[h]:
-            err = q[idx, actions] - targets[h]
-            total += float(np.mean(err * err))
-    return total
+    return forward(params, x)[1]
 
 
 def backward(params: MlpParams, x: np.ndarray, actions: np.ndarray,
              targets: np.ndarray, head_mask: np.ndarray):
-    """Loss and gradients of td_loss; masked heads get zero gradient."""
+    """Loss and gradients of the masked TD loss; masked heads get zero
+    gradient. The gradients come back as one ``MlpParams``."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    actions = np.asarray(actions, dtype=int)
+    actions = np.asarray(actions, dtype=np.intp)
     targets = np.asarray(targets, dtype=float)
-    if not np.all(np.isfinite(targets)):
+    if not np.isfinite(targets).all():
         raise ValueError("non-finite TD target")
     batch = x.shape[0]
-    idx = np.arange(batch)
+    rows = np.arange(batch)
+    heads = np.flatnonzero(head_mask)
+    cols = heads[:, None] * params.config.num_actions + actions
 
-    acts, pre = _trunk_forward(params, x)
+    acts = _trunk(params, x)
     emb = acts[-1]
-    grads = params.zeros_like()
+    q = _fused_heads(params, emb)
+    err = q[rows, cols] - targets[heads]
+    loss = float((err * err).mean(axis=1).sum())
+    dq = np.zeros_like(q)
+    dq[rows, cols] = 2.0 * err / batch
 
-    loss = 0.0
-    d_emb = np.zeros_like(emb)
-    for h, (w, b) in enumerate(zip(params.head_w, params.head_b)):
-        if not head_mask[h]:
-            continue
-        q = emb @ w + b
-        err = q[idx, actions] - targets[h]
-        loss += float(np.mean(err * err))
-        dq = np.zeros_like(q)
-        dq[idx, actions] = 2.0 * err / batch
-        grads.head_w[h] = emb.T @ dq
-        grads.head_b[h] = dq.sum(axis=0)
-        d_emb += dq @ w.T
-
-    dh = d_emb
+    grads = MlpParams(params.config)
+    np.matmul(emb.T, dq, out=grads.heads_w)
+    dq.sum(axis=0, out=grads.heads_b)
+    dh = dq @ params.heads_w.T
     for layer in range(len(params.trunk_w) - 1, -1, -1):
-        dz = dh * (pre[layer] > 0.0)
-        grads.trunk_w[layer] = acts[layer].T @ dz
-        grads.trunk_b[layer] = dz.sum(axis=0)
+        # a unit is active exactly when its ReLU output is positive
+        dz = dh * (acts[layer + 1] > 0.0)
+        np.matmul(acts[layer].T, dz, out=grads.trunk_w[layer])
+        dz.sum(axis=0, out=grads.trunk_b[layer])
         if layer > 0:
             dh = dz @ params.trunk_w[layer].T
     return loss, grads
 
 
-# ---------------------------------------------------------------- optimizers
-
-def sgd_step(params: MlpParams, grads: MlpParams, lr: float) -> MlpParams:
-    """Plain in-place gradient step."""
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
-    for p, g in zip(params.arrays(), grads.arrays()):
-        p -= lr * g
-    return params
-
+# ---------------------------------------------------------------- optimizer
 
 class AdamState:
-    """Adam with bias correction; updates parameters in place."""
+    """Adam with bias correction; updates ``params.flat`` in place."""
 
     def __init__(self, params: MlpParams, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -166,63 +161,58 @@ class AdamState:
             raise ValueError("learning rate must be positive")
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = params.zeros_like()
-        self.v = params.zeros_like()
+        self.m, self.v, self._num, self._den = np.zeros((4, params.flat.size))
 
     def step(self, params: MlpParams, grads: MlpParams) -> MlpParams:
+        """p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), element by element."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(params.arrays(), grads.arrays(),
-                              self.m.arrays(), self.v.arrays()):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        g, m, v, num, den = grads.flat, self.m, self.v, self._num, self._den
+        np.multiply(g, 1.0 - b1, out=num)
+        m *= b1
+        m += num
+        np.multiply(g, 1.0 - b2, out=den)
+        den *= g
+        v *= b2
+        v += den
+        np.divide(v, 1.0 - b2 ** self.t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(m, 1.0 - b1 ** self.t, out=num)
+        num *= self.lr
+        num /= den
+        params.flat -= num
         return params
 
 
 # --------------------------------------------------------------- checkpoints
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-def save_checkpoint(path, params: MlpParams, config: MlpConfig,
+def save_checkpoint(path, params: MlpParams,
                     metadata: dict | None = None) -> None:
     """Exact (binary float64) round-trip container for network weights."""
-    arrays = {}
-    for k, w in enumerate(params.trunk_w):
-        arrays[f"trunk_w_{k}"] = w
-    for k, b in enumerate(params.trunk_b):
-        arrays[f"trunk_b_{k}"] = b
-    for k, w in enumerate(params.head_w):
-        arrays[f"head_w_{k}"] = w
-    for k, b in enumerate(params.head_b):
-        arrays[f"head_b_{k}"] = b
-    meta = {"version": CHECKPOINT_VERSION, "config": asdict(config),
+    meta = {"version": CHECKPOINT_VERSION, "config": asdict(params.config),
             "metadata": metadata or {}}
-    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
-                                   dtype=np.uint8)
+    blob = np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
+                         dtype=np.uint8)
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, params=params.flat, meta=blob)
 
 
 def load_checkpoint(path):
-    """Returns (params, config, metadata)."""
+    """Returns (params, config, metadata); reads versions 1 and 2."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
-        if meta["version"] != CHECKPOINT_VERSION:
+        config = MlpConfig(**meta["config"])
+        if meta["version"] == CHECKPOINT_VERSION:
+            params = MlpParams(config, data["params"])
+        elif meta["version"] == 1:   # one array per layer and per head
+            params = MlpParams(config)
+            for name in ("trunk_w", "trunk_b", "head_w", "head_b"):
+                for k, view in enumerate(getattr(params, name)):
+                    view[...] = data[f"{name}_{k}"]
+        else:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        cfg_dict = meta["config"]
-        cfg_dict["hidden_dims"] = tuple(cfg_dict["hidden_dims"])
-        config = MlpConfig(**cfg_dict)
-        n_hidden = len(config.hidden_dims)
-        params = MlpParams(
-            trunk_w=[data[f"trunk_w_{k}"] for k in range(n_hidden)],
-            trunk_b=[data[f"trunk_b_{k}"] for k in range(n_hidden)],
-            head_w=[data[f"head_w_{k}"] for k in range(config.num_heads)],
-            head_b=[data[f"head_b_{k}"] for k in range(config.num_heads)],
-        )
     return params, config, meta["metadata"]

@@ -4,13 +4,20 @@ from scipy import stats
 
 from restock import agents, nn
 from restock.agents import (AgentBundle, DecisionLog, ExplorationSchedule,
-                            ReplayBuffer, exploration_mode, fine_tune,
-                            load_agent, make_bundle, run_episode, save_agent,
-                            select_action, select_actions, td_targets,
-                            train_agent, train_step)
+                            ReplayBuffer, exploration_mode, load_agent,
+                            make_bundle, run_episode, save_agent,
+                            select_actions, td_targets, train_agent,
+                            train_step)
 from restock.datagen import DatasetSpec, generate, initial_inventories
 from restock.env import NUM_ACTIONS, NUM_FEATURES, RewardParams, Simulator
 from conftest import make_catalog
+
+
+def select_action(params, s, epsilon, mode, rng):
+    """Single-state version of select_actions: (action index, source tag)."""
+    actions, tags, _ = select_actions(params, np.atleast_2d(s), epsilon,
+                                      mode, rng)
+    return int(actions[0]), int(tags[0])
 
 
 def tiny_bundle(variant="dez_dqn_gvf", seed=0, **kw):
@@ -82,7 +89,7 @@ def test_greedy_when_epsilon_zero():
 
 def test_degenerate_head_unique_max():
     bundle = tiny_bundle()
-    params = bundle.params.zeros_like()
+    params = nn.MlpParams(bundle.config)
     params.head_b[0][5] = 1.0
     a, tag = select_action(params, np.zeros(NUM_FEATURES), 0.0,
                            "epsilon_greedy", bundle.rng)
@@ -91,7 +98,7 @@ def test_degenerate_head_unique_max():
 
 def test_argmax_ties_break_to_lowest_index():
     bundle = tiny_bundle()
-    params = bundle.params.zeros_like()  # all-equal head outputs
+    params = nn.MlpParams(bundle.config)  # all-equal head outputs
     a, _ = select_action(params, np.zeros(NUM_FEATURES), 0.0,
                          "epsilon_greedy", bundle.rng)
     assert a == 0
@@ -138,7 +145,7 @@ def test_dez_source_tags_uniform_at_full_epsilon():
 
 def test_gvf_exploration_picks_head_argmin():
     bundle = tiny_bundle()
-    params = bundle.params.zeros_like()
+    params = nn.MlpParams(bundle.config)
     params.head_b[2][7] = -1.0  # gvf2's minimizer is action 7
     rng = np.random.default_rng(8)
     seen = False
@@ -210,8 +217,7 @@ def test_train_step_deterministic_across_bundles():
         for _ in range(20):
             train_step(bundle)
         results.append(bundle.params)
-    for a, b in zip(results[0].arrays(), results[1].arrays()):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(results[0].flat, results[1].flat)
 
 
 def chain_buffer(bundle, states, cumulant_table, reward_table, gamma_steps=None):
@@ -297,12 +303,11 @@ def test_eval_episode_is_repeatable_and_pure():
     ds, sim = small_world()
     bundle = tiny_bundle(seed=1)
     x0 = initial_inventories(4, 100)
-    before = [w.copy() for w in bundle.params.arrays()]
+    before = bundle.params.flat.copy()
     m1 = run_episode(bundle, sim, *ds.test_window, x0=x0, mode="eval")
     m2 = run_episode(bundle, sim, *ds.test_window, x0=x0, mode="eval")
     assert m1 == m2
-    for a, b in zip(before, bundle.params.arrays()):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(before, bundle.params.flat)
     assert len(bundle.buffer) == 0
 
 
@@ -336,8 +341,7 @@ def test_training_episode_deterministic_trajectories():
                                4, np.random.SeedSequence([7, ep])))
         snaps.append((bundle.params, [m.mean_business_reward for m in hist]))
     assert snaps[0][1] == snaps[1][1]
-    for a, b in zip(snaps[0][0].arrays(), snaps[1][0].arrays()):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(snaps[0][0].flat, snaps[1][0].flat)
 
 
 def test_losses_stay_finite_on_smoke_dataset():
@@ -369,13 +373,18 @@ def test_decision_log_layout():
 
 
 def test_fine_tune_zero_episodes_is_identity():
+    """Fine-tuning is train_agent under a flat schedule; zero episodes
+    leave the policy untouched, and the flat schedule yields eps exactly."""
     ds, sim = small_world()
-    bundle = tiny_bundle(seed=6)
-    before = [w.copy() for w in bundle.params.arrays()]
-    fine_tune(bundle, sim, episodes=0, start=0, length=20,
-              x0_provider=lambda ep: np.full(4, 0.5))
-    for a, b in zip(before, bundle.params.arrays()):
-        np.testing.assert_array_equal(a, b)
+    bundle = tiny_bundle(seed=6, schedule=ExplorationSchedule(0.1, 0.1))
+    before = bundle.params.flat.copy()
+    assert train_agent(bundle, sim, episodes=0, start=0, length=20,
+                       x0_provider=lambda ep: np.full(4, 0.5)) == []
+    np.testing.assert_array_equal(before, bundle.params.flat)
+    history = train_agent(bundle, sim, episodes=3, start=0, length=20,
+                          x0_provider=lambda ep: np.full(4, 0.5))
+    assert [m.epsilon for m in history] == [0.1, 0.1, 0.1]
+    assert [m.episode for m in history] == [0, 1, 2]
 
 
 def test_fine_tune_sees_modified_rewards():
@@ -416,3 +425,23 @@ def test_make_bundle_rejects_unknown_variant():
         make_bundle("ppo", seed=0)
     assert exploration_mode(tiny_bundle("dqn")) == "epsilon_greedy"
     assert exploration_mode(tiny_bundle("dez_dqn_gvf")) == "dez_greedy"
+
+
+def test_dez_choice_matches_per_head_reference():
+    """One argmin over the gathered GVF heads picks what a loop over the
+    heads picks, from the same random draws."""
+    bundle = tiny_bundle(seed=11)
+    s = np.random.default_rng(12).random((200, NUM_FEATURES))
+    actions, tags, qs = select_actions(bundle.params, s, 0.6, "dez_greedy",
+                                       np.random.default_rng(13))
+    rng = np.random.default_rng(13)
+    explore = rng.random(200) < 0.6
+    g = rng.integers(0, 4, size=200)
+    expect = np.argmax(qs[0], axis=1)
+    expect[explore & (g == 0)] = rng.integers(
+        0, NUM_ACTIONS, size=int((explore & (g == 0)).sum()))
+    for k in (1, 2, 3):
+        chosen = explore & (g == k)
+        expect[chosen] = np.argmin(qs[k][chosen], axis=1)
+    np.testing.assert_array_equal(actions, expect)
+    np.testing.assert_array_equal(tags, np.where(explore, 1 + g, 0))

@@ -116,6 +116,24 @@ def test_invariant_violation_on_load(tmp_path):
     assert err.value.section == "catalog"
 
 
+def test_demand_outside_unit_interval_rejected_on_load(tmp_path):
+    ds = generate(small_spec())
+    path = tmp_path / "ds.txt"
+    save(ds, path)
+    lines = path.read_text().splitlines()
+    k = lines.index("[demand]") + 3
+    for value in ("nan", "inf", "1.5", "-0.2"):
+        parts = lines[k].split()
+        parts[1] = value
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines[:k] + [" ".join(parts)]
+                                 + lines[k + 1:]) + "\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load(bad)
+        assert err.value.section == "demand", value
+    assert load(path) == ds
+
+
 def test_initial_inventories():
     a = initial_inventories(50, 123)
     b = initial_inventories(50, 123)

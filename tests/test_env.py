@@ -6,12 +6,47 @@ from hypothesis import given, settings, strategies as st
 
 from restock import env
 from restock.env import (
-    ProductCatalog, RewardParams, Simulator, StoreState, ForecastState,
-    apply_demand_and_spoilage, apply_replenishment, build_feature_vector,
+    NUM_FEATURES, ProductCatalog, RewardParams, Simulator, StoreState,
+    ForecastState, apply_demand_and_spoilage, apply_replenishment,
     business_reward, capacity_ratio, clip_action, enforce_capacity,
-    feature_matrix, per_product_rewards, percentile_spread, step,
+    per_product_rewards, percentile_spread, shelf_life, step,
 )
 from conftest import make_catalog
+
+
+def feature_matrix(catalog: ProductCatalog, x: np.ndarray,
+                   forecast: np.ndarray) -> np.ndarray:
+    """Per-product observation rows, shape (p, 7), column by column.
+
+    Columns: inventory, forecast demand, normalized volume, normalized
+    weight, shelf life, total forecast volume / v_max, total forecast
+    weight / c_max. The reference for ``Simulator.features``.
+    """
+    p = catalog.num_products
+    feats = np.empty((p, NUM_FEATURES))
+    feats[:, 0] = x
+    feats[:, 1] = forecast
+    feats[:, 2] = catalog.unit_volume / catalog.unit_volume.max()
+    feats[:, 3] = catalog.unit_weight / catalog.unit_weight.max()
+    feats[:, 4] = shelf_life(catalog)
+    feats[:, 5] = catalog.unit_volume @ forecast / catalog.v_max
+    feats[:, 6] = catalog.unit_weight @ forecast / catalog.c_max
+    return feats
+
+
+def build_feature_vector(i: int, catalog: ProductCatalog, x: np.ndarray,
+                         forecast: np.ndarray) -> np.ndarray:
+    """Observation row for a single product."""
+    return feature_matrix(catalog, x, forecast)[i]
+
+
+def simulator_features(catalog: ProductCatalog, x: np.ndarray,
+                       forecast: np.ndarray) -> np.ndarray:
+    """``Simulator.features`` at inventory ``x`` after one period of demand
+    ``forecast`` (window 1, so that is the forecast)."""
+    sim = Simulator(catalog, np.tile(forecast, (2, 1)), forecast_window=1)
+    sim.reset(x, start=1)
+    return sim.features()
 
 
 # ---------------------------------------------------------------- clipping
@@ -115,14 +150,14 @@ def test_percentile_spread_matches_oracle_on_random_vectors():
 # ------------------------------------------------------------------ rewards
 
 def test_business_reward_examples():
-    zeros = np.zeros(3)
-    assert business_reward(zeros, zeros, zeros, 0.0, zeros) == pytest.approx(1.0)
+    """Arguments are the per-product means of each component."""
+    assert business_reward(0.0, 0.0, 0.0, 0.0, 0.0) == pytest.approx(1.0)
 
     b_e = np.array([1.0, 0.0])
-    assert business_reward(b_e, b_e, np.zeros(2), 0.0, np.zeros(2)) == pytest.approx(0.0)
+    assert business_reward(b_e.mean(), b_e.mean(), 0.0, 0.0, 0.0) == \
+        pytest.approx(0.0)
 
-    one = np.ones(1)
-    assert business_reward(one, one, one, 0.0, one) == pytest.approx(-3.0)
+    assert business_reward(1.0, 1.0, 1.0, 0.0, 1.0) == pytest.approx(-3.0)
 
 
 def test_per_product_reward_examples():
@@ -143,15 +178,16 @@ def test_mean_per_product_matches_business_reward_when_feasible():
         q = rng.random(p) * 0.2
         refused = rng.random(p) * 0.3
         spread = float(rng.random() * 0.5)
-        r = business_reward(b_e, b_c, q, spread, refused)
+        r = business_reward(b_e.mean(), b_c.mean(), q.mean(), spread,
+                            refused.mean())
         ri = per_product_rewards(b_e, b_c, q, spread, refused, rho=0.7)
         assert ri.mean() == pytest.approx(r, abs=1e-12)
 
 
 def test_reward_modifications():
     one, zero = np.ones(1), np.zeros(1)
-    base = business_reward(zero, zero, np.array([0.1]), 0.0, zero)
-    heavy = business_reward(zero, zero, np.array([0.1]), 0.0, zero,
+    base = business_reward(0.0, 0.0, 0.1, 0.0, 0.0)
+    heavy = business_reward(0.0, 0.0, 0.1, 0.0, 0.0,
                             RewardParams(wastage_weight=4.0))
     assert base - heavy == pytest.approx(3 * 0.1)
 
@@ -203,13 +239,13 @@ def test_cumulant_examples():
 
 def test_features_identical_products_are_symmetric():
     cat = make_catalog(p=3)
-    feats = feature_matrix(cat, np.full(3, 0.4), np.full(3, 0.1))
+    feats = simulator_features(cat, np.full(3, 0.4), np.full(3, 0.1))
     assert np.all(feats == feats[0])
 
 
 def test_shelf_life_self_normalizes():
     cat = make_catalog(p=1, spoilage=[0.5])
-    feats = feature_matrix(cat, np.array([0.2]), np.array([0.0]))
+    feats = simulator_features(cat, np.array([0.2]), np.array([0.0]))
     assert feats[0, 4] == 1.0
 
 
@@ -222,6 +258,11 @@ def test_system_features_shared_across_products():
     single = build_feature_vector(2, cat, np.linspace(0.1, 0.9, 4),
                                   np.linspace(0, 0.3, 4))
     np.testing.assert_array_equal(single, feats[2])
+
+    # the simulator's build agrees with the column-by-column one
+    np.testing.assert_array_equal(
+        simulator_features(cat, np.linspace(0.1, 0.9, 4),
+                           np.linspace(0, 0.3, 4)), feats)
 
 
 # ------------------------------------------------------------- full steps
@@ -244,6 +285,45 @@ def test_step_reward_reconstruction():
     rebuilt = (1.0 - out.b_empty.mean() - out.b_critical.mean()
                - out.q_waste.mean() - out.spread - out.refused.mean())
     assert rebuilt == pytest.approx(out.business_reward, abs=1e-12)
+    np.testing.assert_array_equal(out.component_means, [
+        out.business_reward, out.b_empty.mean(), out.b_critical.mean(),
+        out.q_waste.mean(), out.spread, out.refused.mean(),
+        out.capacity_penalty])
+
+
+def test_consecutive_outcomes_do_not_alias():
+    """Holding two outcomes at once: the second period writes nothing the
+    first one returned."""
+    cat = make_catalog(p=3, spoilage=[0.1, 0.2, 0.3])
+    rng = np.random.default_rng(12)
+    demand = rng.random((5, 3)) * 0.3
+    sim = Simulator(cat, demand, forecast_window=2)
+    sim.reset(np.full(3, 0.5))
+    first = sim.step(np.full(3, 0.2))
+    saved = {k: np.copy(v) for k, v in vars(first).items()
+             if isinstance(v, np.ndarray)}
+    saved_x = first.next_state.x.copy()
+    second = sim.step(np.full(3, 0.4))
+    for name, value in saved.items():
+        np.testing.assert_array_equal(getattr(first, name), value)
+        assert not np.shares_memory(getattr(first, name),
+                                    getattr(second, name)), name
+    np.testing.assert_array_equal(first.next_state.x, saved_x)
+    assert not np.shares_memory(first.next_state.x, second.next_state.x)
+    assert not np.array_equal(first.executed, second.executed)
+
+
+def test_simulator_validates_at_the_boundary():
+    cat = make_catalog(p=2)
+    for bad in (np.nan, np.inf, -0.1, 1.5):
+        demand = np.full((4, 2), 0.2)
+        demand[2, 1] = bad
+        with pytest.raises(ValueError):
+            Simulator(cat, demand)
+    sim = Simulator(cat, np.full((4, 2), 0.2))
+    for x0 in (np.array([0.5]), np.array([0.5, 1.2]), np.array([-0.3, 0.1])):
+        with pytest.raises(ValueError):
+            sim.reset(x0)
 
 
 def test_step_dimension_mismatch():

@@ -143,6 +143,28 @@ def test_transfer_self_matches_eval_row(smoke_run, smoke_dataset):
     assert metrics.mean_business_reward == recorded
 
 
+def test_self_transfer_uses_the_checkpoint_env(smoke_dataset, tmp_path):
+    """With no env passed, a checkpoint is scored under the env and reward
+    mod it was trained with, so it reproduces its own eval row."""
+    cfg = smoke_config(smoke_dataset, seeds=(0,), episodes=2,
+                       env=EnvParams(forecast_window=4, alpha=3.0),
+                       reward_mod=RewardMod(wastage_weight=2.0))
+    out = run_experiment(cfg, tmp_path / "run")
+    ckpt = out / "seed_0" / "checkpoint.npz"
+    cols, rows = harness.read_csv(out / "seed_0" / "eval_metrics.csv")
+    recorded = [float(v) for v in rows[0]]
+
+    metrics, _ = harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0)
+    assert recorded[2:] == [float(v) for v in metrics.as_row()]
+    reward = recorded[cols.index("mean_business_reward")]
+    assert [r[4] for r in transfer_rows(out, smoke_dataset)] == [reward]
+    # the defaults the checkpoint used to fall back to score it differently
+    default, _ = harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0,
+                                             env_params=EnvParams(),
+                                             reward_mod=RewardMod())
+    assert default.as_row() != metrics.as_row()
+
+
 def test_transfer_rows_on_foreign_dataset(smoke_run, tmp_path):
     cfg, out = smoke_run
     foreign = tmp_path / "foreign.txt"
@@ -297,6 +319,13 @@ def test_cli_end_to_end(tmp_path):
 
     assert cli.main(["transfer", "--run", str(run_dir), "--dataset",
                      str(data), "--out", str(tmp_path / "transfer.csv")]) == 0
+    # the run's forecast_window=4 travels with its checkpoint
+    def reward(path):
+        cols, rows = harness.read_csv(path)
+        return rows[0][cols.index("mean_business_reward")]
+    recorded = reward(run_dir / "seed_0" / "eval_metrics.csv")
+    assert reward(tmp_path / "eval.csv") == recorded
+    assert reward(tmp_path / "transfer.csv") == recorded
 
     assert cli.main(["heatmap", "--decisions",
                      str(run_dir / "seed_0" / "decisions.csv"),

@@ -3,8 +3,33 @@ import pytest
 
 from restock import nn
 from restock.nn import (AdamState, MlpConfig, MlpParams, backward, forward,
-                        init_params, load_checkpoint, save_checkpoint,
-                        sgd_step, td_loss)
+                        head_values, init_params, load_checkpoint,
+                        save_checkpoint)
+
+
+def td_loss(params: MlpParams, x, actions, targets, head_mask) -> float:
+    """Masked sum over heads of mean((Q_h(s, a) - y_h)^2), one head at a
+    time: the oracle the fused backward pass is checked against."""
+    _, heads = forward(params, x)
+    idx = np.arange(len(actions))
+    total = 0.0
+    for h, q in enumerate(heads):
+        if head_mask[h]:
+            err = q[idx, actions] - targets[h]
+            total += float(np.mean(err * err))
+    return total
+
+
+def sgd_step(params: MlpParams, grads: MlpParams, lr: float) -> MlpParams:
+    """Plain in-place gradient step on the flat vector."""
+    if lr <= 0:
+        raise ValueError("learning rate must be positive")
+    params.flat -= lr * grads.flat
+    return params
+
+
+def named_arrays(params: MlpParams) -> list[np.ndarray]:
+    return [*params.trunk_w, *params.trunk_b, *params.head_w, *params.head_b]
 
 
 def small_config(**kw):
@@ -16,7 +41,8 @@ def small_config(**kw):
 def test_zero_params_give_zero_outputs():
     cfg = small_config()
     params = init_params(cfg, np.random.default_rng(0))
-    zero = params.zeros_like()
+    zero = MlpParams(cfg)
+    assert params.flat.size == zero.flat.size
     _, heads = forward(zero, np.random.default_rng(1).random((3, 4)))
     for q in heads:
         np.testing.assert_array_equal(q, 0.0)
@@ -64,8 +90,7 @@ def test_zero_loss_gives_zero_gradients():
     targets = np.stack([q[idx, actions] for q in heads])
     loss, grads = backward(params, x, actions, targets, np.ones(3, bool))
     assert loss == pytest.approx(0.0, abs=1e-18)
-    for g in grads.arrays():
-        np.testing.assert_array_equal(g, 0.0)
+    np.testing.assert_array_equal(grads.flat, 0.0)
 
 
 def test_masking_all_heads_zeroes_trunk_gradient():
@@ -76,8 +101,7 @@ def test_masking_all_heads_zeroes_trunk_gradient():
     actions = rng.integers(0, 4, size=4)
     targets = rng.random((3, 4))
     _, grads = backward(params, x, actions, targets, np.zeros(3, bool))
-    for g in grads.arrays():
-        np.testing.assert_array_equal(g, 0.0)
+    np.testing.assert_array_equal(grads.flat, 0.0)
 
 
 def test_masked_head_gets_zero_gradient():
@@ -95,18 +119,16 @@ def test_masked_head_gets_zero_gradient():
 
 
 def finite_difference_grads(params, x, actions, targets, mask, h=1e-5):
-    grads = params.zeros_like()
-    for p_arr, g_arr in zip(params.arrays(), grads.arrays()):
-        flat_p = p_arr.ravel()
-        flat_g = g_arr.ravel()
-        for k in range(flat_p.size):
-            orig = flat_p[k]
-            flat_p[k] = orig + h
-            up = td_loss(params, x, actions, targets, mask)
-            flat_p[k] = orig - h
-            dn = td_loss(params, x, actions, targets, mask)
-            flat_p[k] = orig
-            flat_g[k] = (up - dn) / (2.0 * h)
+    grads = MlpParams(params.config)
+    flat_p, flat_g = params.flat, grads.flat
+    for k in range(flat_p.size):
+        orig = flat_p[k]
+        flat_p[k] = orig + h
+        up = td_loss(params, x, actions, targets, mask)
+        flat_p[k] = orig - h
+        dn = td_loss(params, x, actions, targets, mask)
+        flat_p[k] = orig
+        flat_g[k] = (up - dn) / (2.0 * h)
     return grads
 
 
@@ -134,18 +156,22 @@ def test_gradients_match_finite_differences():
         actions = rng.integers(0, cfg.num_actions, size=batch)
         targets = rng.standard_normal((cfg.num_heads, batch))
         mask = rng.random(cfg.num_heads) < 0.8
-        _, analytic = backward(params, x, actions, targets, mask)
+        loss, analytic = backward(params, x, actions, targets, mask)
+        assert loss == pytest.approx(td_loss(params, x, actions, targets,
+                                             mask), rel=1e-12, abs=1e-15)
         numeric = finite_difference_grads(params, x, actions, targets, mask)
-        for a, n in zip(analytic.arrays(), numeric.arrays()):
+        for a, n in zip(named_arrays(analytic), named_arrays(numeric)):
             if np.linalg.norm(n) == 0 and np.linalg.norm(a) == 0:
                 continue
             assert relative_error(a, n) < 1e-4
 
 
 def test_sgd_step_examples():
-    params = MlpParams(trunk_w=[np.array([[2.0]])], trunk_b=[np.zeros(1)],
-                       head_w=[np.array([[1.0]])], head_b=[np.zeros(1)])
-    grads = params.zeros_like()
+    cfg = MlpConfig(input_dim=1, hidden_dims=(1,), num_heads=1, num_actions=1)
+    params = MlpParams(cfg)
+    params.trunk_w[0][0, 0] = 2.0
+    params.head_w[0][0, 0] = 1.0
+    grads = MlpParams(cfg)
     before = params.copy()
     sgd_step(params, grads, lr=0.5)
     np.testing.assert_array_equal(params.trunk_w[0], before.trunk_w[0])
@@ -171,8 +197,7 @@ def test_adam_steps_are_deterministic():
             _, grads = backward(params, x, actions, targets, np.ones(3, bool))
             opt.step(params, grads)
         results.append(params)
-    for a, b in zip(results[0].arrays(), results[1].arrays()):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(results[0].flat, results[1].flat)
 
 
 def test_training_reduces_regression_loss():
@@ -198,9 +223,159 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(9)
     params = init_params(cfg, rng)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params, cfg, metadata={"mode": "dqn", "episode": 7})
+    save_checkpoint(path, params, metadata={"mode": "dqn", "episode": 7})
     loaded, cfg2, meta = load_checkpoint(path)
     assert cfg2 == cfg
     assert meta == {"mode": "dqn", "episode": 7}
-    for a, b in zip(params.arrays(), loaded.arrays()):
+    np.testing.assert_array_equal(params.flat, loaded.flat)
+
+
+# ------------------------------------------------------------ flat layout
+
+def test_flat_vector_and_named_views_share_memory():
+    cfg = small_config()
+    params = init_params(cfg, np.random.default_rng(10))
+    sizes = [a.size for a in named_arrays(params)]
+    assert params.flat.size == sum(sizes)
+    params.flat[:] = np.arange(params.flat.size)
+    # the first trunk matrix leads the vector; the fused head matrix holds
+    # head h in columns [h * actions, (h + 1) * actions)
+    np.testing.assert_array_equal(params.trunk_w[0].ravel(),
+                                  np.arange(4 * 5))
+    a = cfg.num_actions
+    for h in range(cfg.num_heads):
+        np.testing.assert_array_equal(params.head_w[h],
+                                      params.heads_w[:, h * a:(h + 1) * a])
+        np.testing.assert_array_equal(params.head_b[h],
+                                      params.heads_b[h * a:(h + 1) * a])
+    params.head_b[2][1] = -7.0
+    assert params.flat[-a + 1] == -7.0
+    params.flat[0] = 99.0
+    assert params.trunk_w[0][0, 0] == 99.0
+    with pytest.raises(ValueError):
+        MlpParams(cfg, np.zeros(params.flat.size + 1))
+
+
+def test_init_params_draws_per_head_blocks_in_order():
+    """Same draws, in the same order, as one uniform array per layer and
+    per head."""
+    cfg = small_config()
+    params = init_params(cfg, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    dims = (cfg.input_dim, *cfg.hidden_dims)
+    for k, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        limit = np.sqrt(6.0 / fan_in)
+        np.testing.assert_array_equal(
+            params.trunk_w[k], rng.uniform(-limit, limit, (fan_in, fan_out)))
+        np.testing.assert_array_equal(params.trunk_b[k], 0.0)
+    limit = np.sqrt(6.0 / dims[-1])
+    for h in range(cfg.num_heads):
+        np.testing.assert_array_equal(
+            params.head_w[h],
+            rng.uniform(-limit, limit, (dims[-1], cfg.num_actions)))
+    np.testing.assert_array_equal(params.heads_b, 0.0)
+
+
+def test_copy_and_target_sync_do_not_alias():
+    from restock import agents
+    cfg = small_config()
+    params = init_params(cfg, np.random.default_rng(12))
+    twin = params.copy()
+    assert not np.shares_memory(twin.flat, params.flat)
+    params.flat += 1.0
+    assert not np.array_equal(twin.flat, params.flat)
+
+    bundle = agents.make_bundle("dqn", seed=0, hidden_dims=(8, 8),
+                                batch_size=4, target_sync=1)
+    rng = np.random.default_rng(0)
+    s = rng.random((8, 7))
+    bundle.buffer.push_block(s, rng.integers(0, 14, 8), rng.random(8),
+                             rng.random((8, 3)), s, np.zeros(8, bool))
+    agents.train_step(bundle)   # syncs the target (target_sync=1)
+    np.testing.assert_array_equal(bundle.target.flat, bundle.params.flat)
+    assert not np.shares_memory(bundle.target.flat, bundle.params.flat)
+    synced = bundle.target.flat.copy()
+    bundle.params.flat += 0.5
+    np.testing.assert_array_equal(bundle.target.flat, synced)
+
+
+def test_masked_head_stays_bit_identical_through_adam():
+    cfg = small_config()
+    rng = np.random.default_rng(13)
+    params = init_params(cfg, rng)
+    opt = AdamState(params, lr=1e-2)
+    mask = np.array([True, False, True])
+    frozen_w, frozen_b = params.head_w[1].copy(), params.head_b[1].copy()
+    trunk_before = params.trunk_w[0].copy()
+    for _ in range(20):
+        x = rng.random((8, 4))
+        _, grads = backward(params, x, rng.integers(0, 4, 8),
+                            rng.random((3, 8)), mask)
+        np.testing.assert_array_equal(grads.head_w[1], 0.0)
+        opt.step(params, grads)
+    assert np.array_equal(params.head_w[1], frozen_w)
+    assert np.array_equal(params.head_b[1], frozen_b)
+    assert not np.array_equal(params.trunk_w[0], trunk_before)
+
+
+def test_adam_matches_per_array_reference():
+    """The flat step equals Adam written out array by array."""
+    cfg = small_config()
+    rng = np.random.default_rng(14)
+    params = init_params(cfg, rng)
+    ref = [a.copy() for a in named_arrays(params)]
+    m = [np.zeros_like(a) for a in ref]
+    v = [np.zeros_like(a) for a in ref]
+    opt = AdamState(params, lr=1e-2)
+    for t in range(1, 6):
+        grads = MlpParams(cfg, rng.standard_normal(params.flat.size))
+        opt.step(params, grads)
+        for p, g, mk, vk in zip(ref, named_arrays(grads), m, v):
+            mk *= 0.9
+            mk += (1.0 - 0.9) * g
+            vk *= 0.999
+            vk += (1.0 - 0.999) * g * g
+            p -= 1e-2 * (mk / (1 - 0.9 ** t)) / (
+                np.sqrt(vk / (1 - 0.999 ** t)) + 1e-8)
+    for a, b in zip(named_arrays(params), ref):
         np.testing.assert_array_equal(a, b)
+
+
+def test_v1_checkpoint_loads_like_v2(tmp_path):
+    import json
+    cfg = small_config()
+    params = init_params(cfg, np.random.default_rng(15))
+    params.flat += np.random.default_rng(16).uniform(-0.1, 0.1,
+                                                     params.flat.size)
+    v2 = tmp_path / "v2.npz"
+    save_checkpoint(v2, params, metadata={"variant": "dqn"})
+
+    # the version-1 layout: one array per trunk layer and per head
+    arrays = {f"{name}_{k}": np.ascontiguousarray(a)
+              for name in ("trunk_w", "trunk_b", "head_w", "head_b")
+              for k, a in enumerate(getattr(params, name))}
+    meta = {"version": 1, "config": {
+        "input_dim": cfg.input_dim, "hidden_dims": list(cfg.hidden_dims),
+        "num_heads": cfg.num_heads, "num_actions": cfg.num_actions},
+        "metadata": {"variant": "dqn"}}
+    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
+                                   dtype=np.uint8)
+    v1 = tmp_path / "v1.npz"
+    with open(v1, "wb") as fh:
+        np.savez(fh, **arrays)
+
+    x = np.random.default_rng(17).random((6, 4))
+    from_v1, cfg1, meta1 = load_checkpoint(v1)
+    from_v2, cfg2, meta2 = load_checkpoint(v2)
+    assert cfg1 == cfg2 == cfg and meta1 == meta2 == {"variant": "dqn"}
+    np.testing.assert_array_equal(head_values(from_v1, x),
+                                  head_values(from_v2, x))
+    np.testing.assert_array_equal(head_values(from_v2, x),
+                                  head_values(params, x))
+
+    meta["version"] = 7
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(v1, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ValueError):
+        load_checkpoint(v1)
