@@ -10,11 +10,12 @@ dez_dqn_gvf variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import nn
+from .config import AgentParams
 from .env import ACTION_SET, NUM_ACTIONS, NUM_CUMULANTS, NUM_FEATURES, Simulator
 
 VARIANTS = ("dqn", "dqn_gvf", "dez_dqn_gvf")
@@ -22,7 +23,6 @@ NUM_GVFS = 3
 
 #: action-source tags recorded in decision logs
 TAG_MAIN, TAG_RANDOM, TAG_GVF1, TAG_GVF2, TAG_GVF3 = range(5)
-TAG_NAMES = ("main", "random", "gvf1", "gvf2", "gvf3")
 
 
 class ReplayBuffer:
@@ -64,37 +64,25 @@ class ReplayBuffer:
                 self.s_next[idx], self.terminal[idx])
 
 
-@dataclass(frozen=True)
-class ExplorationSchedule:
-    """Linear epsilon anneal over the first ``anneal_frac`` of episodes."""
-
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    anneal_frac: float = 0.5
-
-    def value(self, episode: int, total_episodes: int) -> float:
-        span = max(1.0, self.anneal_frac * total_episodes)
-        frac = min(1.0, episode / span)
-        return self.eps_start + frac * (self.eps_end - self.eps_start)
-
-
 @dataclass
 class AgentBundle:
+    """A variant's network, learner state and the hyperparameters
+    (``agent``) it was built from."""
+
     variant: str
-    config: nn.MlpConfig
+    agent: AgentParams
     params: nn.MlpParams
     target: nn.MlpParams
     opt: nn.AdamState
     buffer: ReplayBuffer
-    schedule: ExplorationSchedule
     rng: np.random.Generator
-    gamma: float = 0.99
-    batch_size: int = 64
-    train_every: int = 4
-    target_sync: int = 500
     train_steps: int = 0
     episodes_seen: int = 0
     checkpoint_meta: dict = field(default_factory=dict)
+
+    @property
+    def config(self) -> nn.MlpConfig:
+        return self.params.config
 
     @property
     def gvf_heads_enabled(self) -> bool:
@@ -113,26 +101,19 @@ class AgentBundle:
         return mask
 
 
-def make_bundle(variant: str, seed: int, lr: float = 1e-3,
-                gamma: float = 0.99, buffer_capacity: int = 100_000,
-                batch_size: int = 64, train_every: int = 4,
-                target_sync: int = 500,
-                hidden_dims: tuple[int, ...] = (64, 64),
-                schedule: ExplorationSchedule | None = None) -> AgentBundle:
+def make_bundle(variant: str, seed: int,
+                agent: AgentParams = AgentParams()) -> AgentBundle:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected {VARIANTS}")
-    cfg = nn.MlpConfig(input_dim=NUM_FEATURES, hidden_dims=hidden_dims,
+    cfg = nn.MlpConfig(input_dim=NUM_FEATURES, hidden_dims=agent.hidden_dims,
                        num_heads=1 + NUM_GVFS, num_actions=NUM_ACTIONS)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([seed, VARIANTS.index(variant)])))
     params = nn.init_params(cfg, rng)
     return AgentBundle(
-        variant=variant, config=cfg, params=params, target=params.copy(),
-        opt=nn.AdamState(params, lr=lr),
-        buffer=ReplayBuffer(buffer_capacity),
-        schedule=schedule or ExplorationSchedule(),
-        rng=rng, gamma=gamma, batch_size=batch_size,
-        train_every=train_every, target_sync=target_sync)
+        variant=variant, agent=agent, params=params, target=params.copy(),
+        opt=nn.AdamState(params, lr=agent.lr),
+        buffer=ReplayBuffer(agent.buffer_capacity), rng=rng)
 
 
 # ------------------------------------------------------------- action choice
@@ -187,7 +168,7 @@ def td_targets(bundle: AgentBundle, batch) -> np.ndarray:
     """
     s, a, r, c, s_next, terminal = batch
     qs_next = nn.head_values(bundle.target, s_next)
-    cont = np.where(terminal, 0.0, bundle.gamma)
+    cont = np.where(terminal, 0.0, bundle.agent.gamma)
     targets = np.empty((bundle.config.num_heads, len(a)))
     targets[0] = r + cont * qs_next[0].max(axis=1)
     targets[1:] = c.T + cont * qs_next[1:].min(axis=2)
@@ -200,15 +181,15 @@ def train_step(bundle: AgentBundle, batch=None):
     Returns the loss record, or None when the buffer cannot fill a batch.
     """
     if batch is None:
-        if len(bundle.buffer) < bundle.batch_size:
+        if len(bundle.buffer) < bundle.agent.batch_size:
             return None
-        batch = bundle.buffer.sample(bundle.rng, bundle.batch_size)
+        batch = bundle.buffer.sample(bundle.rng, bundle.agent.batch_size)
     s, a = batch[0], batch[1]
     targets = td_targets(bundle, batch)
     loss, grads = nn.backward(bundle.params, s, a, targets, bundle.head_mask)
     bundle.opt.step(bundle.params, grads)
     bundle.train_steps += 1
-    if bundle.train_steps % bundle.target_sync == 0:
+    if bundle.train_steps % bundle.agent.target_sync == 0:
         np.copyto(bundle.target.flat, bundle.params.flat)
     return {"loss": loss, "train_steps": bundle.train_steps}
 
@@ -232,6 +213,12 @@ class EpisodeMetrics:
     COLUMNS = ("episode", "mean_business_reward", "mean_empty",
                "mean_critical", "mean_wastage", "mean_spread",
                "mean_refused", "mean_capacity_penalty", "epsilon")
+
+    @classmethod
+    def from_means(cls, episode: int, means: np.ndarray,
+                   epsilon: float) -> "EpisodeMetrics":
+        """From an episode's mean of ``StepOutcome.component_means``."""
+        return cls(episode, *means, epsilon)
 
     def as_row(self):
         return [getattr(self, c) for c in self.COLUMNS]
@@ -260,8 +247,8 @@ class DecisionLog:
 
 def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
                 x0: np.ndarray, mode: str = "train", epsilon: float = 0.0,
-                episode_index: int = 0, decision_log: DecisionLog | None = None,
-                executed_out: np.ndarray | None = None) -> EpisodeMetrics:
+                episode_index: int = 0,
+                decision_log: DecisionLog | None = None) -> EpisodeMetrics:
     """One pass over a demand window with shared parameters across products.
 
     Train mode stores one transition per product per period and trains every
@@ -290,7 +277,7 @@ def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
             bundle.buffer.push_block(feats, actions, out.per_product_rewards,
                                      out.cumulants.T, next_feats,
                                      k == length - 1)
-            if k % bundle.train_every == 0:
+            if k % bundle.agent.train_every == 0:
                 train_step(bundle)
 
         if decision_log is not None:
@@ -305,29 +292,20 @@ def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
             decision_log.gvf1.append(qs[1][rows, actions])
             decision_log.gvf2.append(qs[2][rows, actions])
             decision_log.gvf3.append(qs[3][rows, actions])
-
-        if executed_out is not None:
-            executed_out[k] = out.executed
         feats = next_feats
 
     if train:
         bundle.episodes_seen += 1
-    means = totals / length
-    return EpisodeMetrics(
-        episode=episode_index, mean_business_reward=means[0],
-        mean_empty=means[1], mean_critical=means[2], mean_wastage=means[3],
-        mean_spread=means[4], mean_refused=means[5],
-        mean_capacity_penalty=means[6], epsilon=eps)
+    return EpisodeMetrics.from_means(episode_index, totals / length, eps)
 
 
 def train_agent(bundle: AgentBundle, sim: Simulator, episodes: int,
-                start: int, length: int, x0_provider,
-                total_for_schedule: int | None = None) -> list[EpisodeMetrics]:
+                start: int, length: int,
+                x0_provider) -> list[EpisodeMetrics]:
     """Run a seeded training campaign; ``x0_provider(episode) -> x0``."""
-    total = total_for_schedule or episodes
     history = []
     for ep in range(episodes):
-        eps = bundle.schedule.value(ep, total)
+        eps = bundle.agent.epsilon(ep, episodes)
         history.append(run_episode(bundle, sim, start, length,
                                    x0_provider(ep), mode="train", epsilon=eps,
                                    episode_index=ep))
@@ -338,27 +316,37 @@ def train_agent(bundle: AgentBundle, sim: Simulator, episodes: int,
 
 def save_agent(path, bundle: AgentBundle, env: dict | None = None,
                reward_mod: dict | None = None) -> None:
-    """Checkpoint the policy with the env and reward-mod fields it was
-    trained under, so it can be scored under them again."""
+    """Checkpoint the policy with its agent hyperparameters and the env and
+    reward-mod fields it was trained under, so it can be restored and
+    scored as it was produced."""
     meta = {"variant": bundle.variant,
             "episodes_seen": bundle.episodes_seen,
             "train_steps": bundle.train_steps,
-            "gamma": bundle.gamma,
+            "agent": asdict(bundle.agent),
             "env": env or {}, "reward_mod": reward_mod or {}}
     nn.save_checkpoint(path, bundle.params, metadata=meta)
 
 
-def load_agent(path, seed: int = 0, **bundle_kwargs) -> AgentBundle:
-    """Restore a trained policy into a fresh bundle (optimizer reset); the
-    checkpoint's metadata is kept as ``bundle.checkpoint_meta``."""
+def load_agent(path, seed: int = 0,
+               agent: AgentParams | None = None) -> AgentBundle:
+    """Restore a trained policy into a fresh bundle (optimizer reset).
+
+    ``agent`` defaults to the hyperparameters stored in the checkpoint; an
+    older checkpoint without them keeps its stored gamma and network shape.
+    The checkpoint's metadata is kept as ``bundle.checkpoint_meta``.
+    """
     params, cfg, meta = nn.load_checkpoint(path)
-    bundle = make_bundle(meta["variant"], seed=seed,
-                         gamma=meta.get("gamma", 0.99), **bundle_kwargs)
-    bundle.config = cfg
+    if agent is None:
+        agent = (AgentParams(**meta["agent"]) if "agent" in meta else
+                 AgentParams(gamma=meta.get("gamma", 0.99),
+                             hidden_dims=cfg.hidden_dims))
+    if agent.hidden_dims != cfg.hidden_dims:
+        raise ValueError(f"{path}: network {cfg.hidden_dims} does not match "
+                         f"hidden_dims {agent.hidden_dims}")
+    bundle = make_bundle(meta["variant"], seed=seed, agent=agent)
     bundle.params = params
     bundle.target = params.copy()
-    bundle.opt = nn.AdamState(params, lr=bundle.opt.lr)
+    bundle.opt = nn.AdamState(params, lr=agent.lr)
     bundle.episodes_seen = meta.get("episodes_seen", 0)
-    bundle.train_steps = 0
     bundle.checkpoint_meta = meta
     return bundle

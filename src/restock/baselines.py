@@ -33,27 +33,21 @@ def run_heuristic_episode(sim: Simulator, start: int, length: int,
                           x0: np.ndarray, target_level: float = 0.5):
     """Roll the heuristic over a demand window.
 
-    Returns (per-period business rewards, component sums dict, executed
-    action matrix) for scoring and surrogate comparisons.
+    Returns (per-period business rewards, the episode mean of
+    ``StepOutcome.component_means``, executed action matrix) for scoring
+    and surrogate comparisons.
     """
     sim.reset(x0, start)
     rewards = np.empty(length)
     executed = np.empty((length, sim.catalog.num_products))
-    comp = {k: 0.0 for k in ("empty", "critical", "wastage", "spread",
-                             "refused", "capacity_penalty")}
+    totals = np.zeros(7)
     for k in range(length):
         u = heuristic_action(sim.state.x, sim.forecaster.forecast, target_level)
         out = sim.step(u)
         rewards[k] = out.business_reward
         executed[k] = out.executed
-        comp["empty"] += out.b_empty.mean()
-        comp["critical"] += out.b_critical.mean()
-        comp["wastage"] += out.q_waste.mean()
-        comp["spread"] += out.spread
-        comp["refused"] += out.refused.mean()
-        comp["capacity_penalty"] += out.capacity_penalty
-    means = {k: v / length for k, v in comp.items()}
-    return rewards, means, executed
+        totals += out.component_means
+    return rewards, totals / length, executed
 
 
 # ------------------------------------------------------- perfect-info LP
@@ -254,7 +248,7 @@ def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
     optimal solve carries its certificate: ``kkt_residual`` is the largest
     of the primal, dual and complementary-slackness residuals.
     """
-    problem, lay = build_perfect_info_lp(
+    problem, _ = build_perfect_info_lp(
         catalog, x0, demand, wastage_weight=reward.wastage_weight)
     sol = simplex.solve_lp(problem, max_iters=max_iters,
                            time_limit=time_limit)
@@ -268,10 +262,7 @@ def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
     kkt = simplex.kkt_residuals(problem, sol)
 
     periods, p = np.asarray(demand).shape
-    actions = np.empty((periods, p))
-    for t in range(periods):
-        for i in range(p):
-            actions[t, i] = sol.x[lay.u(i, t)]
+    actions = sol.x[:periods * p].reshape(periods, p)   # the u[i, t] block
 
     # replay the LP's plan through the real dynamics
     state = StoreState(t=0, x=np.asarray(x0, dtype=float).copy())

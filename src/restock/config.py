@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import yaml
 
@@ -31,6 +31,8 @@ class RewardMod:
 
 @dataclass(frozen=True)
 class AgentParams:
+    """The hyperparameters every agent variant shares."""
+
     hidden_dims: tuple[int, ...] = (64, 64)
     lr: float = 1e-3
     gamma: float = 0.99
@@ -44,6 +46,24 @@ class AgentParams:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        for name in ("train_every", "target_sync", "batch_size",
+                     "buffer_capacity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.buffer_capacity < self.batch_size:
+            raise ValueError("buffer_capacity must be >= batch_size")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+        for name in ("gamma", "eps_start", "eps_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+
+    def epsilon(self, episode: int, total: int) -> float:
+        """Linear anneal from eps_start to eps_end over the first
+        ``anneal_frac`` of ``total`` episodes, then flat."""
+        span = max(1.0, self.anneal_frac * total)
+        frac = min(1.0, episode / span)
+        return self.eps_start + frac * (self.eps_end - self.eps_start)
 
 
 @dataclass(frozen=True)
@@ -100,11 +120,6 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a mapping at top level")
     return ExperimentConfig.from_dict(data)
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(config.to_dict(), fh, sort_keys=True)
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,16 +46,10 @@ def make_simulator(ds: datagen.Dataset, env: EnvParams,
                      forecast_window=env.forecast_window)
 
 
-def checkpoint_simulator(bundle: agents.AgentBundle, ds: datagen.Dataset,
-                         env_params: EnvParams | None = None,
-                         reward_mod: RewardMod | None = None) -> Simulator:
-    """A simulator for a restored policy: the env and reward mod stored in
-    its checkpoint unless overridden (defaults for checkpoints that store
-    none)."""
-    meta = bundle.checkpoint_meta
-    return make_simulator(
-        ds, env_params or EnvParams(**meta.get("env", {})),
-        reward_mod or RewardMod(**meta.get("reward_mod", {})))
+def run_config(run_dir) -> ExperimentConfig:
+    """The config a run directory's manifest was written from."""
+    with open(Path(run_dir) / MANIFEST_NAME) as fh:
+        return ExperimentConfig.from_dict(json.load(fh)["config"])
 
 
 def _fmt(v) -> str:
@@ -82,35 +76,6 @@ def read_csv(path):
         columns = next(reader)
         rows = list(reader)
     return columns, rows
-
-
-def metrics_to_rows(history: list[EpisodeMetrics]):
-    return [m.as_row() for m in history]
-
-
-def heuristic_metrics(sim: Simulator, start: int, length: int,
-                      x0: np.ndarray, target: float,
-                      episode: int = 0) -> tuple[EpisodeMetrics, np.ndarray]:
-    rewards, means, executed = baselines.run_heuristic_episode(
-        sim, start, length, x0, target)
-    metrics = EpisodeMetrics(
-        episode=episode, mean_business_reward=float(rewards.mean()),
-        mean_empty=means["empty"], mean_critical=means["critical"],
-        mean_wastage=means["wastage"], mean_spread=means["spread"],
-        mean_refused=means["refused"],
-        mean_capacity_penalty=means["capacity_penalty"], epsilon=0.0)
-    return metrics, executed
-
-
-def make_bundle_from_config(cfg: ExperimentConfig, seed: int) -> agents.AgentBundle:
-    a = cfg.agent
-    return agents.make_bundle(
-        cfg.algorithm, seed=seed, lr=a.lr, gamma=a.gamma,
-        buffer_capacity=a.buffer_capacity, batch_size=a.batch_size,
-        train_every=a.train_every, target_sync=a.target_sync,
-        hidden_dims=a.hidden_dims,
-        schedule=agents.ExplorationSchedule(a.eps_start, a.eps_end,
-                                            a.anneal_frac))
 
 
 DECISION_COLUMNS = ("period", "product", "inventory", "order", "action_index",
@@ -204,25 +169,27 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
         return
 
     if cfg.algorithm == "heuristic":
-        train_m, _ = heuristic_metrics(sim, train_start, train_len,
-                                       episode_inventories(p, seed,
-                                                           _PURPOSE_TRAIN, 0),
-                                       cfg.heuristic_target)
+        def heuristic_row(start, length, x0):
+            rewards, means, _ = baselines.run_heuristic_episode(
+                sim, start, length, x0, cfg.heuristic_target)
+            # a pairwise mean; the running sum differs in the last bits
+            means[0] = rewards.mean()
+            return EpisodeMetrics.from_means(0, means, 0.0).as_row()
+        x0_train = episode_inventories(p, seed, _PURPOSE_TRAIN, 0)
         write_csv(seed_dir / "train_metrics.csv", EpisodeMetrics.COLUMNS,
-                  [train_m.as_row()])
-        eval_m, _ = heuristic_metrics(sim, test_start, test_len, x0_eval,
-                                      cfg.heuristic_target)
+                  [heuristic_row(train_start, train_len, x0_train)])
         write_csv(seed_dir / "eval_metrics.csv", EVAL_COLUMNS,
-                  [[test_start, test_len, *eval_m.as_row()]])
+                  [[test_start, test_len,
+                    *heuristic_row(test_start, test_len, x0_eval)]])
         return
 
     # RL variants
-    bundle = make_bundle_from_config(cfg, seed)
+    bundle = agents.make_bundle(cfg.algorithm, seed, cfg.agent)
     history = agents.train_agent(
         bundle, sim, cfg.episodes, train_start, train_len,
         x0_provider=lambda ep: episode_inventories(p, seed, _PURPOSE_TRAIN, ep))
     write_csv(seed_dir / "train_metrics.csv", EpisodeMetrics.COLUMNS,
-              metrics_to_rows(history))
+              [m.as_row() for m in history])
 
     log = DecisionLog() if cfg.collect_decisions else None
     eval_m = agents.run_episode(bundle, sim, test_start, test_len, x0_eval,
@@ -237,10 +204,7 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
 
 def replay_manifest(run_dir, out_dir) -> Path:
     """Re-execute a run from its manifest into a fresh directory."""
-    with open(Path(run_dir) / MANIFEST_NAME) as fh:
-        manifest = json.load(fh)
-    cfg = ExperimentConfig.from_dict(manifest["config"])
-    return run_experiment(cfg, out_dir)
+    return run_experiment(run_config(run_dir), out_dir)
 
 
 # ----------------------------------------------------------------- transfer
@@ -259,7 +223,10 @@ def evaluate_checkpoint(checkpoint_path, dataset, seed: int,
     ds = dataset if isinstance(dataset, datagen.Dataset) else datagen.load(dataset)
     p = ds.spec.products
     bundle = agents.load_agent(checkpoint_path, seed=seed)
-    sim = checkpoint_simulator(bundle, ds, env_params, reward_mod)
+    meta = bundle.checkpoint_meta
+    sim = make_simulator(
+        ds, env_params or EnvParams(**meta.get("env", {})),
+        reward_mod or RewardMod(**meta.get("reward_mod", {})))
     test_start, test_len = ds.test_window
     x0 = episode_inventories(p, seed, _PURPOSE_EVAL, 0)
     log = DecisionLog() if collect_decisions else None
@@ -268,26 +235,20 @@ def evaluate_checkpoint(checkpoint_path, dataset, seed: int,
     return metrics, log
 
 
-def evaluate_transfer(checkpoint_path, dataset, seed: int,
-                      env_params=None) -> float:
-    metrics, _ = evaluate_checkpoint(checkpoint_path, dataset, seed,
-                                     env_params=env_params)
-    return metrics.mean_business_reward
-
-
 def transfer_rows(run_dir, dataset_path, env_params=None):
-    """Evaluate every seed checkpoint of a run on a foreign dataset."""
+    """Evaluate every seed checkpoint of a run on a foreign dataset, under
+    the run's env (or ``env_params``) and reward mod."""
     run_dir = Path(run_dir)
-    with open(run_dir / MANIFEST_NAME) as fh:
-        manifest = json.load(fh)
-    cfg = ExperimentConfig.from_dict(manifest["config"])
+    cfg = run_config(run_dir)
     ds = datagen.load(dataset_path)
     rows = []
     for seed in cfg.seeds:
         ckpt = run_dir / f"seed_{seed}" / "checkpoint.npz"
-        reward = evaluate_transfer(ckpt, ds, seed, env_params=env_params)
+        metrics, _ = evaluate_checkpoint(ckpt, ds, seed,
+                                         env_params or cfg.env,
+                                         cfg.reward_mod)
         rows.append([cfg.algorithm, cfg.dataset, str(dataset_path), seed,
-                     reward])
+                     metrics.mean_business_reward])
     return rows
 
 
@@ -360,20 +321,6 @@ def heatmap_rows(grids: dict[str, HeatmapGrid]):
     return rows
 
 
-def order_monotonicity(grid: HeatmapGrid) -> tuple[int, int]:
-    """(non-decreasing pairs, total pairs) across adjacent populated order
-    bins at fixed inventory bin."""
-    good = total = 0
-    for i in range(grid.mean.shape[0]):
-        row_counts = grid.count[i]
-        for j in range(grid.mean.shape[1] - 1):
-            if row_counts[j] > 0 and row_counts[j + 1] > 0:
-                total += 1
-                if grid.mean[i, j + 1] >= grid.mean[i, j] - 1e-12:
-                    good += 1
-    return good, total
-
-
 # ---------------------------------------------------------------- fine-tune
 
 FINETUNE_COLUMNS = ("algorithm", "seed", "episode", "mean_business_reward",
@@ -390,9 +337,9 @@ def run_finetune_suite(run_dirs: dict[str, Path], dataset_path,
     ``epsilon``.
 
     ``run_dirs`` maps algorithm name to its pretraining run directory; all
-    algorithms and seeds share per-episode initial inventories. Each
-    checkpoint keeps the env it was trained under unless ``env_params`` is
-    given.
+    algorithms and seeds share per-episode initial inventories. Each run
+    keeps the env and agent hyperparameters it was trained with, unless
+    ``env_params`` is given.
     """
     ds = datagen.load(dataset_path)
     p = ds.spec.products
@@ -401,22 +348,15 @@ def run_finetune_suite(run_dirs: dict[str, Path], dataset_path,
     rows = []
     for algorithm, run_dir in run_dirs.items():
         run_dir = Path(run_dir)
-        with open(run_dir / MANIFEST_NAME) as fh:
-            cfg = ExperimentConfig.from_dict(json.load(fh)["config"])
+        cfg = run_config(run_dir)
         if cfg.algorithm != algorithm:
             raise ValueError(f"{run_dir} holds {cfg.algorithm!r}, "
                              f"not {algorithm!r}")
         for seed in cfg.seeds:
             ckpt = run_dir / f"seed_{seed}" / "checkpoint.npz"
-            bundle = agents.load_agent(
-                ckpt, seed=seed, lr=cfg.agent.lr,
-                buffer_capacity=cfg.agent.buffer_capacity,
-                batch_size=cfg.agent.batch_size,
-                train_every=cfg.agent.train_every,
-                target_sync=cfg.agent.target_sync,
-                hidden_dims=cfg.agent.hidden_dims,
-                schedule=agents.ExplorationSchedule(epsilon, epsilon))
-            sim = checkpoint_simulator(bundle, ds, env_params, reward_mod)
+            bundle = agents.load_agent(ckpt, seed=seed, agent=replace(
+                cfg.agent, eps_start=epsilon, eps_end=epsilon))
+            sim = make_simulator(ds, env_params or cfg.env, reward_mod)
             history = agents.train_agent(
                 bundle, sim, episodes, train_start, train_len,
                 x0_provider=lambda ep: episode_inventories(
@@ -458,9 +398,7 @@ def summarize(run_dirs, out_path=None):
     summary = []
     for run_dir in run_dirs:
         run_dir = Path(run_dir)
-        with open(run_dir / MANIFEST_NAME) as fh:
-            manifest = json.load(fh)
-        cfg = ExperimentConfig.from_dict(manifest["config"])
+        cfg = run_config(run_dir)
         dataset = cfg.dataset
         if cfg.algorithm == "lp_bound":
             per_window: dict[str, list[float]] = {"train": [], "test": []}

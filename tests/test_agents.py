@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from restock import agents, nn
-from restock.agents import (AgentBundle, DecisionLog, ExplorationSchedule,
-                            ReplayBuffer, exploration_mode, load_agent,
-                            make_bundle, run_episode, save_agent,
+from restock.agents import (DecisionLog, ReplayBuffer, exploration_mode,
+                            load_agent, make_bundle, run_episode, save_agent,
                             select_actions, td_targets, train_agent,
                             train_step)
+from restock.config import AgentParams
 from restock.datagen import DatasetSpec, generate, initial_inventories
 from restock.env import NUM_ACTIONS, NUM_FEATURES, RewardParams, Simulator
 from conftest import make_catalog
@@ -24,7 +26,7 @@ def tiny_bundle(variant="dez_dqn_gvf", seed=0, **kw):
     defaults = dict(buffer_capacity=5000, batch_size=16, train_every=1,
                     target_sync=50, hidden_dims=(16, 16))
     defaults.update(kw)
-    return make_bundle(variant, seed=seed, **defaults)
+    return make_bundle(variant, seed=seed, agent=AgentParams(**defaults))
 
 
 # ------------------------------------------------------------ replay buffer
@@ -68,8 +70,8 @@ def test_buffer_sampling_is_uniform():
 # ------------------------------------------------------------- exploration
 
 def test_schedule_monotone_and_bounded():
-    sched = ExplorationSchedule(eps_start=1.0, eps_end=0.05, anneal_frac=0.5)
-    values = [sched.value(ep, 100) for ep in range(100)]
+    agent = AgentParams(eps_start=1.0, eps_end=0.05, anneal_frac=0.5)
+    values = [agent.epsilon(ep, 100) for ep in range(100)]
     assert values[0] == 1.0
     assert values[-1] == pytest.approx(0.05)
     assert all(a >= b for a, b in zip(values, values[1:]))
@@ -173,7 +175,7 @@ def test_td_targets_terminal_and_zero_gamma():
     assert targets[0, 0] == pytest.approx(0.5)
     np.testing.assert_allclose(targets[1:, 0], [0.1, 0.2, 0.3])
 
-    bundle.gamma = 0.0
+    bundle.agent = replace(bundle.agent, gamma=0.0)
     batch = fixed_batch(bundle, s, [3], [0.5], [[0.1, 0.2, 0.3]], s, [False])
     targets = td_targets(bundle, batch)
     assert targets[1, 0] == pytest.approx(0.1)
@@ -185,8 +187,9 @@ def test_td_targets_use_min_for_gvf_heads():
     qs = nn.head_values(bundle.target, s)
     batch = fixed_batch(bundle, s, [0], [0.0], [[0.0, 0.0, 0.0]], s, [False])
     targets = td_targets(bundle, batch)
-    assert targets[0, 0] == pytest.approx(bundle.gamma * qs[0].max())
-    assert targets[2, 0] == pytest.approx(bundle.gamma * qs[2].min())
+    gamma = bundle.agent.gamma
+    assert targets[0, 0] == pytest.approx(gamma * qs[0].max())
+    assert targets[2, 0] == pytest.approx(gamma * qs[2].min())
 
 
 def test_train_step_respects_head_mask():
@@ -232,7 +235,7 @@ def chain_buffer(bundle, states, cumulant_table, reward_table, gamma_steps=None)
             r.append(reward_table[k])
             c.append(cumulant_table[k])
             s2.append(states[(k + 1) % n])
-    reps = max(1, bundle.batch_size * 4 // len(a))
+    reps = max(1, bundle.agent.batch_size * 4 // len(a))
     s = np.tile(np.array(s), (reps, 1))
     a = np.tile(np.array(a), reps)
     r = np.tile(np.array(r), reps)
@@ -242,8 +245,7 @@ def chain_buffer(bundle, states, cumulant_table, reward_table, gamma_steps=None)
 
 
 def test_single_state_chain_learns_geometric_sum():
-    bundle = tiny_bundle(seed=4, target_sync=25, batch_size=64)
-    bundle.gamma = 0.9
+    bundle = tiny_bundle(seed=4, target_sync=25, batch_size=64, gamma=0.9)
     state = np.full(NUM_FEATURES, 0.5)
     chain_buffer(bundle, [state], [[0.3, 0.3, 0.3]], [0.3])
     for _ in range(4000):
@@ -258,8 +260,7 @@ def test_single_state_chain_learns_geometric_sum():
 
 
 def test_three_state_chain_matches_value_iteration():
-    bundle = tiny_bundle(seed=5, target_sync=25, batch_size=64)
-    bundle.gamma = 0.9
+    bundle = tiny_bundle(seed=5, target_sync=25, batch_size=64, gamma=0.9)
     states = [np.zeros(NUM_FEATURES), np.full(NUM_FEATURES, 0.5),
               np.ones(NUM_FEATURES)]
     cumulants = [[0.8, 1.0, 0.2], [0.1, 0.0, 0.5], [0.4, 0.0, 0.9]]
@@ -284,7 +285,7 @@ def test_three_state_chain_matches_value_iteration():
         for g in range(3):
             assert np.allclose(qs[1 + g][0], v_gvf[k, g], rtol=0.01, atol=0.02)
     # bounded cumulants keep GVF2 inside [0, 1/(1-gamma)] (+5%)
-    band = 1.0 / (1.0 - bundle.gamma)
+    band = 1.0 / (1.0 - bundle.agent.gamma)
     for s in states:
         q2 = nn.head_values(bundle.params, s)[2]
         assert np.all(q2 >= -0.05 * band) and np.all(q2 <= 1.05 * band)
@@ -353,7 +354,7 @@ def test_losses_stay_finite_on_smoke_dataset():
         run_episode(bundle, sim, 0, 120, x0=x0p(ep), mode="train",
                     epsilon=0.3, episode_index=ep)
     assert bundle.train_steps >= 1000
-    batch = bundle.buffer.sample(bundle.rng, bundle.batch_size)
+    batch = bundle.buffer.sample(bundle.rng, bundle.agent.batch_size)
     rec = train_step(bundle, batch)
     assert np.isfinite(rec["loss"])
     qs = nn.head_values(bundle.params, batch[0])
@@ -376,7 +377,7 @@ def test_fine_tune_zero_episodes_is_identity():
     """Fine-tuning is train_agent under a flat schedule; zero episodes
     leave the policy untouched, and the flat schedule yields eps exactly."""
     ds, sim = small_world()
-    bundle = tiny_bundle(seed=6, schedule=ExplorationSchedule(0.1, 0.1))
+    bundle = tiny_bundle(seed=6, eps_start=0.1, eps_end=0.1)
     before = bundle.params.flat.copy()
     assert train_agent(bundle, sim, episodes=0, start=0, length=20,
                        x0_provider=lambda ep: np.full(4, 0.5)) == []
@@ -410,7 +411,7 @@ def test_checkpoint_roundtrip_preserves_policy(tmp_path):
                 x0_provider=lambda ep: np.full(4, 0.4))
     path = tmp_path / "agent.npz"
     save_agent(path, bundle)
-    restored = load_agent(path, seed=8, hidden_dims=(16, 16))
+    restored = load_agent(path, seed=8)
     assert restored.variant == bundle.variant
     s = np.random.default_rng(0).random((20, NUM_FEATURES))
     a1, _, _ = select_actions(bundle.params, s, 0.0, "dez_greedy",
@@ -418,6 +419,53 @@ def test_checkpoint_roundtrip_preserves_policy(tmp_path):
     a2, _, _ = select_actions(restored.params, s, 0.0, "dez_greedy",
                               np.random.default_rng(2))
     np.testing.assert_array_equal(a1, a2)
+
+
+def test_load_agent_restores_stored_hyperparameters(tmp_path):
+    bundle = tiny_bundle(seed=9, buffer_capacity=300, batch_size=8,
+                         gamma=0.8, hidden_dims=(12, 10), lr=5e-4)
+    path = tmp_path / "agent.npz"
+    save_agent(path, bundle)
+    restored = load_agent(path, seed=3)
+    assert restored.agent == bundle.agent
+    assert restored.buffer.capacity == 300
+    assert restored.config == bundle.config
+    assert restored.opt.lr == 5e-4
+    np.testing.assert_array_equal(restored.params.flat, bundle.params.flat)
+    # an explicit agent must match the stored network shape
+    with pytest.raises(ValueError):
+        load_agent(path, seed=3, agent=AgentParams())
+
+
+def test_load_agent_without_stored_agent_keeps_gamma_and_shape(tmp_path):
+    """A checkpoint that predates stored hyperparameters keeps its stored
+    gamma and network shape; every other field takes its default."""
+    bundle = tiny_bundle(seed=10, gamma=0.7, hidden_dims=(12, 10))
+    path = tmp_path / "agent.npz"
+    save_agent(path, bundle)
+    params, _, meta = nn.load_checkpoint(path)
+    meta = {k: v for k, v in meta.items() if k != "agent"}
+    nn.save_checkpoint(path, params, {**meta, "gamma": 0.7})
+    restored = load_agent(path, seed=10)
+    assert restored.agent == AgentParams(gamma=0.7, hidden_dims=(12, 10))
+    np.testing.assert_array_equal(restored.params.flat, bundle.params.flat)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(train_every=0), dict(target_sync=0), dict(batch_size=0),
+    dict(buffer_capacity=0), dict(buffer_capacity=8, batch_size=16),
+    dict(lr=0.0), dict(lr=-1e-3), dict(lr=float("nan")),
+    dict(gamma=-0.1), dict(gamma=1.5), dict(eps_start=1.2),
+    dict(eps_end=-0.05)])
+def test_agent_params_reject_invalid_values(bad):
+    with pytest.raises(ValueError):
+        AgentParams(**bad)
+
+
+def test_agent_params_accept_their_bounds():
+    AgentParams(train_every=1, target_sync=1, batch_size=1,
+                buffer_capacity=1, gamma=0.0, eps_start=0.0, eps_end=1.0)
+    AgentParams(gamma=1.0, eps_start=1.0, eps_end=0.0)
 
 
 def test_make_bundle_rejects_unknown_variant():

@@ -44,8 +44,10 @@ def test_heuristic_episode_reports_components():
         sim, 0, 30, initial_inventories(4, 0), target_level=0.5)
     assert rewards.shape == (30,)
     assert executed.shape == (30, 4)
-    rebuilt = 1.0 - sum(means[k] for k in ("empty", "critical", "wastage",
-                                           "spread", "refused"))
+    # means: reward, empty, critical, wastage, spread, refused, penalty
+    assert means.shape == (7,)
+    assert means[0] == pytest.approx(rewards.mean(), abs=1e-12)
+    rebuilt = 1.0 - means[1:6].sum()
     assert rebuilt == pytest.approx(rewards.mean(), abs=1e-9)
 
 

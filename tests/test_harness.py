@@ -4,14 +4,33 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from restock import cli, datagen, harness
+from restock import cli, datagen, harness, nn
 from restock.config import (AgentParams, EnvParams, ExperimentConfig,
-                            RewardMod, config_hash, load_config, save_config)
-from restock.harness import (extract_heatmaps, heatmap_rows,
-                             order_monotonicity, read_decisions,
-                             replay_manifest, run_experiment, summarize,
-                             t_interval_halfwidth, transfer_rows)
+                            RewardMod, config_hash, load_config)
+from restock.harness import (extract_heatmaps, heatmap_rows, read_decisions,
+                             replay_manifest, run_config, run_experiment,
+                             summarize, t_interval_halfwidth, transfer_rows)
+
+
+def save_config(config: ExperimentConfig, path) -> None:
+    with open(path, "w") as fh:
+        yaml.safe_dump(config.to_dict(), fh, sort_keys=True)
+
+
+def order_monotonicity(grid: harness.HeatmapGrid) -> tuple[int, int]:
+    """(non-decreasing pairs, total pairs) across adjacent populated order
+    bins at fixed inventory bin."""
+    good = total = 0
+    for i in range(grid.mean.shape[0]):
+        row_counts = grid.count[i]
+        for j in range(grid.mean.shape[1] - 1):
+            if row_counts[j] > 0 and row_counts[j + 1] > 0:
+                total += 1
+                if grid.mean[i, j + 1] >= grid.mean[i, j] - 1e-12:
+                    good += 1
+    return good, total
 
 
 def smoke_config(dataset_path, algorithm="dez_dqn_gvf", **kw):
@@ -163,6 +182,32 @@ def test_self_transfer_uses_the_checkpoint_env(smoke_dataset, tmp_path):
                                              env_params=EnvParams(),
                                              reward_mod=RewardMod())
     assert default.as_row() != metrics.as_row()
+
+
+def test_run_scored_under_its_manifest_env_without_checkpoint_env(
+        smoke_dataset, tmp_path):
+    """A checkpoint whose metadata stores no env or reward mod is still
+    scored and fine-tuned under its run's env, read from the manifest."""
+    cfg = smoke_config(smoke_dataset, seeds=(0,), episodes=3,
+                       env=EnvParams(forecast_window=4, alpha=3.0))
+    out = run_experiment(cfg, tmp_path / "run")
+    assert run_config(out) == cfg
+    ckpt = out / "seed_0" / "checkpoint.npz"
+    cols, rows = harness.read_csv(out / "seed_0" / "eval_metrics.csv")
+    reward = float(rows[0][cols.index("mean_business_reward")])
+    mod = RewardMod(wastage_weight=2.0)
+    before = harness.run_finetune_suite(
+        {cfg.algorithm: out}, smoke_dataset, mod, tmp_path / "before.csv",
+        episodes=2).read_bytes()
+
+    params, _, meta = nn.load_checkpoint(ckpt)
+    del meta["env"], meta["reward_mod"]
+    nn.save_checkpoint(ckpt, params, meta)
+    assert [r[4] for r in transfer_rows(out, smoke_dataset)] == [reward]
+    after = harness.run_finetune_suite(
+        {cfg.algorithm: out}, smoke_dataset, mod, tmp_path / "after.csv",
+        episodes=2).read_bytes()
+    assert after == before
 
 
 def test_transfer_rows_on_foreign_dataset(smoke_run, tmp_path):

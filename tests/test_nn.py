@@ -278,6 +278,7 @@ def test_init_params_draws_per_head_blocks_in_order():
 
 def test_copy_and_target_sync_do_not_alias():
     from restock import agents
+    from restock.config import AgentParams
     cfg = small_config()
     params = init_params(cfg, np.random.default_rng(12))
     twin = params.copy()
@@ -285,8 +286,8 @@ def test_copy_and_target_sync_do_not_alias():
     params.flat += 1.0
     assert not np.array_equal(twin.flat, params.flat)
 
-    bundle = agents.make_bundle("dqn", seed=0, hidden_dims=(8, 8),
-                                batch_size=4, target_sync=1)
+    bundle = agents.make_bundle("dqn", seed=0, agent=AgentParams(
+        hidden_dims=(8, 8), batch_size=4, target_sync=1))
     rng = np.random.default_rng(0)
     s = rng.random((8, 7))
     bundle.buffer.push_block(s, rng.integers(0, 14, 8), rng.random(8),
