@@ -52,57 +52,47 @@ def run_heuristic_episode(sim: Simulator, start: int, length: int,
 
 # ------------------------------------------------------- perfect-info LP
 
-@dataclass(frozen=True)
 class LpLayout:
-    """Variable indexing for the perfect-information program.
+    """Variable and row indices of the perfect-information program.
 
-    Blocks in order: orders u[i,t], lost sales l[i,t], end-of-period
-    inventories x[i,t+1], critical shortfalls m[i,t], then per-period range
-    trackers hi[t] and lo[t]. Index within a block is t * p + i.
+    Every field is an index array, built once. Variables come in six
+    blocks, in this order: orders ``u``, lost sales ``l``, end-of-period
+    inventories ``x`` (before the next period's order), critical
+    shortfalls ``m``, each (periods, p) with index ``t * p + i`` inside
+    its block, then the per-period range trackers ``hi`` and ``lo``.
+
+    Rows go period by period. Each period holds, product by product, its
+    dynamics (=), shelf (<, not in period 0, where the bound on ``u`` does
+    its work), critical (>), range-hi (>) and range-lo (>) rows, and then
+    the period's volume (<) and weight (<) rows. ``shelf`` is therefore
+    (periods - 1, p) and covers periods 1 onward.
+
+    This order is a contract: the optimal face is degenerate, so moving a
+    row or a column can change the vertex HiGHS returns, and with it
+    ``LpBoundResult.mean_true_reward`` and the iteration count.
     """
 
-    products: int
-    periods: int
+    def __init__(self, products: int, periods: int):
+        p = self.products = products
+        self.periods = periods
+        self.u, self.l, self.x, self.m = np.arange(
+            4 * periods * p).reshape(4, periods, p)
+        self.hi = 4 * periods * p + np.arange(periods)
+        self.lo = self.hi + periods
+        self.num_vars = 4 * periods * p + 2 * periods
 
-    def _block(self, block: int, i: int, t: int) -> int:
-        return block * self.products * self.periods + t * self.products + i
-
-    def u(self, i, t):
-        return self._block(0, i, t)
-
-    def l(self, i, t):
-        return self._block(1, i, t)
-
-    def x(self, i, t):
-        """Inventory at the END of period t (pre-replenishment of t+1)."""
-        return self._block(2, i, t)
-
-    def m(self, i, t):
-        return self._block(3, i, t)
-
-    def hi(self, t):
-        return 4 * self.products * self.periods + t
-
-    def lo(self, t):
-        return 4 * self.products * self.periods + self.periods + t
-
-    @property
-    def num_vars(self) -> int:
-        return 4 * self.products * self.periods + 2 * self.periods
-
-    # row bookkeeping mirrors the assembly order in build_perfect_info_lp:
-    # per period, p blocks of (dynamics, shelf if t>0, critical, range-hi,
-    # range-lo) rows, then the two capacity rows.
-    def rows_before_period(self, t: int) -> int:
-        p = self.products
-        if t == 0:
-            return 0
-        return (4 * p + 2) + (t - 1) * (5 * p + 2)
-
-    def capacity_rows(self, t: int) -> tuple[int, int]:
-        """(volume row, weight row) indices for period t."""
-        end = self.rows_before_period(t + 1)
-        return end - 2, end - 1
+        later = np.arange(periods) > 0       # periods that carry shelf rows
+        per_product = 4 + later              # rows per product in a period
+        width = per_product * p + 2          # rows per period
+        start = np.cumsum(width) - width     # first row of each period
+        self.dynamics = start[:, None] + np.arange(p) * per_product[:, None]
+        self.shelf = self.dynamics[1:] + 1
+        self.critical = self.dynamics + 1 + later[:, None]
+        self.range_hi = self.critical + 1
+        self.range_lo = self.critical + 2
+        self.volume = start + width - 2
+        self.weight = self.volume + 1
+        self.num_rows = int(width.sum())
 
 
 def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
@@ -110,88 +100,77 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
     """Assemble the hindsight LP over a realized demand window.
 
     Requires spoilage rates strictly below 1 (waste is then proportional to
-    the carried inventory). Returns (LpProblem, LpLayout); the problem is a
-    maximization whose objective already includes the +1 per period.
+    the carried inventory) and a starting inventory ``x0`` in [0, 1].
+    Returns (LpProblem, LpLayout); the problem is a maximization whose
+    objective already includes the +1 per period.
     """
     demand = np.asarray(demand, dtype=float)
     if demand.ndim != 2 or demand.shape[0] == 0:
         raise ValueError("demand window must be a non-empty (periods, p) matrix")
     p = catalog.num_products
-    if demand.shape[1] != p or len(x0) != p:
+    x0 = np.asarray(x0, dtype=float)
+    if demand.shape[1] != p or x0.shape != (p,):
         raise ValueError("dimension mismatch between catalog, x0 and demand")
+    if not np.all((x0 >= 0.0) & (x0 <= 1.0)):
+        raise ValueError("x0 must be finite and lie in [0, 1]")
     delta = catalog.spoilage_rate
     if np.any(delta >= 1.0):
         raise ValueError("perfect-information LP requires spoilage rates < 1")
     kappa = catalog.critical_level
     periods = demand.shape[0]
-    lay = LpLayout(products=p, periods=periods)
-    kappa_bar = float(kappa.mean())
-
-    n = lay.num_vars
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    c = np.zeros(n)
+    lay = LpLayout(p, periods)
+    keep = 1.0 - delta
 
     # objective: maximize sum_t of the per-period surrogate reward
-    waste_coef = wastage_weight * delta / (1.0 - delta) / p
-    lost_coef = (1.0 + 1.0 / kappa_bar) / p
-    for t in range(periods):
-        for i in range(p):
-            hi[lay.l(i, t)] = demand[t, i]
-            c[lay.l(i, t)] = -lost_coef
-            c[lay.x(i, t)] = -waste_coef[i]
-            c[lay.m(i, t)] = -1.0 / (p * kappa[i])
-        c[lay.hi(t)] = -1.0
-        c[lay.lo(t)] = 1.0
+    c = np.zeros(lay.num_vars)
+    c[lay.l] = -(1.0 + 1.0 / float(kappa.mean())) / p
+    c[lay.x] = -(wastage_weight * delta / (1.0 - delta) / p)
+    c[lay.m] = -1.0 / (p * kappa)
+    c[lay.hi] = -1.0
+    c[lay.lo] = 1.0
+    lo = np.zeros(lay.num_vars)
+    hi = np.ones(lay.num_vars)
+    hi[lay.l] = demand
+    hi[lay.u[0]] = 1.0 - x0      # period 0's shelf limit is a bound
 
-    rows_i, cols_j, vals = [], [], []
-    senses, b = [], []
+    senses = np.full(lay.num_rows, ">")
+    b = np.zeros(lay.num_rows)
+    # inventory recursion: x_end = (1-delta) * (x_begin + u - w + l)
+    senses[lay.dynamics] = "="
+    b[lay.dynamics[0]] = keep * (x0 - demand[0])
+    b[lay.dynamics[1:]] = -keep * demand[1:]
+    # shelf limit on the order placed at the START of periods 1 onward,
+    # and the shared transport capacity on the requested orders
+    senses[lay.shelf] = senses[lay.volume] = senses[lay.weight] = "<"
+    b[lay.shelf] = 1.0
+    b[lay.volume] = catalog.v_max
+    b[lay.weight] = catalog.c_max
+    # shortfall below the critical level; the range rows keep b = 0
+    b[lay.critical] = kappa
 
-    def add(coefs, sense, rhs):
-        r = len(b)
-        for j, v in coefs:
-            rows_i.append(r)
-            cols_j.append(j)
-            vals.append(v)
-        senses.append(sense)
-        b.append(rhs)
-
-    keep = 1.0 - delta
-    for t in range(periods):
-        for i in range(p):
-            # inventory recursion: x_end = (1-delta) * (x_begin + u - w + l)
-            coefs = [(lay.x(i, t), 1.0), (lay.u(i, t), -keep[i]),
-                     (lay.l(i, t), -keep[i])]
-            if t == 0:
-                rhs = keep[i] * (x0[i] - demand[t, i])
-            else:
-                coefs.append((lay.x(i, t - 1), -keep[i]))
-                rhs = -keep[i] * demand[t, i]
-            add(coefs, "=", rhs)
-
-            # shelf limit on the order placed at the START of period t
-            if t == 0:
-                hi[lay.u(i, 0)] = max(0.0, 1.0 - x0[i])
-            else:
-                add([(lay.u(i, t), 1.0), (lay.x(i, t - 1), 1.0)], "<", 1.0)
-
-            # shortfall below the critical level
-            add([(lay.m(i, t), 1.0), (lay.x(i, t), 1.0)], ">", kappa[i])
-
-            # inventory range trackers
-            add([(lay.hi(t), 1.0), (lay.x(i, t), -1.0)], ">", 0.0)
-            add([(lay.x(i, t), 1.0), (lay.lo(t), -1.0)], ">", 0.0)
-
-        # shared transport capacity on the requested orders
-        add([(lay.u(i, t), catalog.unit_volume[i]) for i in range(p)],
-            "<", catalog.v_max)
-        add([(lay.u(i, t), catalog.unit_weight[i]) for i in range(p)],
-            "<", catalog.c_max)
-
-    A = sp.csr_matrix((vals, (rows_i, cols_j)), shape=(len(b), n))
+    # one (row, column, coefficient) triple per nonzero, broadcast per term
+    terms = [np.broadcast_arrays(*term) for term in (
+        (lay.dynamics, lay.x, 1.0),
+        (lay.dynamics, lay.u, -keep),
+        (lay.dynamics, lay.l, -keep),
+        (lay.dynamics[1:], lay.x[:-1], -keep),
+        (lay.shelf, lay.u[1:], 1.0),
+        (lay.shelf, lay.x[:-1], 1.0),
+        (lay.critical, lay.m, 1.0),
+        (lay.critical, lay.x, 1.0),
+        (lay.range_hi, lay.hi[:, None], 1.0),
+        (lay.range_hi, lay.x, -1.0),
+        (lay.range_lo, lay.x, 1.0),
+        (lay.range_lo, lay.lo[:, None], -1.0),
+        (lay.volume[:, None], lay.u, catalog.unit_volume),
+        (lay.weight[:, None], lay.u, catalog.unit_weight),
+    )]
+    rows, cols, vals = (np.concatenate([term[k].ravel() for term in terms])
+                        for k in range(3))
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(lay.num_rows, lay.num_vars))
     problem = simplex.LpProblem(
-        c=c, A=A, senses=np.array(senses), b=np.array(b, dtype=float),
-        lo=lo, hi=hi, maximize=True, c0=float(periods))
+        c=c, A=A, senses=senses, b=b, lo=lo, hi=hi, maximize=True,
+        c0=float(periods))
     return problem, lay
 
 
@@ -230,7 +209,10 @@ def surrogate_scores(catalog, x0: np.ndarray, demand: np.ndarray,
 class LpBoundResult:
     status: str                    # 'optimal' or 'dnf'
     mean_surrogate: float | None   # LP optimum / periods
-    mean_true_reward: float | None  # LP actions replayed through the env
+    # the LP's actions replayed through the env. The optimal face is
+    # degenerate, so this replays whichever optimal vertex HiGHS returns
+    # and depends on the LP's row order (see ``LpLayout``)
+    mean_true_reward: float | None
     actions: np.ndarray | None     # executed orders (periods, p)
     solver_status: str
     iterations: int
@@ -248,7 +230,7 @@ def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
     optimal solve carries its certificate: ``kkt_residual`` is the largest
     of the primal, dual and complementary-slackness residuals.
     """
-    problem, _ = build_perfect_info_lp(
+    problem, lay = build_perfect_info_lp(
         catalog, x0, demand, wastage_weight=reward.wastage_weight)
     sol = simplex.solve_lp(problem, max_iters=max_iters,
                            time_limit=time_limit)
@@ -261,8 +243,8 @@ def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
                              iterations=sol.iterations, kkt_residual=None)
     kkt = simplex.kkt_residuals(problem, sol)
 
-    periods, p = np.asarray(demand).shape
-    actions = sol.x[:periods * p].reshape(periods, p)   # the u[i, t] block
+    periods = lay.periods
+    actions = sol.x[lay.u]                               # (periods, p)
 
     # replay the LP's plan through the real dynamics
     state = StoreState(t=0, x=np.asarray(x0, dtype=float).copy())

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, datagen, harness
+from . import datagen, harness
 from .config import EnvParams, ExperimentConfig, RewardMod, load_config
 
 
@@ -166,16 +166,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "lp-bound":
-        ds = datagen.load(args.dataset)
-        start, length = (ds.train_window if args.window == "train"
-                         else ds.test_window)
-        x0 = harness.episode_inventories(ds.spec.products, args.seed,
-                                         harness._PURPOSE_EVAL, 0)
-        res = baselines.lp_upper_bound(
-            ds.catalog, x0, ds.demand[start:start + length],
-            time_limit=args.time_limit,
-            reward=harness.reward_params(EnvParams(), RewardMod()))
-        row = harness.lp_bound_row(args.window, start, length, res)
+        row = harness.lp_bound_row(
+            datagen.load(args.dataset), args.window, args.seed,
+            harness.reward_params(EnvParams(), RewardMod()), args.time_limit)
         print(json.dumps(dict(zip(harness.LP_COLUMNS, row)), indent=2))
         if args.out:
             harness.write_csv(args.out, harness.LP_COLUMNS, [row])

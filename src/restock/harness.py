@@ -9,6 +9,7 @@ determinism contract stays checkable.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, replace
@@ -46,10 +47,18 @@ def make_simulator(ds: datagen.Dataset, env: EnvParams,
                      forecast_window=env.forecast_window)
 
 
+def read_manifest(run_dir) -> dict:
+    with open(Path(run_dir) / MANIFEST_NAME) as fh:
+        return json.load(fh)
+
+
 def run_config(run_dir) -> ExperimentConfig:
     """The config a run directory's manifest was written from."""
-    with open(Path(run_dir) / MANIFEST_NAME) as fh:
-        return ExperimentConfig.from_dict(json.load(fh)["config"])
+    return ExperimentConfig.from_dict(read_manifest(run_dir)["config"])
+
+
+def file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _fmt(v) -> str:
@@ -86,14 +95,21 @@ LP_COLUMNS = ("window", "window_start", "window_len", "status",
               "iterations", "kkt_residual")
 
 
-def lp_bound_row(label: str, start: int, length: int,
-                 res: baselines.LpBoundResult) -> list:
-    """One ``lp_bound.csv`` row (see ``LP_COLUMNS``); blanks for a dnf."""
-    def blank(v):
-        return "" if v is None else v
-    return [label, start, length, res.status, res.solver_status,
-            blank(res.mean_surrogate), blank(res.mean_true_reward),
-            res.iterations, blank(res.kkt_residual)]
+def lp_bound_row(ds: datagen.Dataset, window: str, seed: int,
+                 reward: RewardParams, time_limit: float | None) -> list:
+    """Solve the hindsight LP on the ``"train"`` or ``"test"`` window from
+    the seed's eval inventories; returns its ``lp_bound.csv`` row (see
+    ``LP_COLUMNS``), with blanks for a dnf."""
+    start, length = {"train": ds.train_window, "test": ds.test_window}[window]
+    x0 = episode_inventories(ds.spec.products, seed, _PURPOSE_EVAL, 0)
+    res = baselines.lp_upper_bound(
+        ds.catalog, x0, ds.demand[start:start + length],
+        time_limit=time_limit, reward=reward)
+
+    row = [window, start, length, res.status, res.solver_status,
+           res.mean_surrogate, res.mean_true_reward, res.iterations,
+           res.kkt_residual]
+    return ["" if v is None else v for v in row]
 
 
 def _write_decisions(path, log: DecisionLog) -> None:
@@ -132,6 +148,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
         "dataset_header": {"products": p, "horizon": ds.spec.horizon,
                            "train_len": ds.spec.train_len,
                            "seed": ds.spec.seed, "theta": ds.spec.theta},
+        "dataset_sha256": file_sha256(cfg.dataset),
     }
     with open(out / MANIFEST_NAME, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -158,14 +175,10 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
     x0_eval = episode_inventories(p, seed, _PURPOSE_EVAL, 0)
 
     if cfg.algorithm == "lp_bound":
-        rows = []
-        for label, (start, length) in (("train", ds.train_window),
-                                       ("test", ds.test_window)):
-            res = baselines.lp_upper_bound(
-                ds.catalog, x0_eval, ds.demand[start:start + length],
-                time_limit=cfg.lp_time_limit, reward=sim.reward)
-            rows.append(lp_bound_row(label, start, length, res))
-        write_csv(seed_dir / "lp_bound.csv", LP_COLUMNS, rows)
+        write_csv(seed_dir / "lp_bound.csv", LP_COLUMNS,
+                  [lp_bound_row(ds, window, seed, sim.reward,
+                                cfg.lp_time_limit)
+                   for window in ("train", "test")])
         return
 
     if cfg.algorithm == "heuristic":
@@ -203,8 +216,18 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
 
 
 def replay_manifest(run_dir, out_dir) -> Path:
-    """Re-execute a run from its manifest into a fresh directory."""
-    return run_experiment(run_config(run_dir), out_dir)
+    """Re-execute a run from its manifest into a fresh directory.
+
+    A manifest that pins its dataset's sha256 refuses a dataset file whose
+    bytes have changed since the run.
+    """
+    manifest = read_manifest(run_dir)
+    cfg = ExperimentConfig.from_dict(manifest["config"])
+    pinned = manifest.get("dataset_sha256")
+    if pinned is not None and file_sha256(cfg.dataset) != pinned:
+        raise ValueError(f"{cfg.dataset}: dataset sha256 differs from the "
+                         f"one pinned in {Path(run_dir) / MANIFEST_NAME}")
+    return run_experiment(cfg, out_dir)
 
 
 # ----------------------------------------------------------------- transfer
@@ -218,15 +241,19 @@ def evaluate_checkpoint(checkpoint_path, dataset, seed: int,
     Works unchanged across datasets because the observation is per-product
     and normalized. The env and reward mod default to the ones stored in
     the checkpoint, so evaluating on the native dataset reproduces the
-    run's own eval row exactly.
+    run's own eval row exactly. For a checkpoint that stores no env or no
+    reward mod (every v1 file), pass it: else ``ValueError`` names the key.
     """
     ds = dataset if isinstance(dataset, datagen.Dataset) else datagen.load(dataset)
     p = ds.spec.products
     bundle = agents.load_agent(checkpoint_path, seed=seed)
     meta = bundle.checkpoint_meta
-    sim = make_simulator(
-        ds, env_params or EnvParams(**meta.get("env", {})),
-        reward_mod or RewardMod(**meta.get("reward_mod", {})))
+    for key, given in (("env", env_params), ("reward_mod", reward_mod)):
+        if given is None and key not in meta:
+            raise ValueError(f"{checkpoint_path}: checkpoint metadata has no "
+                             f"{key!r} and none was passed")
+    sim = make_simulator(ds, env_params or EnvParams(**meta["env"]),
+                         reward_mod or RewardMod(**meta["reward_mod"]))
     test_start, test_len = ds.test_window
     x0 = episode_inventories(p, seed, _PURPOSE_EVAL, 0)
     log = DecisionLog() if collect_decisions else None
@@ -399,36 +426,26 @@ def summarize(run_dirs, out_path=None):
     for run_dir in run_dirs:
         run_dir = Path(run_dir)
         cfg = run_config(run_dir)
-        dataset = cfg.dataset
-        if cfg.algorithm == "lp_bound":
-            per_window: dict[str, list[float]] = {"train": [], "test": []}
-            for seed in cfg.seeds:
-                cols, rows = read_csv(run_dir / f"seed_{seed}" / "lp_bound.csv")
-                ik = cols.index("mean_surrogate")
-                wk = cols.index("window")
+        per_window: dict[str, list[float]] = {"train": [], "test": []}
+        for seed in cfg.seeds:
+            seed_dir = run_dir / f"seed_{seed}"
+            if cfg.algorithm == "lp_bound":
+                cols, rows = read_csv(seed_dir / "lp_bound.csv")
+                ik, wk = cols.index("mean_surrogate"), cols.index("window")
                 for r in rows:
                     if r[ik] != "":
                         per_window[r[wk]].append(float(r[ik]))
-            for split in ("train", "test"):
-                vals = per_window[split]
-                if vals:
-                    summary.append([dataset, cfg.algorithm, split,
-                                    float(np.mean(vals)),
-                                    t_interval_halfwidth(vals), len(vals)])
-            continue
-        train_scores, test_scores = [], []
-        for seed in cfg.seeds:
-            cols, rows = read_csv(run_dir / f"seed_{seed}" / "train_metrics.csv")
-            train_scores.append(_train_score(cols, rows))
-            cols, rows = read_csv(run_dir / f"seed_{seed}" / "eval_metrics.csv")
+                continue
+            cols, rows = read_csv(seed_dir / "train_metrics.csv")
+            per_window["train"].append(_train_score(cols, rows))
+            cols, rows = read_csv(seed_dir / "eval_metrics.csv")
             k = cols.index("mean_business_reward")
-            test_scores.append(float(rows[0][k]))
-        summary.append([dataset, cfg.algorithm, "train",
-                        float(np.mean(train_scores)),
-                        t_interval_halfwidth(train_scores), len(train_scores)])
-        summary.append([dataset, cfg.algorithm, "test",
-                        float(np.mean(test_scores)),
-                        t_interval_halfwidth(test_scores), len(test_scores)])
+            per_window["test"].append(float(rows[0][k]))
+        for split, vals in per_window.items():
+            if vals:
+                summary.append([cfg.dataset, cfg.algorithm, split,
+                                float(np.mean(vals)),
+                                t_interval_halfwidth(vals), len(vals)])
     if out_path is not None:
         write_csv(out_path, SUMMARY_COLUMNS, summary)
     return summary

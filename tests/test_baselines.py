@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from restock import simplex
+from restock import baselines, simplex
 from restock.baselines import (LpBoundResult, build_perfect_info_lp,
                                heuristic_action, lp_upper_bound,
                                run_heuristic_episode, surrogate_scores)
@@ -53,6 +54,120 @@ def test_heuristic_episode_reports_components():
 
 # ------------------------------------------------------------- LP building
 
+def looped_perfect_info_lp(catalog, x0, demand, wastage_weight=1.0):
+    """The hindsight LP built one coefficient and one row at a time, with
+    its own index arithmetic: the oracle that ``build_perfect_info_lp``
+    must equal bit for bit."""
+    demand = np.asarray(demand, dtype=float)
+    periods, p = demand.shape
+    delta = catalog.spoilage_rate
+    kappa = catalog.critical_level
+    kappa_bar = float(kappa.mean())
+
+    def var(block, i, t):
+        return block * p * periods + t * p + i
+
+    def u(i, t):
+        return var(0, i, t)
+
+    def l(i, t):
+        return var(1, i, t)
+
+    def x(i, t):
+        return var(2, i, t)
+
+    def m(i, t):
+        return var(3, i, t)
+
+    def hi_var(t):
+        return 4 * p * periods + t
+
+    def lo_var(t):
+        return 4 * p * periods + periods + t
+
+    n = 4 * p * periods + 2 * periods
+    lo = np.zeros(n)
+    hi = np.ones(n)
+    c = np.zeros(n)
+    waste_coef = wastage_weight * delta / (1.0 - delta) / p
+    lost_coef = (1.0 + 1.0 / kappa_bar) / p
+    for t in range(periods):
+        for i in range(p):
+            hi[l(i, t)] = demand[t, i]
+            c[l(i, t)] = -lost_coef
+            c[x(i, t)] = -waste_coef[i]
+            c[m(i, t)] = -1.0 / (p * kappa[i])
+        c[hi_var(t)] = -1.0
+        c[lo_var(t)] = 1.0
+
+    rows_i, cols_j, vals = [], [], []
+    senses, b = [], []
+
+    def add(coefs, sense, rhs):
+        r = len(b)
+        for j, v in coefs:
+            rows_i.append(r)
+            cols_j.append(j)
+            vals.append(v)
+        senses.append(sense)
+        b.append(rhs)
+
+    keep = 1.0 - delta
+    for t in range(periods):
+        for i in range(p):
+            coefs = [(x(i, t), 1.0), (u(i, t), -keep[i]), (l(i, t), -keep[i])]
+            if t == 0:
+                rhs = keep[i] * (x0[i] - demand[t, i])
+            else:
+                coefs.append((x(i, t - 1), -keep[i]))
+                rhs = -keep[i] * demand[t, i]
+            add(coefs, "=", rhs)
+            if t == 0:
+                hi[u(i, 0)] = max(0.0, 1.0 - x0[i])
+            else:
+                add([(u(i, t), 1.0), (x(i, t - 1), 1.0)], "<", 1.0)
+            add([(m(i, t), 1.0), (x(i, t), 1.0)], ">", kappa[i])
+            add([(hi_var(t), 1.0), (x(i, t), -1.0)], ">", 0.0)
+            add([(x(i, t), 1.0), (lo_var(t), -1.0)], ">", 0.0)
+        add([(u(i, t), catalog.unit_volume[i]) for i in range(p)],
+            "<", catalog.v_max)
+        add([(u(i, t), catalog.unit_weight[i]) for i in range(p)],
+            "<", catalog.c_max)
+
+    A = sp.csr_matrix((vals, (rows_i, cols_j)), shape=(len(b), n))
+    return simplex.LpProblem(
+        c=c, A=A, senses=np.array(senses), b=np.array(b, dtype=float),
+        lo=lo, hi=hi, maximize=True, c0=float(periods))
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p, periods", [(1, 1), (1, 2), (3, 5), (5, 20),
+                                        (20, 100)])
+@pytest.mark.parametrize("full_shelf, wastage_weight",
+                         [(False, 1.0), (True, 0.5), (False, 2.0)])
+def test_array_assembly_matches_looped_oracle(p, periods, full_shelf,
+                                              wastage_weight):
+    ds = generate(DatasetSpec(products=p, horizon=periods + 1,
+                              train_len=1, seed=p + periods))
+    x0 = initial_inventories(p, periods)
+    if full_shelf:
+        x0[0] = 1.0
+    demand = ds.demand[1:]
+    problem, lay = build_perfect_info_lp(ds.catalog, x0, demand,
+                                         wastage_weight=wastage_weight)
+    oracle = looped_perfect_info_lp(ds.catalog, x0, demand, wastage_weight)
+    for name in ("c", "b", "lo", "hi", "senses"):
+        assert_same_bits(getattr(problem, name), getattr(oracle, name))
+    assert problem.A.shape == oracle.A.shape == (lay.num_rows, lay.num_vars)
+    for name in ("indptr", "indices", "data"):
+        assert_same_bits(getattr(problem.A, name), getattr(oracle.A, name))
+    assert (problem.maximize, problem.c0) == (oracle.maximize, oracle.c0)
+
+
 def test_one_product_one_period_hand_case():
     """Zero demand from an empty shelf with near-total spoilage: ordering
     anything wastes more than it saves, so the optimum sits at u = 0 and
@@ -64,7 +179,7 @@ def test_one_product_one_period_hand_case():
     assert sol.status == "optimal"
     assert certify_optimal(problem, sol)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
-    assert sol.x[lay.u(0, 0)] == pytest.approx(0.0, abs=1e-9)
+    assert sol.x[lay.u[0, 0]] == pytest.approx(0.0, abs=1e-9)
 
     # grid oracle over the single decision confirms u = 0 is the best
     def grid_score(u):
@@ -102,12 +217,11 @@ def test_capacity_duals_positive_when_demand_exceeds_capacity():
     problem, lay = build_perfect_info_lp(cat, np.zeros(3), demand)
     sol = solve_lp(problem)
     assert sol.status == "optimal" and certify_optimal(problem, sol)
-    vol_duals = [sol.duals[lay.capacity_rows(t)[0]] for t in range(4)]
-    assert all(d > 1e-9 for d in vol_duals)
+    assert lay.volume.shape == (4,)
+    assert np.all(sol.duals[lay.volume] > 1e-9)
     # capacity rows are tight
-    for t in range(4):
-        used = sum(sol.x[lay.u(i, t)] for i in range(3))
-        assert used == pytest.approx(0.2, abs=1e-7)
+    assert sol.x[lay.u].sum(axis=1) == pytest.approx(np.full(4, 0.2),
+                                                     abs=1e-7)
 
 
 def test_lp_matches_tuned_heuristic_on_constructed_instance():
@@ -210,12 +324,45 @@ def test_layout_row_bookkeeping():
     ds = generate(DatasetSpec(products=3, horizon=20, train_len=10, seed=6))
     problem, lay = build_perfect_info_lp(ds.catalog, np.full(3, 0.5),
                                          ds.demand[:5])
-    assert problem.num_rows == lay.rows_before_period(5)
+    assert (lay.num_rows, lay.num_vars) == problem.A.shape
+    # the variable blocks and the row families each cover their range once
+    blocks = (lay.u, lay.l, lay.x, lay.m, lay.hi, lay.lo)
+    assert np.array_equal(np.concatenate([v.ravel() for v in blocks]),
+                          np.arange(lay.num_vars))
+    families = {"=": (lay.dynamics,),
+                "<": (lay.shelf, lay.volume, lay.weight),
+                ">": (lay.critical, lay.range_hi, lay.range_lo)}
+    rows = np.concatenate([r.ravel() for fam in families.values()
+                           for r in fam])
+    assert np.array_equal(np.sort(rows), np.arange(lay.num_rows))
+    for sense, fam in families.items():
+        for r in fam:
+            assert np.all(problem.senses[r] == sense)
+    assert lay.shelf.shape == (4, 3)
+    # rows go period by period: period t's rows end with volume, weight
+    assert np.array_equal(lay.weight, lay.volume + 1)
+    assert np.all(lay.dynamics[1:, 0] == lay.weight[:-1] + 1)
+    assert lay.weight[-1] == lay.num_rows - 1
     for t in range(5):
-        rv, rc = lay.capacity_rows(t)
-        row = problem.A[rv].toarray().ravel()
-        for i in range(3):
-            assert row[lay.u(i, t)] == pytest.approx(
-                ds.catalog.unit_volume[i])
-        assert problem.b[rv] == pytest.approx(ds.catalog.v_max)
-        assert problem.b[rc] == pytest.approx(ds.catalog.c_max)
+        row = problem.A[lay.volume[t]].toarray().ravel()
+        assert np.array_equal(np.flatnonzero(row), lay.u[t])
+        assert row[lay.u[t]] == pytest.approx(ds.catalog.unit_volume)
+        assert problem.b[lay.volume[t]] == pytest.approx(ds.catalog.v_max)
+        assert problem.b[lay.weight[t]] == pytest.approx(ds.catalog.c_max)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.2, np.nan, np.inf])
+def test_lp_rejects_x0_outside_unit_interval(bad, monkeypatch):
+    """A starting inventory off the shelf is refused before any assembly,
+    instead of yielding an 'infeasible' bound."""
+    ds = generate(DatasetSpec(products=3, horizon=30, train_len=20, seed=4))
+    x0 = initial_inventories(3, 2)
+    x0[0] = bad
+
+    def no_layout(*args):
+        raise AssertionError("assembled an LP for an invalid x0")
+    monkeypatch.setattr(baselines, "LpLayout", no_layout)
+    with pytest.raises(ValueError, match="x0"):
+        build_perfect_info_lp(ds.catalog, x0, ds.demand[20:30])
+    with pytest.raises(ValueError, match="x0"):
+        lp_upper_bound(ds.catalog, x0, ds.demand[20:30])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -109,6 +110,32 @@ def test_replay_manifest_reproduces_run(smoke_run, tmp_path):
                 (replayed / f"seed_{seed}" / name).read_bytes()
 
 
+def test_replay_refuses_a_changed_dataset(smoke_dataset, tmp_path):
+    data = tmp_path / "ds.txt"
+    data.write_bytes(smoke_dataset.read_bytes())
+    cfg = smoke_config(data, algorithm="heuristic", seeds=(0,))
+    out = run_experiment(cfg, tmp_path / "run")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["dataset_sha256"] == hashlib.sha256(
+        data.read_bytes()).hexdigest()
+
+    # edit one demand value: the last line of the file is a demand row
+    lines = data.read_text().splitlines()
+    values = lines[-1].split()
+    values[0] = "0.5" if values[0] != "0.5" else "0.25"
+    lines[-1] = " ".join(values)
+    data.write_text("\n".join(lines) + "\n")
+    assert datagen.load(data).demand[-1, 0] == float(values[0])
+    with pytest.raises(ValueError, match="sha256"):
+        replay_manifest(out, tmp_path / "replay")
+
+    # a manifest written before datasets were pinned replays as before
+    del manifest["dataset_sha256"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    replayed = replay_manifest(out, tmp_path / "replay")
+    assert (replayed / "seed_0" / "eval_metrics.csv").exists()
+
+
 def test_heuristic_run_is_seed_dependent_only_via_inventories(smoke_dataset,
                                                               tmp_path):
     cfg = smoke_config(smoke_dataset, algorithm="heuristic", seeds=(0, 1))
@@ -208,6 +235,34 @@ def test_run_scored_under_its_manifest_env_without_checkpoint_env(
         {cfg.algorithm: out}, smoke_dataset, mod, tmp_path / "after.csv",
         episodes=2).read_bytes()
     assert after == before
+
+
+def test_evaluate_checkpoint_without_stored_env_needs_it_passed(
+        smoke_dataset, tmp_path):
+    """A checkpoint whose metadata stores no env or reward mod is refused
+    unless both are passed, and with both it scores its own eval row."""
+    cfg = smoke_config(smoke_dataset, seeds=(0,), episodes=2,
+                       env=EnvParams(forecast_window=4, alpha=3.0))
+    out = run_experiment(cfg, tmp_path / "run")
+    ckpt = out / "seed_0" / "checkpoint.npz"
+    _, rows = harness.read_csv(out / "seed_0" / "eval_metrics.csv")
+    recorded = [float(v) for v in rows[0][2:]]
+
+    params, _, meta = nn.load_checkpoint(ckpt)
+    del meta["env"], meta["reward_mod"]
+    nn.save_checkpoint(ckpt, params, meta)
+    with pytest.raises(ValueError, match="'env'"):
+        harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0)
+    with pytest.raises(ValueError, match="'env'"):
+        harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0,
+                                    reward_mod=cfg.reward_mod)
+    with pytest.raises(ValueError, match="'reward_mod'"):
+        harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0,
+                                    env_params=cfg.env)
+    metrics, _ = harness.evaluate_checkpoint(
+        ckpt, smoke_dataset, seed=0, env_params=cfg.env,
+        reward_mod=cfg.reward_mod)
+    assert [float(v) for v in metrics.as_row()] == recorded
 
 
 def test_transfer_rows_on_foreign_dataset(smoke_run, tmp_path):
@@ -386,6 +441,13 @@ def test_cli_end_to_end(tmp_path):
     lp_cols, lp_rows = harness.read_csv(tmp_path / "lp.csv")
     assert tuple(lp_cols) == harness.LP_COLUMNS
     assert lp_rows[0][lp_cols.index("status")] == "optimal"
+    # the same row as an lp_bound run's, for the same seed and window
+    lp_run = run_experiment(ExperimentConfig(dataset=str(data),
+                                             algorithm="lp_bound",
+                                             seeds=(0,)),
+                            tmp_path / "lp_run")
+    _, run_rows = harness.read_csv(lp_run / "seed_0" / "lp_bound.csv")
+    assert lp_rows == [r for r in run_rows if r[0] == "test"]
 
     assert cli.main(["summarize", str(run_dir),
                      "--out", str(tmp_path / "summary.csv")]) == 0
