@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import datagen, harness
-from .config import EnvParams, ExperimentConfig, RewardMod, load_config
+from .config import ExperimentConfig, RewardMod, load_config
 
 
 def _add_datagen(sub):
@@ -30,6 +31,10 @@ def _add_train(sub):
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--seeds", default=None,
                    help="comma-separated override of config seeds")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes for the seeds (default: one per "
+                        "seed, at most one per CPU); outputs do not depend "
+                        "on it")
 
 
 def _add_eval(sub):
@@ -71,7 +76,11 @@ def _add_finetune(sub):
 def _add_lp_bound(sub):
     p = sub.add_parser("lp-bound",
                        help="perfect-information LP bound on a window")
-    p.add_argument("--dataset", required=True)
+    p.add_argument("--dataset", default=None,
+                   help="dataset file (default: the --run's dataset)")
+    p.add_argument("--run", default=None,
+                   help="run directory whose env and reward mod to score "
+                        "with (default: EnvParams() and RewardMod())")
     p.add_argument("--window", choices=("train", "test"), default="test")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--time-limit", type=float, default=None)
@@ -96,7 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # on SIGTERM unwind like on an exception, so a run's seed workers are
+    # terminated and reaped
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "datagen":
         spec = datagen.DatasetSpec(products=args.products, seed=args.seed,
@@ -114,7 +127,7 @@ def main(argv=None) -> int:
         if args.seeds is not None:
             seeds = tuple(int(s) for s in args.seeds.split(","))
             cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seeds": seeds})
-        out = harness.run_experiment(cfg, args.out)
+        out = harness.run_experiment(cfg, args.out, jobs=args.jobs)
         for row in harness.summarize([out]):
             print(row)
         return 0
@@ -166,9 +179,13 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "lp-bound":
+        if args.run is None and args.dataset is None:
+            parser.error("lp-bound needs --dataset or --run")
+        cfg = (harness.run_config(args.run) if args.run else
+               ExperimentConfig(dataset=args.dataset, algorithm="lp_bound"))
         row = harness.lp_bound_row(
-            datagen.load(args.dataset), args.window, args.seed,
-            harness.reward_params(EnvParams(), RewardMod()), args.time_limit)
+            datagen.load(args.dataset or cfg.dataset), args.window, args.seed,
+            harness.reward_params(cfg.env, cfg.reward_mod), args.time_limit)
         print(json.dumps(dict(zip(harness.LP_COLUMNS, row)), indent=2))
         if args.out:
             harness.write_csv(args.out, harness.LP_COLUMNS, [row])

@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
 

@@ -25,7 +25,9 @@ NUM_CUMULANTS = 3
 
 
 def _as_vector(values, p: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    # contiguous, so a dot product sums in the same order whatever the
+    # input's layout (a column view of a loaded table, a pickled copy)
+    arr = np.ascontiguousarray(values, dtype=float)
     if arr.shape != (p,):
         raise ValueError(f"{name}: expected shape ({p},), got {arr.shape}")
     return arr

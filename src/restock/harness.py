@@ -4,6 +4,12 @@ A run directory is fully determined by its manifest: re-executing the
 manifest reproduces every metrics CSV byte for byte. Wall-clock timings are
 kept out of the metrics files (they land in ``timings.json``) so the
 determinism contract stays checkable.
+
+The seeds of a run are independent, so ``run_experiment`` can train them in
+a pool of forked worker processes (``jobs``). A seed's files do not depend
+on ``jobs`` or on which other seeds run beside it: every seed's output is
+the same bytes as in a serial run, which is why ``jobs`` is an argument and
+not a config field, and the manifest does not record it.
 """
 
 from __future__ import annotations
@@ -11,8 +17,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
 import time
+import traceback
 from dataclasses import asdict, dataclass, replace
+from multiprocessing import connection
 from pathlib import Path
 
 import numpy as np
@@ -112,10 +123,18 @@ def lp_bound_row(ds: datagen.Dataset, window: str, seed: int,
     return ["" if v is None else v for v in row]
 
 
-def _write_decisions(path, log: DecisionLog) -> None:
+def _write_decisions(path, log: DecisionLog, chunk: int = 1024) -> None:
+    """The bytes ``write_csv`` gives the log's rows, formatted a column at a
+    time: ``tolist`` yields Python ints and floats, which ``csv`` writes as
+    ``str`` and ``repr``, like ``_fmt``. Chunks keep the lists small."""
     arrays = log.arrays()
-    rows = zip(*(arrays[c] for c in DECISION_COLUMNS))
-    write_csv(path, DECISION_COLUMNS, rows)
+    columns = [arrays[c] for c in DECISION_COLUMNS]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(DECISION_COLUMNS)
+        for lo in range(0, len(columns[0]), chunk):
+            writer.writerows(zip(*(c[lo:lo + chunk].tolist()
+                                   for c in columns)))
 
 
 def read_decisions(path) -> dict[str, np.ndarray]:
@@ -133,8 +152,23 @@ def read_decisions(path) -> dict[str, np.ndarray]:
     return out
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
-    """Train/evaluate one algorithm on one dataset across seeds."""
+def run_experiment(cfg: ExperimentConfig, out_dir,
+                   jobs: int | None = None) -> Path:
+    """Train/evaluate one algorithm on one dataset across seeds.
+
+    Up to ``jobs`` worker processes, forked from this one, run the seeds;
+    it defaults to one per seed, at most one per CPU. With one job or one
+    seed the seeds run here, one after another. Outputs do not depend on
+    ``jobs``; ``timings.json`` records it next to the per-seed and total
+    wall times.
+    """
+    cpus = os.cpu_count() or 1
+    if jobs is None:
+        jobs = min(len(cfg.seeds), cpus)
+    if not 1 <= jobs <= cpus:
+        raise ValueError(f"jobs must lie in [1, {cpus}], got {jobs}")
+    jobs = min(jobs, len(cfg.seeds))
+    t0 = time.monotonic()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds = datagen.load(cfg.dataset)
@@ -154,17 +188,79 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-    timings = {}
-    for seed in cfg.seeds:
-        t0 = time.monotonic()
-        seed_dir = out / f"seed_{seed}"
-        seed_dir.mkdir(exist_ok=True)
-        _run_seed(cfg, ds, seed, seed_dir)
-        timings[f"seed_{seed}"] = time.monotonic() - t0
+    tasks = [(cfg, ds, seed, out / f"seed_{seed}") for seed in cfg.seeds]
+    seconds = (dict(map(_timed_seed, tasks)) if jobs == 1
+               else _run_forked(tasks, jobs))
+    timings = {f"seed_{seed}": seconds[seed] for seed in cfg.seeds}
+    timings.update(jobs=jobs, wall_s=time.monotonic() - t0)
     with open(out / "timings.json", "w") as fh:
         json.dump(timings, fh, indent=2)
         fh.write("\n")
     return out
+
+
+def _run_forked(tasks, jobs: int) -> dict[int, float]:
+    """``_timed_seed`` of every task, each in a worker forked for it, at
+    most ``jobs`` at a time; returns {seed: seconds}.
+
+    Each worker answers over a pipe of its own, so workers share no lock
+    and one that dies, however it dies, cannot stall the rest: it fails the
+    run, as a seed's error does. Workers still running are terminated and
+    joined on every way out, Ctrl-C and ``SystemExit`` included.
+    """
+    ctx = multiprocessing.get_context("fork")
+    pending, running, seconds = list(tasks), {}, {}
+    try:
+        while pending or running:
+            while pending and len(running) < jobs:
+                reader, writer = ctx.Pipe(duplex=False)
+                worker = ctx.Process(target=_seed_worker,
+                                     args=(pending.pop(0), writer))
+                worker.start()
+                writer.close()
+                running[reader] = worker
+            for reader in connection.wait(list(running)):
+                worker = running.pop(reader)
+                with reader:
+                    try:
+                        result = reader.recv()
+                    except EOFError:
+                        result = RuntimeError(f"seed worker {worker.pid} "
+                                              "exited without a result")
+                worker.join()
+                if isinstance(result, Exception):
+                    raise result
+                seed, elapsed = result
+                seconds[seed] = elapsed
+    finally:
+        for worker in running.values():
+            worker.terminate()
+        for reader, worker in running.items():
+            worker.join()
+            reader.close()
+    return seconds
+
+
+def _seed_worker(task, writer) -> None:
+    """Sends ``_timed_seed(task)``, or the error it raised, to the parent.
+    Ctrl-C is left to the parent, and the SIGTERM with which the parent
+    terminates a worker kills it at once."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    try:
+        writer.send(_timed_seed(task))
+    except Exception as exc:
+        traceback.print_exc()
+        writer.send(exc)
+
+
+def _timed_seed(task) -> tuple[int, float]:
+    """Runs one seed into its directory; returns (seed, wall seconds)."""
+    cfg, ds, seed, seed_dir = task
+    t0 = time.monotonic()
+    seed_dir.mkdir(exist_ok=True)
+    _run_seed(cfg, ds, seed, seed_dir)
+    return seed, time.monotonic() - t0
 
 
 def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:

@@ -164,3 +164,14 @@ def test_capacity_constraint_stays_active_for_heuristic():
         out = sim.step(u)
         violations += out.rho > 1.0
     assert violations > 0
+
+
+def test_loaded_catalog_vectors_are_contiguous(tmp_path):
+    """A loaded catalog has the layout of a generated one, so its dot
+    products sum in the same order."""
+    path = tmp_path / "ds.txt"
+    save(generate(small_spec(products=20)), path)
+    catalog = load(path).catalog
+    for name in ("unit_volume", "unit_weight", "max_shelf", "spoilage_rate",
+                 "critical_level"):
+        assert getattr(catalog, name).flags.c_contiguous, name

@@ -1,13 +1,17 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import pickle
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from restock import cli, datagen, harness, nn
+from restock import agents, cli, datagen, harness, nn
 from restock.config import (AgentParams, EnvParams, ExperimentConfig,
                             RewardMod, config_hash, load_config)
 from restock.harness import (extract_heatmaps, heatmap_rows, read_decisions,
@@ -177,6 +181,111 @@ def test_smoke_run_completes_quickly(smoke_dataset, tmp_path):
     assert time.monotonic() - start < 300.0
 
 
+# ----------------------------------------------------------- seed pool
+
+SEED_FILES = ("train_metrics.csv", "eval_metrics.csv", "decisions.csv",
+              "checkpoint.npz", "lp_bound.csv")
+needs_two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                                    reason="a pool of two needs two CPUs")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("algorithm", ["dez_dqn_gvf", "heuristic",
+                                       "lp_bound"])
+def test_pool_output_is_byte_identical_to_serial(smoke_dataset, tmp_path,
+                                                 algorithm):
+    cfg = smoke_config(smoke_dataset, algorithm=algorithm, episodes=2)
+    serial = run_experiment(cfg, tmp_path / "serial", jobs=1)
+    pooled = run_experiment(cfg, tmp_path / "pooled", jobs=2)
+    compared = 0
+    for seed in cfg.seeds:
+        for name in SEED_FILES:
+            a = serial / f"seed_{seed}" / name
+            if a.exists():
+                b = pooled / f"seed_{seed}" / name
+                assert a.read_bytes() == b.read_bytes(), (seed, name)
+                compared += 1
+    assert compared >= len(cfg.seeds)
+    assert (serial / "manifest.json").read_bytes() == \
+        (pooled / "manifest.json").read_bytes()
+    for out, jobs in ((serial, 1), (pooled, 2)):
+        timings = json.loads((out / "timings.json").read_text())
+        assert timings["jobs"] == jobs
+        assert timings["wall_s"] > 0
+        assert {f"seed_{s}" for s in cfg.seeds} < set(timings)
+    assert multiprocessing.active_children() == []
+
+
+def _seed_error():
+    raise RuntimeError("seed 1 failed")
+
+
+def _worker_death():
+    os._exit(9)   # as a worker killed from outside: no result, no error
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("fail, match", [(_seed_error, "seed 1 failed"),
+                                         (_worker_death, "without a result")])
+def test_pool_fails_fast_and_leaves_no_worker(smoke_dataset, tmp_path,
+                                              monkeypatch, fail, match):
+    """A seed's error is re-raised in the parent, and a worker that dies
+    without a result fails the run instead of stalling it."""
+    run_seed = harness._run_seed
+
+    def failing(cfg, ds, seed, seed_dir):
+        if seed == 1:
+            fail()
+        run_seed(cfg, ds, seed, seed_dir)
+
+    # the forked workers inherit the patched module
+    monkeypatch.setattr(harness, "_run_seed", failing)
+    cfg = smoke_config(smoke_dataset, algorithm="heuristic")
+    with pytest.raises(RuntimeError, match=match):
+        run_experiment(cfg, tmp_path / "run", jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+def test_jobs_outside_the_cpu_count_are_refused(smoke_dataset, tmp_path,
+                                                jobs):
+    cfg = smoke_config(smoke_dataset, algorithm="heuristic")
+    with pytest.raises(ValueError, match="jobs"):
+        run_experiment(cfg, tmp_path / "run", jobs=jobs)
+    assert not (tmp_path / "run").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_seed_alone_matches_its_part_of_a_run(smoke_run, tmp_path):
+    """Seeds do not share state: seed 1 run alone writes the bytes it
+    wrote next to seed 0."""
+    cfg, out = smoke_run
+    alone = run_experiment(replace(cfg, seeds=(1,)), tmp_path / "alone")
+    for name in ("train_metrics.csv", "eval_metrics.csv", "decisions.csv",
+                 "checkpoint.npz"):
+        assert (alone / "seed_1" / name).read_bytes() == \
+            (out / "seed_1" / name).read_bytes(), name
+
+
+def test_decisions_csv_matches_the_row_wise_writer(smoke_run, smoke_dataset,
+                                                   tmp_path):
+    """The column-wise decision writer gives the bytes of ``write_csv`` over
+    the log's rows, at any chunk size."""
+    _, out = smoke_run
+    _, log = harness.evaluate_checkpoint(out / "seed_0" / "checkpoint.npz",
+                                         smoke_dataset, seed=0,
+                                         collect_decisions=True)
+    arrays = log.arrays()
+    oracle = tmp_path / "oracle.csv"
+    harness.write_csv(oracle, harness.DECISION_COLUMNS,
+                      zip(*(arrays[c] for c in harness.DECISION_COLUMNS)))
+    for chunk in (1024, 7, 1):
+        path = tmp_path / f"chunk_{chunk}.csv"
+        harness._write_decisions(path, log, chunk=chunk)
+        assert path.read_bytes() == oracle.read_bytes(), chunk
+    assert oracle.read_bytes() == (out / "seed_0" / "decisions.csv").read_bytes()
+
+
 # ------------------------------------------------------------- transfer
 
 def test_transfer_self_matches_eval_row(smoke_run, smoke_dataset):
@@ -263,6 +372,27 @@ def test_evaluate_checkpoint_without_stored_env_needs_it_passed(
         ckpt, smoke_dataset, seed=0, env_params=cfg.env,
         reward_mod=cfg.reward_mod)
     assert [float(v) for v in metrics.as_row()] == recorded
+
+
+def test_evaluation_does_not_depend_on_how_the_dataset_was_made(tmp_path):
+    """A generated dataset, its saved-and-loaded copy and a pickled copy of
+    that score a checkpoint to the same bits. A tight capacity makes the
+    capacity ratio, a dot product with the catalog, bind."""
+    spec = datagen.DatasetSpec(products=20, horizon=60, train_len=40,
+                               seed=77, theta=0.5)
+    generated = datagen.generate(spec)
+    datagen.save(generated, tmp_path / "ds.txt")
+    loaded = datagen.load(tmp_path / "ds.txt")
+    copies = (generated, loaded, pickle.loads(pickle.dumps(loaded)))
+    for seed in range(4):
+        ckpt = tmp_path / f"untrained_{seed}.npz"
+        bundle = agents.make_bundle("dez_dqn_gvf", seed,
+                                    AgentParams(hidden_dims=(16, 16)))
+        agents.save_agent(ckpt, bundle, env=asdict(EnvParams()),
+                          reward_mod=asdict(RewardMod()))
+        rows = [harness.evaluate_checkpoint(ckpt, ds, seed=0)[0].as_row()
+                for ds in copies]
+        assert rows[0] == rows[1] == rows[2], seed
 
 
 def test_transfer_rows_on_foreign_dataset(smoke_run, tmp_path):
@@ -467,11 +597,48 @@ def test_cli_seed_override(tmp_path):
     assert not (run_dir / "seed_0").exists()
 
 
+def test_cli_lp_bound_scores_under_the_runs_reward(smoke_dataset, tmp_path):
+    """``lp-bound --run`` solves with the run's env and reward mod, so it
+    reproduces the run's row; without it the defaults give another."""
+    cfg = smoke_config(smoke_dataset, algorithm="lp_bound", seeds=(0,),
+                       reward_mod=RewardMod(wastage_weight=2.0))
+    run = run_experiment(cfg, tmp_path / "run")
+    _, run_rows = harness.read_csv(run / "seed_0" / "lp_bound.csv")
+    rows = {}
+    for name, args in (("run", ["--run", str(run)]),
+                       ("default", ["--dataset", str(smoke_dataset)])):
+        path = tmp_path / f"{name}.csv"
+        assert cli.main(["lp-bound", *args, "--window", "test",
+                         "--out", str(path)]) == 0
+        rows[name] = harness.read_csv(path)[1]
+    assert rows["run"] == [r for r in run_rows if r[0] == "test"]
+    assert rows["default"] != rows["run"]
+    with pytest.raises(SystemExit):
+        cli.main(["lp-bound", "--window", "test"])
+
+
+@needs_two_cpus
+def test_cli_train_jobs(tmp_path, smoke_dataset):
+    cfg_path = tmp_path / "cfg.yaml"
+    save_config(smoke_config(smoke_dataset, algorithm="heuristic"), cfg_path)
+    for jobs in ("1", "2"):
+        assert cli.main(["train", "--config", str(cfg_path), "--out",
+                         str(tmp_path / jobs), "--jobs", jobs]) == 0
+        timings = json.loads((tmp_path / jobs / "timings.json").read_text())
+        assert timings["jobs"] == int(jobs)
+    for seed in (0, 1):
+        assert (tmp_path / "1" / f"seed_{seed}" / "eval_metrics.csv"
+                ).read_bytes() == (tmp_path / "2" / f"seed_{seed}" /
+                                   "eval_metrics.csv").read_bytes()
+
+
 def test_config_validation(smoke_dataset):
     with pytest.raises(ValueError):
         ExperimentConfig(dataset="x", algorithm="sarsa")
     with pytest.raises(ValueError):
         ExperimentConfig(dataset="x", algorithm="dqn", seeds=())
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentConfig(dataset="x", algorithm="dqn", seeds=(1, 2, 1))
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"dataset": "x", "algorithm": "dqn",
                                     "bogus": 1})
