@@ -186,8 +186,7 @@ def train_step(bundle: AgentBundle, batch=None):
         batch = bundle.buffer.sample(bundle.rng, bundle.agent.batch_size)
     s, a = batch[0], batch[1]
     targets = td_targets(bundle, batch)
-    loss, grads = nn.backward(bundle.params, s, a, targets, bundle.head_mask,
-                              out=bundle.opt.grads)
+    loss, grads = nn.backward(bundle.params, s, a, targets, bundle.head_mask)
     bundle.opt.step(bundle.params, grads)
     bundle.train_steps += 1
     if bundle.train_steps % bundle.agent.target_sync == 0:

@@ -31,10 +31,6 @@ def _add_train(sub):
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--seeds", default=None,
                    help="comma-separated override of config seeds")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for the seeds (default: one per "
-                        "seed, at most one per CPU); outputs do not depend "
-                        "on it")
 
 
 def _add_eval(sub):
@@ -127,7 +123,7 @@ def main(argv=None) -> int:
         if args.seeds is not None:
             seeds = tuple(int(s) for s in args.seeds.split(","))
             cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seeds": seeds})
-        out = harness.run_experiment(cfg, args.out, jobs=args.jobs)
+        out = harness.run_experiment(cfg, args.out)
         for row in harness.summarize([out]):
             print(row)
         return 0

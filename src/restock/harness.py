@@ -5,11 +5,12 @@ manifest reproduces every metrics CSV byte for byte. Wall-clock timings are
 kept out of the metrics files (they land in ``timings.json``) so the
 determinism contract stays checkable.
 
-The seeds of a run are independent, so ``run_experiment`` can train them in
-a pool of forked worker processes (``jobs``). A seed's files do not depend
-on ``jobs`` or on which other seeds run beside it: every seed's output is
-the same bytes as in a serial run, which is why ``jobs`` is an argument and
-not a config field, and the manifest does not record it.
+The seeds of a run are independent, so ``run_experiment`` trains them in
+forked worker processes, one per seed and at most one per CPU the process
+may use. A seed's files do not depend on the number of workers or on which
+other seeds run beside it: every seed's output is the same bytes as in a
+serial run, so the worker count is no config field and the manifest does
+not record it.
 """
 
 from __future__ import annotations
@@ -17,13 +18,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import multiprocessing
 import os
 import signal
 import time
-import traceback
 from dataclasses import asdict, dataclass, replace
-from multiprocessing import connection
 from pathlib import Path
 
 import numpy as np
@@ -152,22 +150,16 @@ def read_decisions(path) -> dict[str, np.ndarray]:
     return out
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir,
-                   jobs: int | None = None) -> Path:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
     """Train/evaluate one algorithm on one dataset across seeds.
 
-    Up to ``jobs`` worker processes, forked from this one, run the seeds;
-    it defaults to one per seed, at most one per CPU. With one job or one
-    seed the seeds run here, one after another. Outputs do not depend on
-    ``jobs``; ``timings.json`` records it next to the per-seed and total
-    wall times.
+    Worker processes forked from this one run the seeds, one per seed and
+    at most one per CPU this process may use. With one seed or one CPU the
+    seeds run here, one after another. Outputs do not depend on the worker
+    count; ``timings.json`` records it next to the per-seed and total wall
+    times.
     """
-    cpus = os.cpu_count() or 1
-    if jobs is None:
-        jobs = min(len(cfg.seeds), cpus)
-    if not 1 <= jobs <= cpus:
-        raise ValueError(f"jobs must lie in [1, {cpus}], got {jobs}")
-    jobs = min(jobs, len(cfg.seeds))
+    workers = min(len(cfg.seeds), _usable_cpus())
     t0 = time.monotonic()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,30 +181,42 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         fh.write("\n")
 
     tasks = [(cfg, ds, seed, out / f"seed_{seed}") for seed in cfg.seeds]
-    seconds = (dict(map(_timed_seed, tasks)) if jobs == 1
-               else _run_forked(tasks, jobs))
+    seconds = (dict(map(_timed_seed, tasks)) if workers == 1
+               else _run_forked(tasks, workers))
     timings = {f"seed_{seed}": seconds[seed] for seed in cfg.seeds}
-    timings.update(jobs=jobs, wall_s=time.monotonic() - t0)
+    timings.update(workers=workers, wall_s=time.monotonic() - t0)
     with open(out / "timings.json", "w") as fh:
         json.dump(timings, fh, indent=2)
         fh.write("\n")
     return out
 
 
-def _run_forked(tasks, jobs: int) -> dict[int, float]:
-    """``_timed_seed`` of every task, each in a worker forked for it, at
-    most ``jobs`` at a time; returns {seed: seconds}.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (``taskset``, a
+    cpuset), where the platform has one, else every CPU of the host."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_forked(tasks, workers: int) -> dict[int, float]:
+    """``_timed_seed`` of every task, each in a process forked for it, at
+    most ``workers`` at a time; returns {seed: seconds}.
 
     Each worker answers over a pipe of its own, so workers share no lock
     and one that dies, however it dies, cannot stall the rest: it fails the
     run, as a seed's error does. Workers still running are terminated and
     joined on every way out, Ctrl-C and ``SystemExit`` included.
     """
+    import multiprocessing
+    from multiprocessing import connection
+
     ctx = multiprocessing.get_context("fork")
     pending, running, seconds = list(tasks), {}, {}
     try:
         while pending or running:
-            while pending and len(running) < jobs:
+            while pending and len(running) < workers:
                 reader, writer = ctx.Pipe(duplex=False)
                 worker = ctx.Process(target=_seed_worker,
                                      args=(pending.pop(0), writer))
@@ -225,11 +229,11 @@ def _run_forked(tasks, jobs: int) -> dict[int, float]:
                     try:
                         result = reader.recv()
                     except EOFError:
-                        result = RuntimeError(f"seed worker {worker.pid} "
-                                              "exited without a result")
+                        result = (f"seed worker {worker.pid} exited "
+                                  "without a result")
                 worker.join()
-                if isinstance(result, Exception):
-                    raise result
+                if isinstance(result, str):
+                    raise RuntimeError(result)
                 seed, elapsed = result
                 seconds[seed] = elapsed
     finally:
@@ -242,16 +246,18 @@ def _run_forked(tasks, jobs: int) -> dict[int, float]:
 
 
 def _seed_worker(task, writer) -> None:
-    """Sends ``_timed_seed(task)``, or the error it raised, to the parent.
-    Ctrl-C is left to the parent, and the SIGTERM with which the parent
-    terminates a worker kills it at once."""
+    """Sends ``_timed_seed(task)`` to the parent, or the traceback of the
+    error it raised as text: not every exception survives a pickle round
+    trip. Ctrl-C is left to the parent, and the SIGTERM with which the
+    parent terminates a worker kills it at once."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         writer.send(_timed_seed(task))
-    except Exception as exc:
-        traceback.print_exc()
-        writer.send(exc)
+    except Exception:
+        import traceback
+        writer.send(f"seed {task[2]} failed in its worker:\n"
+                    f"{traceback.format_exc()}")
 
 
 def _timed_seed(task) -> tuple[int, float]:

@@ -115,11 +115,9 @@ def head_values(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def backward(params: MlpParams, x: np.ndarray, actions: np.ndarray,
-             targets: np.ndarray, head_mask: np.ndarray,
-             out: MlpParams | None = None):
+             targets: np.ndarray, head_mask: np.ndarray):
     """Loss and gradients of the masked TD loss; masked heads get zero
-    gradient. The gradients come back as one ``MlpParams``: ``out``, whose
-    every element is overwritten, or a fresh one."""
+    gradient. The gradients come back as one ``MlpParams``."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     actions = np.asarray(actions, dtype=np.intp)
     targets = np.asarray(targets, dtype=float)
@@ -138,7 +136,7 @@ def backward(params: MlpParams, x: np.ndarray, actions: np.ndarray,
     dq = np.zeros_like(q)
     dq[rows, cols] = 2.0 * err / batch
 
-    grads = MlpParams(params.config) if out is None else out
+    grads = MlpParams(params.config)
     np.matmul(emb.T, dq, out=grads.heads_w)
     dq.sum(axis=0, out=grads.heads_b)
     dh = dq @ params.heads_w.T
@@ -155,11 +153,7 @@ def backward(params: MlpParams, x: np.ndarray, actions: np.ndarray,
 # ---------------------------------------------------------------- optimizer
 
 class AdamState:
-    """Adam with bias correction; updates ``params.flat`` in place.
-
-    ``grads`` is a gradient buffer shaped like ``params`` for ``backward``
-    to write into, so a training step allocates no parameter set.
-    """
+    """Adam with bias correction; updates ``params.flat`` in place."""
 
     def __init__(self, params: MlpParams, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -168,7 +162,6 @@ class AdamState:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m, self.v, self._num, self._den = np.zeros((4, params.flat.size))
-        self.grads = MlpParams(params.config)
 
     def step(self, params: MlpParams, grads: MlpParams) -> MlpParams:
         """p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), element by element."""

@@ -185,18 +185,22 @@ def test_smoke_run_completes_quickly(smoke_dataset, tmp_path):
 
 SEED_FILES = ("train_metrics.csv", "eval_metrics.csv", "decisions.csv",
               "checkpoint.npz", "lp_bound.csv")
-needs_two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                                    reason="a pool of two needs two CPUs")
 
 
-@needs_two_cpus
+def run_on_cpus(cfg, out, cpus, monkeypatch):
+    """``run_experiment`` as on a host whose process may use ``cpus`` CPUs
+    (the forked workers time-share the real ones)."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    return run_experiment(cfg, out)
+
+
 @pytest.mark.parametrize("algorithm", ["dez_dqn_gvf", "heuristic",
                                        "lp_bound"])
 def test_pool_output_is_byte_identical_to_serial(smoke_dataset, tmp_path,
-                                                 algorithm):
+                                                 monkeypatch, algorithm):
     cfg = smoke_config(smoke_dataset, algorithm=algorithm, episodes=2)
-    serial = run_experiment(cfg, tmp_path / "serial", jobs=1)
-    pooled = run_experiment(cfg, tmp_path / "pooled", jobs=2)
+    serial = run_on_cpus(cfg, tmp_path / "serial", 1, monkeypatch)
+    pooled = run_on_cpus(cfg, tmp_path / "pooled", 2, monkeypatch)
     compared = 0
     for seed in cfg.seeds:
         for name in SEED_FILES:
@@ -208,29 +212,52 @@ def test_pool_output_is_byte_identical_to_serial(smoke_dataset, tmp_path,
     assert compared >= len(cfg.seeds)
     assert (serial / "manifest.json").read_bytes() == \
         (pooled / "manifest.json").read_bytes()
-    for out, jobs in ((serial, 1), (pooled, 2)):
+    for out, workers in ((serial, 1), (pooled, 2)):
         timings = json.loads((out / "timings.json").read_text())
-        assert timings["jobs"] == jobs
+        assert timings["workers"] == workers
         assert timings["wall_s"] > 0
         assert {f"seed_{s}" for s in cfg.seeds} < set(timings)
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus, seeds, workers", [({0}, (0, 1), 1),
+                                                  ({0, 1, 2}, (0, 1), 2),
+                                                  ({0, 1, 2}, (4,), 1)])
+def test_workers_follow_the_cpus_the_process_may_use(
+        smoke_dataset, tmp_path, monkeypatch, cpus, seeds, workers):
+    """The affinity mask, not the host's CPU count, caps the workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert harness._usable_cpus() == len(cpus)
+    cfg = smoke_config(smoke_dataset, algorithm="heuristic", seeds=seeds)
+    out = run_experiment(cfg, tmp_path / "run")
+    assert json.loads((out / "timings.json").read_text())["workers"] == \
+        workers
+
+
 def _seed_error():
-    raise RuntimeError("seed 1 failed")
+    raise ValueError("seed 1 failed")
+
+
+def _unpicklable_error():
+    # its constructor does not take its args, so no pickle can rebuild it
+    raise datagen.DatasetFormatError("catalog", "seed 1 failed")
 
 
 def _worker_death():
     os._exit(9)   # as a worker killed from outside: no result, no error
 
 
-@needs_two_cpus
-@pytest.mark.parametrize("fail, match", [(_seed_error, "seed 1 failed"),
-                                         (_worker_death, "without a result")])
+@pytest.mark.parametrize("fail, match", [
+    (_seed_error, "ValueError: seed 1 failed"),
+    (_unpicklable_error, r"DatasetFormatError: \[catalog\] seed 1 failed"),
+    (_worker_death, "without a result")])
 def test_pool_fails_fast_and_leaves_no_worker(smoke_dataset, tmp_path,
                                               monkeypatch, fail, match):
-    """A seed's error is re-raised in the parent, and a worker that dies
-    without a result fails the run instead of stalling it."""
+    """A seed's error reaches the parent with its worker's traceback, and a
+    worker that dies without a result fails the run instead of stalling
+    it."""
     run_seed = harness._run_seed
 
     def failing(cfg, ds, seed, seed_dir):
@@ -242,17 +269,7 @@ def test_pool_fails_fast_and_leaves_no_worker(smoke_dataset, tmp_path,
     monkeypatch.setattr(harness, "_run_seed", failing)
     cfg = smoke_config(smoke_dataset, algorithm="heuristic")
     with pytest.raises(RuntimeError, match=match):
-        run_experiment(cfg, tmp_path / "run", jobs=2)
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
-def test_jobs_outside_the_cpu_count_are_refused(smoke_dataset, tmp_path,
-                                                jobs):
-    cfg = smoke_config(smoke_dataset, algorithm="heuristic")
-    with pytest.raises(ValueError, match="jobs"):
-        run_experiment(cfg, tmp_path / "run", jobs=jobs)
-    assert not (tmp_path / "run").exists()
+        run_on_cpus(cfg, tmp_path / "run", 2, monkeypatch)
     assert multiprocessing.active_children() == []
 
 
@@ -615,21 +632,6 @@ def test_cli_lp_bound_scores_under_the_runs_reward(smoke_dataset, tmp_path):
     assert rows["default"] != rows["run"]
     with pytest.raises(SystemExit):
         cli.main(["lp-bound", "--window", "test"])
-
-
-@needs_two_cpus
-def test_cli_train_jobs(tmp_path, smoke_dataset):
-    cfg_path = tmp_path / "cfg.yaml"
-    save_config(smoke_config(smoke_dataset, algorithm="heuristic"), cfg_path)
-    for jobs in ("1", "2"):
-        assert cli.main(["train", "--config", str(cfg_path), "--out",
-                         str(tmp_path / jobs), "--jobs", jobs]) == 0
-        timings = json.loads((tmp_path / jobs / "timings.json").read_text())
-        assert timings["jobs"] == int(jobs)
-    for seed in (0, 1):
-        assert (tmp_path / "1" / f"seed_{seed}" / "eval_metrics.csv"
-                ).read_bytes() == (tmp_path / "2" / f"seed_{seed}" /
-                                   "eval_metrics.csv").read_bytes()
 
 
 def test_config_validation(smoke_dataset):

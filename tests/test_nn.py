@@ -183,20 +183,6 @@ def test_sgd_step_examples():
         sgd_step(params, grads, lr=0.0)
 
 
-def test_backward_into_a_buffer_matches_a_fresh_one():
-    """``out`` is overwritten in full: stale values in it change nothing."""
-    cfg = small_config()
-    rng = np.random.default_rng(5)
-    params = init_params(cfg, rng)
-    x, actions = rng.random((8, 4)), rng.integers(0, 4, size=8)
-    targets, mask = rng.random((3, 8)), np.array([True, False, True])
-    loss, fresh = backward(params, x, actions, targets, mask)
-    buffer = MlpParams(cfg, rng.random(params.flat.size))
-    loss_out, grads = backward(params, x, actions, targets, mask, out=buffer)
-    assert grads is buffer and loss_out == loss
-    np.testing.assert_array_equal(buffer.flat, fresh.flat)
-
-
 def test_adam_steps_are_deterministic():
     cfg = small_config()
     rng = np.random.default_rng(7)
