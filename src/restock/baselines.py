@@ -68,8 +68,8 @@ class LpLayout:
     (periods - 1, p) and covers periods 1 onward.
 
     This order is a contract: the optimal face is degenerate, so moving a
-    row or a column can change the vertex HiGHS returns, and with it
-    ``LpBoundResult.mean_true_reward`` and the iteration count.
+    row or a column can change the vertex that crossover ends on, and with
+    it ``LpBoundResult.mean_true_reward`` and the iteration count.
     """
 
     def __init__(self, products: int, periods: int):
@@ -210,12 +210,12 @@ class LpBoundResult:
     status: str                    # 'optimal' or 'dnf'
     mean_surrogate: float | None   # LP optimum / periods
     # the LP's actions replayed through the env. The optimal face is
-    # degenerate, so this replays whichever optimal vertex HiGHS returns
-    # and depends on the LP's row order (see ``LpLayout``)
+    # degenerate, so this replays the vertex that HiGHS's crossover ends
+    # on, which depends on the LP's row order (see ``LpLayout``)
     mean_true_reward: float | None
     actions: np.ndarray | None     # executed orders (periods, p)
     solver_status: str
-    iterations: int
+    iterations: int                # interior-point plus crossover
     kkt_residual: float | None     # largest KKT violation of the optimum
 
 

@@ -96,6 +96,9 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        if not 0.0 <= (self.lp_time_limit or 0.0) < float("inf"):
+            raise ValueError(f"lp_time_limit must be finite and >= 0, "
+                             f"got {self.lp_time_limit}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -154,11 +154,6 @@ def initial_inventories(p: int, seed) -> np.ndarray:
 
 # ------------------------------------------------------------------ file io
 
-_HEADER_FLOATS = {"theta", "demand_rate_lo", "demand_rate_hi",
-                  "season_amplitude", "noise_sigma", "spike_prob",
-                  "spike_mult", "volume_lo", "volume_hi", "weight_lo",
-                  "weight_hi", "spoilage_lo", "spoilage_hi",
-                  "critical_lo", "critical_hi"}
 _HEADER_INTS = {"products", "horizon", "train_len", "seed", "season_period",
                 "shelf_lo", "shelf_hi"}
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -80,12 +81,40 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# numpy bools, ints and floats whose ``tolist`` gives Python bools, ints
+# and floats (a longdouble's gives a longdouble)
+_TOLIST_TYPES = frozenset(np.dtype(c).type for c in "?bhilqBHILQefd")
+_CSV_BLOCK = 1024  # rows that write_csv turns into columns at a time
+
+
+def _csv_column(values: tuple) -> list:
+    """One column of a block, in values that ``csv`` writes to ``_fmt``'s
+    bytes: a column of one type in ``_TOLIST_TYPES`` in one ``tolist`` call
+    (``csv`` writes Python ints as ``str`` and floats as ``repr``), any
+    other column through ``_fmt``."""
+    kind = type(values[0])
+    if kind in _TOLIST_TYPES and all(type(v) is kind for v in values):
+        return np.array(values).tolist()
+    return [_fmt(v) for v in values]
+
+
 def write_csv(path, columns, rows) -> None:
+    """Writes the header, then ``rows`` in blocks of ``_CSV_BLOCK``, each
+    turned into columns. A row whose length is not the header's raises."""
+    width = len(columns)
+    if width == 0:
+        raise ValueError(f"{path}: a CSV needs at least one column")
+    rows, done = iter(rows), 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        while chunk := list(itertools.islice(rows, _CSV_BLOCK)):
+            for k, row in enumerate(chunk, done):
+                if len(row) != width:
+                    raise ValueError(f"{path}: row {k} has {len(row)} "
+                                     f"values for {width} columns: {row!r}")
+            writer.writerows(zip(*map(_csv_column, zip(*chunk))))
+            done += len(chunk)
 
 
 def read_csv(path):
@@ -121,33 +150,22 @@ def lp_bound_row(ds: datagen.Dataset, window: str, seed: int,
     return ["" if v is None else v for v in row]
 
 
-def _write_decisions(path, log: DecisionLog, chunk: int = 1024) -> None:
-    """The bytes ``write_csv`` gives the log's rows, formatted a column at a
-    time: ``tolist`` yields Python ints and floats, which ``csv`` writes as
-    ``str`` and ``repr``, like ``_fmt``. Chunks keep the lists small."""
-    arrays = log.arrays()
-    columns = [arrays[c] for c in DECISION_COLUMNS]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DECISION_COLUMNS)
-        for lo in range(0, len(columns[0]), chunk):
-            writer.writerows(zip(*(c[lo:lo + chunk].tolist()
-                                   for c in columns)))
-
-
 def read_decisions(path) -> dict[str, np.ndarray]:
-    columns, rows = read_csv(path)
-    if not rows:
-        raise ValueError(f"{path}: empty decision log")
-    data = np.array(rows, dtype=object)
-    out = {}
-    for k, c in enumerate(columns):
-        col = data[:, k]
-        if c in ("period", "product", "action_index", "tag"):
-            out[c] = col.astype(int)
-        else:
-            out[c] = col.astype(float)
-    return out
+    """A ``decisions.csv`` as one array per column: the header read by
+    ``csv``, the body parsed in one ``np.loadtxt`` call."""
+    with open(path) as fh:
+        columns = next(csv.reader([fh.readline()]), [])
+        body = fh.tell()
+        if not fh.readline():
+            raise ValueError(f"{path}: empty decision log")
+        fh.seek(body)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != len(columns):
+        raise ValueError(f"{path}: {data.shape[1]} values per row for "
+                         f"{len(columns)} columns")
+    return {c: col.astype(int) if c in ("period", "product", "action_index",
+                                         "tag") else col
+            for c, col in zip(columns, np.ascontiguousarray(data.T))}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
@@ -312,7 +330,9 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
     write_csv(seed_dir / "eval_metrics.csv", EVAL_COLUMNS,
               [[test_start, test_len, *eval_m.as_row()]])
     if log is not None:
-        _write_decisions(seed_dir / "decisions.csv", log)
+        arrays = log.arrays()
+        write_csv(seed_dir / "decisions.csv", DECISION_COLUMNS,
+                  zip(*(arrays[c] for c in DECISION_COLUMNS)))
     agents.save_agent(seed_dir / "checkpoint.npz", bundle,
                       env=asdict(cfg.env), reward_mod=asdict(cfg.reward_mod))
 
@@ -516,12 +536,6 @@ def t_interval_halfwidth(values) -> float:
     return float(stats.t.ppf(0.975, n - 1) * sd / np.sqrt(n))
 
 
-def _train_score(columns, rows, window: int = 100) -> float:
-    k = columns.index("mean_business_reward")
-    vals = [float(r[k]) for r in rows[-window:]]
-    return float(np.mean(vals))
-
-
 def summarize(run_dirs, out_path=None):
     """Per-run train/test means with 95% confidence intervals."""
     summary = []
@@ -538,11 +552,13 @@ def summarize(run_dirs, out_path=None):
                     if r[ik] != "":
                         per_window[r[wk]].append(float(r[ik]))
                 continue
-            cols, rows = read_csv(seed_dir / "train_metrics.csv")
-            per_window["train"].append(_train_score(cols, rows))
-            cols, rows = read_csv(seed_dir / "eval_metrics.csv")
-            k = cols.index("mean_business_reward")
-            per_window["test"].append(float(rows[0][k]))
+            # train: the mean of the last 100 episodes; test: the eval row
+            for split, name, last in (("train", "train_metrics.csv", 100),
+                                      ("test", "eval_metrics.csv", 1)):
+                cols, rows = read_csv(seed_dir / name)
+                k = cols.index("mean_business_reward")
+                per_window[split].append(
+                    float(np.mean([float(r[k]) for r in rows[-last:]])))
         for split, vals in per_window.items():
             if vals:
                 summary.append([cfg.dataset, cfg.algorithm, split,

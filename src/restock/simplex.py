@@ -2,8 +2,11 @@
 
 ``solve_lp`` hands an ``LpProblem`` to scipy's HiGHS (Huangfu & Hall, Math.
 Prog. Comp. 2018) and maps its status, solution and row duals back onto
-``LpSolution``. Row duals are reported for the stated problem: the dual of a
-row is the objective change per unit of extra right-hand side.
+``LpSolution``. HiGHS solves it with its interior-point method (IPX:
+Schork & Gondzio, Math. Prog. Comp. 2020) followed by crossover, which
+ends on a basic solution: a vertex, with the duals of its basis. Row duals
+are reported for the stated problem: the dual of a row is the objective
+change per unit of extra right-hand side.
 
 ``kkt_residuals`` measures how far a solution is from satisfying the
 optimality conditions (primal feasibility, dual feasibility and
@@ -59,14 +62,6 @@ class LpProblem:
         if np.any(~np.isfinite(self.lo)):
             raise ValueError("lower bounds must be finite")
 
-    @property
-    def num_vars(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def num_rows(self) -> int:
-        return self.A.shape[0]
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -74,61 +69,52 @@ class LpSolution:
     x: np.ndarray | None
     objective: float | None
     duals: np.ndarray | None
-    iterations: int
+    iterations: int  # interior-point plus crossover iterations
     engine: str
 
 
 def solve_lp(problem: LpProblem, max_iters: int = 50_000,
              time_limit: float | None = None) -> LpSolution:
-    """Solve an LP with HiGHS within an iteration and a time budget."""
-    A = problem.A
-    le = problem.senses == "<"
-    ge = problem.senses == ">"
-    eq = problem.senses == "="
-    parts, rhs = [], []
-    if le.any():
-        parts.append(A[le])
-        rhs.append(problem.b[le])
-    if ge.any():
-        parts.append(-A[ge])
-        rhs.append(-problem.b[ge])
-    A_ub = sp.vstack(parts).tocsr() if parts else None
-    b_ub = np.concatenate(rhs) if rhs else None
-    A_eq = A[eq] if eq.any() else None
-    b_eq = problem.b[eq] if eq.any() else None
+    """Solve an LP with HiGHS within ``max_iters`` interior-point
+    iterations and ``time_limit`` seconds; a zero ``time_limit`` is a budget
+    already spent, so the solve stops with status ``time_limit`` at once."""
+    if max_iters < 1 or not 0.0 <= (time_limit or 0.0) < np.inf:
+        raise ValueError(f"need max_iters >= 1 and a finite time_limit >= 0, "
+                         f"got {max_iters} and {time_limit}")
+    if time_limit == 0.0:
+        return LpSolution(status="time_limit", x=None, objective=None,
+                          duals=None, iterations=0, engine="scipy")
+    A, b = problem.A, problem.b
+    le, ge, eq = (problem.senses == s for s in "<>=")
+    A_ub, b_ub = sp.vstack([A[le], -A[ge]]), np.concatenate([b[le], -b[ge]])
 
     c = -problem.c if problem.maximize else problem.c
-    options: dict = {"maxiter": max_iters, "presolve": True}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
+    options = {"maxiter": max_iters, "presolve": True,
+               "time_limit": time_limit}
     res = scipy.optimize.linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+        c, A_ub=A_ub, b_ub=b_ub, A_eq=A[eq], b_eq=b[eq],
         bounds=np.column_stack([problem.lo, problem.hi]),
-        method="highs", options=options)
+        method="highs-ipm", options=options)
 
     status_map = {0: "optimal", 1: "iteration_limit", 2: "infeasible",
                   3: "unbounded", 4: "numerical_error"}
     status = status_map.get(res.status, "numerical_error")
-    if status == "iteration_limit" and res.message \
-            and "time" in res.message.lower():
+    if status == "iteration_limit" and "time" in (res.message or "").lower():
         status = "time_limit"
+    iterations = int(res.nit or 0) + int(res.crossover_nit or 0)
     if status != "optimal":
         return LpSolution(status=status, x=None, objective=None, duals=None,
-                          iterations=int(getattr(res, "nit", 0) or 0),
-                          engine="scipy")
+                          iterations=iterations, engine="scipy")
 
-    y = np.zeros(problem.num_rows)
+    y = np.zeros(len(b))
     sign = 1.0 if problem.maximize else -1.0
-    if A_ub is not None:
-        marg = res.ineqlin.marginals
-        n_le = int(le.sum())
-        y[le] = sign * -marg[:n_le]
-        y[ge] = sign * marg[n_le:]
-    if A_eq is not None:
-        y[eq] = sign * -res.eqlin.marginals
+    n_le = int(le.sum())
+    y[le] = sign * -res.ineqlin.marginals[:n_le]
+    y[ge] = sign * res.ineqlin.marginals[n_le:]
+    y[eq] = sign * -res.eqlin.marginals
     return LpSolution(status="optimal", x=res.x.copy(),
                       objective=float(problem.c @ res.x + problem.c0),
-                      duals=y, iterations=int(res.nit), engine="scipy")
+                      duals=y, iterations=iterations, engine="scipy")
 
 
 # ---------------------------------------------------------- certificates

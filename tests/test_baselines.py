@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -318,6 +319,36 @@ def test_scipy_engine_agrees_on_structured_lp():
     res = lp_upper_bound(ds.catalog, x0, ds.demand[25:40])
     assert res.mean_surrogate * 15 == pytest.approx(sol.objective, abs=1e-9)
     assert res.kkt_residual == max(kkt_residuals(problem, sol).values())
+
+
+def dual_simplex_optimum(problem) -> float:
+    """The optimum of an ``LpProblem`` from HiGHS's dual simplex, called
+    here, apart from ``solve_lp``."""
+    le, ge, eq = (problem.senses == s for s in "<>=")
+    res = scipy.optimize.linprog(
+        -problem.c, A_ub=sp.vstack([problem.A[le], -problem.A[ge]]),
+        b_ub=np.concatenate([problem.b[le], -problem.b[ge]]),
+        A_eq=problem.A[eq], b_eq=problem.b[eq],
+        bounds=np.column_stack([problem.lo, problem.hi]), method="highs-ds")
+    assert res.status == 0, res.message
+    return -res.fun + problem.c0
+
+
+@pytest.mark.parametrize("p,periods", [(3, 40), (5, 30), (20, 15)])
+def test_lp_bound_matches_dual_simplex(p, periods):
+    """On random windows the certified bound is the optimum that dual
+    simplex finds for the same problem."""
+    ds = generate(DatasetSpec(products=p, horizon=120, train_len=60,
+                              seed=p))
+    rng = np.random.default_rng(p)
+    for start in rng.integers(0, 120 - periods, size=3):
+        x0 = rng.random(p)
+        demand = ds.demand[start:start + periods]
+        res = lp_upper_bound(ds.catalog, x0, demand)
+        assert res.status == "optimal" and res.kkt_residual < 1e-7
+        problem, _ = build_perfect_info_lp(ds.catalog, x0, demand)
+        assert res.mean_surrogate * periods == pytest.approx(
+            dual_simplex_optimum(problem), rel=1e-9)
 
 
 def test_layout_row_bookkeeping():

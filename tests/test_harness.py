@@ -1,9 +1,11 @@
+import csv
 import hashlib
 import json
 import multiprocessing
 import os
 import pickle
 import time
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -284,23 +286,139 @@ def test_a_seed_alone_matches_its_part_of_a_run(smoke_run, tmp_path):
             (out / "seed_1" / name).read_bytes(), name
 
 
+def row_wise_write_csv(path, columns, rows) -> None:
+    """The reference writer: every value formatted alone by ``_fmt``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([harness._fmt(v) for v in row])
+
+
+def object_read_decisions(path) -> dict[str, np.ndarray]:
+    """The reference reader: ``csv`` rows, each column parsed by ``astype``."""
+    columns, rows = harness.read_csv(path)
+    data = np.array(rows, dtype=object)
+    return {c: data[:, k].astype(
+                int if c in ("period", "product", "action_index", "tag")
+                else float)
+            for k, c in enumerate(columns)}
+
+
 def test_decisions_csv_matches_the_row_wise_writer(smoke_run, smoke_dataset,
-                                                   tmp_path):
-    """The column-wise decision writer gives the bytes of ``write_csv`` over
-    the log's rows, at any chunk size."""
+                                                   tmp_path, monkeypatch):
+    """``write_csv`` gives the decision log the reference writer's bytes at
+    any block size, and the run's own ``decisions.csv`` has them too."""
     _, out = smoke_run
     _, log = harness.evaluate_checkpoint(out / "seed_0" / "checkpoint.npz",
                                          smoke_dataset, seed=0,
                                          collect_decisions=True)
     arrays = log.arrays()
+
+    def rows():
+        return zip(*(arrays[c] for c in harness.DECISION_COLUMNS))
     oracle = tmp_path / "oracle.csv"
-    harness.write_csv(oracle, harness.DECISION_COLUMNS,
-                      zip(*(arrays[c] for c in harness.DECISION_COLUMNS)))
-    for chunk in (1024, 7, 1):
-        path = tmp_path / f"chunk_{chunk}.csv"
-        harness._write_decisions(path, log, chunk=chunk)
-        assert path.read_bytes() == oracle.read_bytes(), chunk
+    row_wise_write_csv(oracle, harness.DECISION_COLUMNS, rows())
+    for block in (1024, 7, 1):
+        monkeypatch.setattr(harness, "_CSV_BLOCK", block)
+        path = tmp_path / f"block_{block}.csv"
+        harness.write_csv(path, harness.DECISION_COLUMNS, rows())
+        assert path.read_bytes() == oracle.read_bytes(), block
     assert oracle.read_bytes() == (out / "seed_0" / "decisions.csv").read_bytes()
+
+
+def mixed_rows(n: int) -> list:
+    """Rows of every value type a CSV of the lab can hold, one column per
+    type, plus columns that mix types and values ``csv`` must quote."""
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                1.7976931348623157e308, 0.1 + 0.2]
+    floats[:len(specials)] = specials[:n]
+    ints = rng.integers(-2**62, 2**62, n)
+    rows = []
+    for k in range(n):
+        rows.append([
+            np.float64(floats[k]), np.float32(floats[k] / 1e290),
+            np.int64(ints[k]), np.bool_(k % 3 == 0),
+            int(ints[k]), float(floats[k]), k % 2 == 0, f"s{k}",
+            None, Path(f"runs/seed_{k}"),
+            # mixed: numpy float with Python float, numpy int with numpy float
+            np.float64(k / 3) if k % 2 else k / 7,
+            np.int64(k) if k % 5 else np.float64(k),
+            np.uint8(k % 256), np.int32(-k), np.float16(k / 9),
+            np.longdouble(k) / 3,
+            ["a,b", 'q"uote', "line\nbreak", ""][k % 4],
+        ])
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025])
+def test_write_csv_matches_the_row_wise_writer(tmp_path, n):
+    rows = mixed_rows(n)
+    columns = [f"c{k}" for k in range(17)]
+    row_wise_write_csv(tmp_path / "oracle.csv", columns, rows)
+    harness.write_csv(tmp_path / "blocks.csv", columns, rows)
+    harness.write_csv(tmp_path / "iterated.csv", columns, iter(rows))
+    oracle = (tmp_path / "oracle.csv").read_bytes()
+    assert (tmp_path / "blocks.csv").read_bytes() == oracle
+    assert (tmp_path / "iterated.csv").read_bytes() == oracle
+
+
+@pytest.mark.parametrize("bad", [1, 1024, 1500])
+def test_write_csv_refuses_ragged_rows(tmp_path, bad):
+    rows = [[k, k / 2, "x"] for k in range(2000)]
+    rows[bad] = rows[bad][:2]
+    with pytest.raises(ValueError, match=f"row {bad} has 2 values"):
+        harness.write_csv(tmp_path / "short.csv", ("a", "b", "c"), rows)
+    rows[bad] = [1, 2.0, "x", "extra"]
+    with pytest.raises(ValueError, match=f"row {bad} has 4 values"):
+        harness.write_csv(tmp_path / "long.csv", ("a", "b", "c"), rows)
+    with pytest.raises(ValueError, match="column"):
+        harness.write_csv(tmp_path / "none.csv", (), [])
+
+
+def test_read_decisions_round_trips_floats_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 3000
+    ints = {c: rng.integers(-5, 10_000, n)
+            for c in ("period", "product", "action_index", "tag")}
+    floats = {c: rng.standard_normal(n) * 10.0 ** rng.integers(-40, 40, n)
+              for c in harness.DECISION_COLUMNS if c not in ints}
+    floats["order"][:6] = [0.1 + 0.2, -1 / 3, 1e-300, -2.5e-10, 5e-324,
+                           1.7976931348623157e308]
+    columns = {**ints, **floats}
+    path = tmp_path / "decisions.csv"
+    harness.write_csv(path, harness.DECISION_COLUMNS,
+                      zip(*(columns[c] for c in harness.DECISION_COLUMNS)))
+    text = path.read_text()
+    assert "e-300" in text and "-0.3333333333333333" in text
+
+    got = read_decisions(path)
+    expect = object_read_decisions(path)
+    assert list(got) == list(harness.DECISION_COLUMNS)
+    for c in harness.DECISION_COLUMNS:
+        assert got[c].dtype == expect[c].dtype == columns[c].dtype, c
+        assert got[c].tobytes() == expect[c].tobytes() == \
+            columns[c].tobytes(), c
+        assert got[c].flags.c_contiguous, c
+
+
+def test_read_decisions_refuses_empty_and_ragged_files(tmp_path):
+    header = ",".join(harness.DECISION_COLUMNS) + "\n"
+    row = "0,1,0.5,0.25,3,0.25,1,0.1,0.2,0.3\n"
+    cases = {"empty": "", "header_only": header,
+             "short_row": header + row + row.rsplit(",", 1)[0] + "\n",
+             "short_file": header + row.rsplit(",", 1)[0] + "\n"}
+    for name, text in cases.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                read_decisions(path)
+    (tmp_path / "ok.csv").write_text(header + row)
+    assert read_decisions(tmp_path / "ok.csv")["gvf3"].tolist() == [0.3]
 
 
 # ------------------------------------------------------------- transfer
@@ -641,6 +759,13 @@ def test_config_validation(smoke_dataset):
         ExperimentConfig(dataset="x", algorithm="dqn", seeds=())
     with pytest.raises(ValueError, match="distinct"):
         ExperimentConfig(dataset="x", algorithm="dqn", seeds=(1, 2, 1))
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lp_time_limit"):
+            ExperimentConfig(dataset="x", algorithm="lp_bound",
+                             lp_time_limit=bad)
+    for good in (None, 0.0, 30):
+        ExperimentConfig(dataset="x", algorithm="lp_bound",
+                         lp_time_limit=good)
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"dataset": "x", "algorithm": "dqn",
                                     "bogus": 1})

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from restock.baselines import build_perfect_info_lp
 from restock.datagen import DatasetSpec, generate, initial_inventories
@@ -59,6 +60,44 @@ def test_time_limit():
     assert sol.status == "time_limit"
 
 
+def test_budgets(monkeypatch):
+    """A zero time budget is spent before HiGHS starts; a budget that is
+    negative, not finite or allows no iteration is refused."""
+    rng = np.random.default_rng(1)
+    prob = make_problem(rng.random(6), rng.random((6, 6)), ["<"] * 6,
+                        rng.random(6) + 1.0, hi=np.ones(6))
+    for bad in ({"time_limit": -1.0}, {"time_limit": np.nan},
+                {"time_limit": np.inf}, {"max_iters": 0},
+                {"max_iters": -5}):
+        with pytest.raises(ValueError):
+            solve_lp(prob, **bad)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("HiGHS called with a spent budget")
+    monkeypatch.setattr(scipy.optimize, "linprog", no_solve)
+    sol = solve_lp(prob, time_limit=0.0)
+    assert (sol.status, sol.iterations, sol.x) == ("time_limit", 0, None)
+    assert not certify_optimal(prob, sol)
+
+
+def test_iterations_count_interior_point_and_crossover(monkeypatch):
+    ds = generate(DatasetSpec(products=3, horizon=30, train_len=20, seed=4))
+    problem, _ = build_perfect_info_lp(ds.catalog, initial_inventories(3, 2),
+                                       ds.demand[20:30])
+    seen = []
+    linprog = scipy.optimize.linprog
+
+    def observed(*args, **kwargs):
+        seen.append((kwargs["method"], linprog(*args, **kwargs)))
+        return seen[-1][1]
+    monkeypatch.setattr(scipy.optimize, "linprog", observed)
+    sol = solve_lp(problem)
+    ((method, res),) = seen
+    assert method == "highs-ipm"
+    assert sol.status == "optimal" and res.nit > 0
+    assert sol.iterations == res.nit + res.crossover_nit
+
+
 def test_equality_row_and_bound_flip():
     # forces x1 + x2 = 1.5 with both variables boxed
     prob = make_problem([2.0, 1.0], [[1.0, 1.0]], ["="], [1.5],
@@ -99,9 +138,9 @@ def test_determinism():
 def oracle_solve(prob: LpProblem):
     """Enumerate candidate vertices of the (bounded) feasible box-polytope."""
     A = prob.A.toarray()
-    n = prob.num_vars
+    n = prob.A.shape[1]
     eq, cand = [], []
-    for r in range(prob.num_rows):
+    for r in range(prob.A.shape[0]):
         if prob.senses[r] == "=":
             eq.append((A[r], prob.b[r]))
         else:
@@ -117,7 +156,7 @@ def oracle_solve(prob: LpProblem):
         if np.any(x < prob.lo - 1e-7) or np.any(x > prob.hi + 1e-7):
             return False
         ax = A @ x
-        for r in range(prob.num_rows):
+        for r in range(prob.A.shape[0]):
             if prob.senses[r] == "<" and ax[r] > prob.b[r] + 1e-7:
                 return False
             if prob.senses[r] == ">" and ax[r] < prob.b[r] - 1e-7:
@@ -167,7 +206,7 @@ def looped_kkt_residuals(problem: LpProblem, solution) -> dict[str, float]:
     slack = problem.b - problem.A @ x
 
     primal = 0.0
-    for r in range(problem.num_rows):
+    for r in range(problem.A.shape[0]):
         s = problem.senses[r]
         if s == "<":
             primal = max(primal, -slack[r])
@@ -181,7 +220,7 @@ def looped_kkt_residuals(problem: LpProblem, solution) -> dict[str, float]:
 
     sign = 1.0 if problem.maximize else -1.0
     dual = comp = 0.0
-    for r in range(problem.num_rows):
+    for r in range(problem.A.shape[0]):
         s = problem.senses[r]
         if s == "<":
             dual = max(dual, -sign * y[r])
@@ -191,7 +230,7 @@ def looped_kkt_residuals(problem: LpProblem, solution) -> dict[str, float]:
             comp = max(comp, abs(y[r] * slack[r]))
 
     z = problem.c - problem.A.T @ y
-    for j in range(problem.num_vars):
+    for j in range(problem.A.shape[1]):
         at_lo = x[j] <= problem.lo[j] + 1e-7
         at_hi = np.isfinite(problem.hi[j]) and x[j] >= problem.hi[j] - 1e-7
         zj = sign * z[j]
