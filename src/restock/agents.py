@@ -224,25 +224,25 @@ class EpisodeMetrics:
         return [getattr(self, c) for c in self.COLUMNS]
 
 
-@dataclass
 class DecisionLog:
-    """Flat per-(period, product) record of evaluation decisions."""
+    """Per-(period, product) record of the evaluation decisions of one
+    window, in (length, p) arrays that ``open_window`` allocates."""
 
-    period: list = field(default_factory=list)
-    product: list = field(default_factory=list)
-    inventory: list = field(default_factory=list)
-    order: list = field(default_factory=list)       # realized demand
-    action_index: list = field(default_factory=list)
-    action_value: list = field(default_factory=list)
-    tag: list = field(default_factory=list)
-    gvf1: list = field(default_factory=list)
-    gvf2: list = field(default_factory=list)
-    gvf3: list = field(default_factory=list)
+    def open_window(self, start: int, demand: np.ndarray) -> None:
+        """Size the log for the (length, p) ``demand`` of a window starting
+        at period ``start``; fills in the columns the window fixes."""
+        self.period, self.product = np.indices(demand.shape)
+        self.period += start
+        self.inventory = np.empty(demand.shape)
+        self.order = demand.copy()          # realized demand
+        self.action_index = np.empty(demand.shape, dtype=np.int64)
+        self.action_value = np.empty(demand.shape)
+        self.tag = np.empty(demand.shape, dtype=np.int64)
+        self.gvf1, self.gvf2, self.gvf3 = np.empty((NUM_GVFS, *demand.shape))
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {k: np.concatenate(v) if isinstance(v[0], np.ndarray)
-                else np.asarray(v)
-                for k, v in self.__dict__.items()}
+        """One flat array per column, period-major."""
+        return {k: v.ravel() for k, v in vars(self).items()}
 
 
 def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
@@ -263,6 +263,10 @@ def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
     sel_mode = exploration_mode(bundle)
     eps = epsilon if train else 0.0
 
+    log, products = decision_log, np.arange(p)
+    if log is not None:
+        log.open_window(start, sim.demand[start:start + length])
+
     totals = np.zeros(7)  # reward, empty, critical, wastage, spread, refused, cap
     feats = sim.features()
     for k in range(length):
@@ -280,22 +284,17 @@ def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
             if k % bundle.agent.train_every == 0:
                 train_step(bundle)
 
-        if decision_log is not None:
-            rows = np.arange(p)
-            decision_log.period.append(np.full(p, start + k))
-            decision_log.product.append(rows.copy())
-            decision_log.inventory.append(feats[:, 0].copy())
-            decision_log.order.append(sim.demand[start + k].copy())
-            decision_log.action_index.append(actions.copy())
-            decision_log.action_value.append(ACTION_SET[actions])
-            decision_log.tag.append(tags.copy())
-            decision_log.gvf1.append(qs[1][rows, actions])
-            decision_log.gvf2.append(qs[2][rows, actions])
-            decision_log.gvf3.append(qs[3][rows, actions])
+        if log is not None:
+            log.inventory[k] = feats[:, 0]
+            log.action_index[k] = actions
+            log.tag[k] = tags
+            log.gvf1[k], log.gvf2[k], log.gvf3[k] = qs[1:, products, actions]
         feats = next_feats
 
     if train:
         bundle.episodes_seen += 1
+    if log is not None:
+        log.action_value[...] = ACTION_SET[log.action_index]
     return EpisodeMetrics.from_means(episode_index, totals / length, eps)
 
 
@@ -314,8 +313,7 @@ def train_agent(bundle: AgentBundle, sim: Simulator, episodes: int,
 
 # -------------------------------------------------------------- checkpoints
 
-def save_agent(path, bundle: AgentBundle, env: dict | None = None,
-               reward_mod: dict | None = None) -> None:
+def save_agent(path, bundle: AgentBundle, env: dict, reward_mod: dict) -> None:
     """Checkpoint the policy with its agent hyperparameters and the env and
     reward-mod fields it was trained under, so it can be restored and
     scored as it was produced."""
@@ -323,7 +321,7 @@ def save_agent(path, bundle: AgentBundle, env: dict | None = None,
             "episodes_seen": bundle.episodes_seen,
             "train_steps": bundle.train_steps,
             "agent": asdict(bundle.agent),
-            "env": env or {}, "reward_mod": reward_mod or {}}
+            "env": env, "reward_mod": reward_mod}
     nn.save_checkpoint(path, bundle.params, metadata=meta)
 
 
@@ -331,15 +329,17 @@ def load_agent(path, seed: int = 0,
                agent: AgentParams | None = None) -> AgentBundle:
     """Restore a trained policy into a fresh bundle (optimizer reset).
 
-    ``agent`` defaults to the hyperparameters stored in the checkpoint; an
-    older checkpoint without them keeps its stored gamma and network shape.
-    The checkpoint's metadata is kept as ``bundle.checkpoint_meta``.
+    ``agent`` defaults to the hyperparameters stored in the checkpoint. A
+    checkpoint that does not store its agent, env and reward mod cannot be
+    scored as it was produced and is refused. The checkpoint's metadata is
+    kept as ``bundle.checkpoint_meta``.
     """
     params, cfg, meta = nn.load_checkpoint(path)
+    missing = [k for k in ("agent", "env", "reward_mod") if k not in meta]
+    if missing:
+        raise ValueError(f"{path}: checkpoint metadata lacks {missing}")
     if agent is None:
-        agent = (AgentParams(**meta["agent"]) if "agent" in meta else
-                 AgentParams(gamma=meta.get("gamma", 0.99),
-                             hidden_dims=cfg.hidden_dims))
+        agent = AgentParams(**meta["agent"])
     if agent.hidden_dims != cfg.hidden_dims:
         raise ValueError(f"{path}: network {cfg.hidden_dims} does not match "
                          f"hidden_dims {agent.hidden_dims}")
@@ -347,6 +347,6 @@ def load_agent(path, seed: int = 0,
     bundle.params = params
     bundle.target = params.copy()
     bundle.opt = nn.AdamState(params, lr=agent.lr)
-    bundle.episodes_seen = meta.get("episodes_seen", 0)
+    bundle.episodes_seen = meta["episodes_seen"]
     bundle.checkpoint_meta = meta
     return bundle

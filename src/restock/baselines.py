@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import simplex
-from .env import RewardParams, Simulator, StoreState, step
+from .env import RewardParams, Simulator
 
 
 def heuristic_action(x: np.ndarray, forecast: np.ndarray,
@@ -42,7 +42,7 @@ def run_heuristic_episode(sim: Simulator, start: int, length: int,
     executed = np.empty((length, sim.catalog.num_products))
     totals = np.zeros(7)
     for k in range(length):
-        u = heuristic_action(sim.state.x, sim.forecaster.forecast, target_level)
+        u = heuristic_action(sim.state.x, sim.forecast, target_level)
         out = sim.step(u)
         rewards[k] = out.business_reward
         executed[k] = out.executed
@@ -69,7 +69,7 @@ class LpLayout:
 
     This order is a contract: the optimal face is degenerate, so moving a
     row or a column can change the vertex that crossover ends on, and with
-    it ``LpBoundResult.mean_true_reward`` and the iteration count.
+    it ``LpBoundResult.actions`` and the iteration count.
     """
 
     def __init__(self, products: int, periods: int):
@@ -209,11 +209,10 @@ def surrogate_scores(catalog, x0: np.ndarray, demand: np.ndarray,
 class LpBoundResult:
     status: str                    # 'optimal' or 'dnf'
     mean_surrogate: float | None   # LP optimum / periods
-    # the LP's actions replayed through the env. The optimal face is
-    # degenerate, so this replays the vertex that HiGHS's crossover ends
-    # on, which depends on the LP's row order (see ``LpLayout``)
-    mean_true_reward: float | None
-    actions: np.ndarray | None     # executed orders (periods, p)
+    # the orders (periods, p) of the vertex that HiGHS's crossover ends on.
+    # The optimal face is degenerate, so they depend on the LP's row order
+    # (see ``LpLayout``); only their surrogate score is fixed by the bound
+    actions: np.ndarray | None
     solver_status: str
     iterations: int                # interior-point plus crossover
     kkt_residual: float | None     # largest KKT violation of the optimum
@@ -223,7 +222,7 @@ def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
                    max_iters: int = 500_000,
                    time_limit: float | None = None,
                    reward: RewardParams = RewardParams()) -> LpBoundResult:
-    """Hindsight LP bound over a window, plus its replayed true reward.
+    """Hindsight LP bound over a window, with the orders that attain it.
 
     HiGHS solves the perfect-information LP within ``max_iters`` and
     ``time_limit``; a run out of either budget reports status 'dnf'. An
@@ -238,27 +237,13 @@ def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
         status = "dnf" if sol.status in ("iteration_limit", "time_limit") \
             else sol.status
         return LpBoundResult(status=status, mean_surrogate=None,
-                             mean_true_reward=None, actions=None,
-                             solver_status=sol.status,
+                             actions=None, solver_status=sol.status,
                              iterations=sol.iterations, kkt_residual=None)
     kkt = simplex.kkt_residuals(problem, sol)
-
-    periods = lay.periods
-    actions = sol.x[lay.u]                               # (periods, p)
-
-    # replay the LP's plan through the real dynamics
-    state = StoreState(t=0, x=np.asarray(x0, dtype=float).copy())
-    true_rewards = np.empty(periods)
-    for t in range(periods):
-        out = step(catalog, state, actions[t], demand[t], reward)
-        true_rewards[t] = out.business_reward
-        state = out.next_state
-
     return LpBoundResult(
         status="optimal",
-        mean_surrogate=float(sol.objective / periods),
-        mean_true_reward=float(true_rewards.mean()),
-        actions=actions,
+        mean_surrogate=float(sol.objective / lay.periods),
+        actions=sol.x[lay.u],                            # (periods, p)
         solver_status=sol.status,
         iterations=sol.iterations,
         kkt_residual=max(kkt.values()))

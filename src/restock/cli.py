@@ -131,8 +131,7 @@ def main(argv=None) -> int:
     if args.command == "eval":
         metrics, _ = harness.evaluate_checkpoint(args.checkpoint,
                                                  args.dataset, args.seed)
-        print(json.dumps({c: getattr(metrics, c)
-                          for c in metrics.COLUMNS}, indent=2))
+        print(json.dumps(dict(zip(metrics.COLUMNS, metrics.as_row())), indent=2))
         if args.out:
             harness.write_csv(args.out, metrics.COLUMNS, [metrics.as_row()])
         return 0
@@ -145,13 +144,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "heatmap":
-        pooled: dict[str, np.ndarray] = {}
-        for path in args.decisions:
-            decisions = harness.read_decisions(path)
-            for k, v in decisions.items():
-                pooled[k] = (np.concatenate([pooled[k], v])
-                             if k in pooled else v)
-        grids = harness.extract_heatmaps(pooled)
+        logs = [harness.read_decisions(path) for path in args.decisions]
+        grids = harness.extract_heatmaps(
+            {k: np.concatenate([log[k] for log in logs]) for k in logs[0]})
         harness.write_csv(args.out, harness.HEATMAP_COLUMNS,
                           harness.heatmap_rows(grids))
         print(f"wrote {args.out}: "

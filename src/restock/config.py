@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import yaml
@@ -20,13 +21,26 @@ class EnvParams:
     alpha: float = 1.0            # capacity-overuse penalty weight
     forecast_window: int = 8      # trailing-average length, two days
 
+    def __post_init__(self):
+        w = self.forecast_window
+        if not (0.0 <= self.alpha < math.inf and isinstance(w, int) and w >= 1):
+            raise ValueError(f"need a finite alpha >= 0 and an integer "
+                             f"forecast_window >= 1, got {self}")
+
 
 @dataclass(frozen=True)
 class RewardMod:
     """Reward modifications used by the fine-tuning studies."""
 
     wastage_weight: float = 1.0
-    critical_override: float | None = None
+    critical_override: float | None = None  # in (0, 1), as critical levels
+
+    def __post_init__(self):
+        kappa = self.critical_override
+        if not (0.0 <= self.wastage_weight < math.inf
+                and (kappa is None or 0.0 < kappa < 1.0)):
+            raise ValueError(f"need a finite wastage_weight >= 0 and a "
+                             f"critical_override in (0, 1) or None, got {self}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +120,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
-        if "env" in data and isinstance(data["env"], dict):
-            data["env"] = EnvParams(**data["env"])
-        if "agent" in data and isinstance(data["agent"], dict):
-            data["agent"] = AgentParams(**data["agent"])
-        if "reward_mod" in data and isinstance(data["reward_mod"], dict):
-            data["reward_mod"] = RewardMod(**data["reward_mod"])
+        for key, kind in (("env", EnvParams), ("agent", AgentParams),
+                          ("reward_mod", RewardMod)):
+            if isinstance(data.get(key), dict):
+                data[key] = kind(**data[key])
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

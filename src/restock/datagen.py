@@ -70,23 +70,11 @@ class DatasetSpec:
         return self.horizon - self.train_len
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # ``==`` would compare arrays
 class Dataset:
     spec: DatasetSpec
     catalog: ProductCatalog
     demand: np.ndarray  # (horizon, products)
-
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        same_cat = all(
-            np.array_equal(getattr(self.catalog, f), getattr(other.catalog, f))
-            for f in ("unit_volume", "unit_weight", "max_shelf",
-                      "spoilage_rate", "critical_level")
-        ) and self.catalog.v_max == other.catalog.v_max \
-          and self.catalog.c_max == other.catalog.c_max
-        return (self.spec == other.spec and same_cat
-                and np.array_equal(self.demand, other.demand))
 
     @property
     def train_window(self) -> tuple[int, int]:
@@ -169,13 +157,10 @@ def save(dataset: Dataset, path) -> None:
     lines.append("[catalog]")
     lines.append("# product max_shelf unit_volume unit_weight"
                  " spoilage_rate critical_level")
-    for i in range(spec.products):
-        lines.append(" ".join([
-            str(i), format_value(int(cat.max_shelf[i])),
-            format_value(cat.unit_volume[i]), format_value(cat.unit_weight[i]),
-            format_value(cat.spoilage_rate[i]),
-            format_value(cat.critical_level[i]),
-        ]))
+    columns = (cat.max_shelf.astype(int), cat.unit_volume, cat.unit_weight,
+               cat.spoilage_rate, cat.critical_level)
+    for i, row in enumerate(zip(*columns)):
+        lines.append(" ".join([str(i), *map(format_value, row)]))
     lines.append("[demand]")
     for row in dataset.demand:
         lines.append(" ".join(format_value(v) for v in row))
@@ -187,6 +172,21 @@ def format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
+
+
+def _table(section: str, rows: list[str], shape: tuple) -> np.ndarray:
+    """A section's rows as a float table of ``shape``, in one parse."""
+    if len(rows) != shape[0]:
+        raise DatasetFormatError(section, f"expected {shape[0]} rows, got "
+                                 f"{len(rows)}: file truncated or padded")
+    try:
+        table = np.loadtxt(rows, ndmin=2)
+    except ValueError as exc:
+        raise DatasetFormatError(section, str(exc)) from exc
+    if table.shape != shape:
+        raise DatasetFormatError(section, f"expected a {shape} table, got "
+                                 f"{table.shape}")
+    return table
 
 
 def load(path) -> Dataset:
@@ -205,10 +205,10 @@ def load(path) -> Dataset:
     if idx == len(lines):
         raise DatasetFormatError("header", "missing [catalog] section")
 
+    version = header.get("format_version")
+    if version != str(FORMAT_VERSION):
+        raise DatasetFormatError("header", f"unsupported format_version {version}")
     try:
-        if int(header["format_version"]) != FORMAT_VERSION:
-            raise DatasetFormatError(
-                "header", f"unsupported format_version {header['format_version']}")
         kwargs = {}
         for f in fields(DatasetSpec):
             raw = header[f.name]
@@ -219,48 +219,27 @@ def load(path) -> Dataset:
     except KeyError as exc:
         raise DatasetFormatError("header", f"missing key {exc}") from exc
     except ValueError as exc:
-        if isinstance(exc, DatasetFormatError):
-            raise
         raise DatasetFormatError("header", str(exc)) from exc
 
     idx += 1  # past [catalog]
     p = spec.products
-    cat_rows = lines[idx:idx + p]
-    if len(cat_rows) < p or (cat_rows and cat_rows[-1] == "[demand]"):
-        raise DatasetFormatError("catalog",
-                                 f"expected {p} product rows, file truncated")
-    cols = np.empty((p, 5))
-    for k, row in enumerate(cat_rows):
-        parts = row.split()
-        if len(parts) != 6:
-            raise DatasetFormatError("catalog", f"bad row {k}: {row!r}")
-        if int(parts[0]) != k:
-            raise DatasetFormatError("catalog", f"row {k} has index {parts[0]}")
-        cols[k] = [float(v) for v in parts[1:]]
+    table = _table("catalog", lines[idx:idx + p], (p, 6))
+    if not np.array_equal(table[:, 0], np.arange(p)):
+        raise DatasetFormatError("catalog", f"product indices must run 0..{p - 1}")
     idx += p
 
     if idx >= len(lines) or lines[idx] != "[demand]":
         raise DatasetFormatError("demand", "missing [demand] section")
-    idx += 1
-    dem_rows = lines[idx:]
-    if len(dem_rows) != spec.horizon:
-        raise DatasetFormatError(
-            "demand", f"expected {spec.horizon} rows, got {len(dem_rows)}")
-    demand = np.empty((spec.horizon, p))
-    for t, row in enumerate(dem_rows):
-        parts = row.split()
-        if len(parts) != p:
-            raise DatasetFormatError("demand", f"row {t} has {len(parts)} values")
-        demand[t] = [float(v) for v in parts]
+    demand = _table("demand", lines[idx + 1:], (spec.horizon, p))
     if not np.all((demand >= 0.0) & (demand <= 1.0)):
         raise DatasetFormatError("demand", "demand values must be finite "
                                  "and lie in [0, 1]")
 
     try:
         catalog = ProductCatalog(
-            unit_volume=cols[:, 1], unit_weight=cols[:, 2], max_shelf=cols[:, 0],
-            spoilage_rate=cols[:, 3], critical_level=cols[:, 4],
-            v_max=v_max, c_max=c_max)
+            unit_volume=table[:, 2], unit_weight=table[:, 3],
+            max_shelf=table[:, 1], spoilage_rate=table[:, 4],
+            critical_level=table[:, 5], v_max=v_max, c_max=c_max)
     except ValueError as exc:
         raise DatasetFormatError("catalog", str(exc)) from exc
     return Dataset(spec=spec, catalog=catalog, demand=demand)

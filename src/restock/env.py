@@ -115,7 +115,6 @@ class StepOutcome:
     """Everything observable about one completed period."""
 
     next_state: StoreState
-    requested: np.ndarray       # after shelf clipping, before capacity scaling
     executed: np.ndarray        # physically received order
     b_empty: np.ndarray         # end-of-period stockout flags (0/1)
     b_critical: np.ndarray      # end-of-period below-critical flags (0/1)
@@ -272,7 +271,6 @@ def step(catalog: ProductCatalog, state: StoreState, raw_action: np.ndarray,
     b_empty, b_critical, q_waste, refused = components
     return StepOutcome(
         next_state=StoreState._trusted(state.t + 1, x_next),
-        requested=requested,
         executed=executed,
         b_empty=b_empty,
         b_critical=b_critical,
@@ -288,34 +286,6 @@ def step(catalog: ProductCatalog, state: StoreState, raw_action: np.ndarray,
         component_means=np.array([r_global, empty, critical, wastage,
                                   spread, lost, penalty]),
     )
-
-
-class ForecastState:
-    """Trailing-average demand forecast over a fixed window.
-
-    The buffer starts zero-filled, so the forecast is the window mean with
-    missing history counted as zero demand.
-    """
-
-    def __init__(self, window: int, num_products: int):
-        if window < 1:
-            raise ValueError("forecast window must be positive")
-        self.window = window
-        self.buffer = np.zeros((window, num_products))
-        self._pos = 0
-
-    def push(self, demand: np.ndarray) -> None:
-        self.buffer[self._pos] = demand
-        self._pos = (self._pos + 1) % self.window
-
-    def warm(self, history: np.ndarray) -> None:
-        """Preload the buffer from the rows preceding a window start."""
-        for row in np.atleast_2d(history)[-self.window:]:
-            self.push(row)
-
-    @property
-    def forecast(self) -> np.ndarray:
-        return self.buffer.mean(axis=0)
 
 
 def shelf_life(catalog: ProductCatalog) -> np.ndarray:
@@ -338,12 +308,13 @@ class Simulator:
             raise ValueError("demand must be a (horizon, products) matrix")
         if not np.all((demand >= 0.0) & (demand <= 1.0)):
             raise ValueError("demand must be finite and lie in [0, 1]")
+        if forecast_window < 1:
+            raise ValueError("forecast window must be positive")
         self.catalog = catalog
         self.demand = demand
         self.reward = reward
         self.forecast_window = forecast_window
         self.state: StoreState | None = None
-        self.forecaster: ForecastState | None = None
         # static feature columns never change within a catalog
         self._static = np.column_stack([
             catalog.unit_volume / catalog.unit_volume.max(),
@@ -356,17 +327,35 @@ class Simulator:
         return self.demand.shape[0]
 
     def reset(self, x0: np.ndarray, start: int = 0) -> StoreState:
-        """Start a window at period ``start``; ``x0`` is validated here."""
+        """Start a window at period ``start``; ``x0`` is validated here.
+        Tabulates the forecast of every period from ``start`` on."""
         p = self.catalog.num_products
         self.state = StoreState(t=start, x=_as_vector(x0, p, "x0").copy())
-        self.forecaster = ForecastState(self.forecast_window, p)
-        if start > 0:
-            self.forecaster.warm(self.demand[max(0, start - self.forecast_window):start])
+        w = self.forecast_window
+        first = max(0, start - w)
+        # each period's w previous demands, ordered as in a ring buffer
+        # filled from period ``first`` on (period s in slot (s - first) mod
+        # w): a float sum depends on its order, and stored runs used this one
+        t = np.arange(start, self.horizon + 1)[:, None]
+        slots = t - w + (np.arange(w) - t + first) % w
+        self._forecasts = np.empty((len(t), p))     # row t - start: period t
+        for k in range(0, len(t), 64):   # 64 periods at a time bound memory
+            s = slots[k:k + 64]
+            block = self.demand[np.maximum(s, 0)]
+            block[s < first] = 0.0
+            block.mean(axis=1, out=self._forecasts[k:k + 64])
+        self._start = start
         return self.state
+
+    @property
+    def forecast(self) -> np.ndarray:
+        """Mean demand of the ``forecast_window`` periods before the current
+        one, periods before 0 counting as zero demand."""
+        return self._forecasts[self.state.t - self._start]
 
     def features(self) -> np.ndarray:
         feats = np.empty((self.catalog.num_products, NUM_FEATURES))
-        forecast = self.forecaster.forecast
+        forecast = self.forecast
         feats[:, 0] = self.state.x
         feats[:, 1] = forecast
         feats[:, 2:5] = self._static
@@ -381,5 +370,4 @@ class Simulator:
         out = step(self.catalog, self.state, raw_action, self.demand[t],
                    self.reward)
         self.state = out.next_state
-        self.forecaster.push(self.demand[t])
         return out

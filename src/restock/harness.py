@@ -100,21 +100,31 @@ def _csv_column(values: tuple) -> list:
 
 def write_csv(path, columns, rows) -> None:
     """Writes the header, then ``rows`` in blocks of ``_CSV_BLOCK``, each
-    turned into columns. A row whose length is not the header's raises."""
+    turned into columns, to a file beside ``path`` that replaces it at the
+    end. A row whose length is not the header's raises, and an error
+    leaves ``path`` as it was."""
     width = len(columns)
     if width == 0:
         raise ValueError(f"{path}: a CSV needs at least one column")
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     rows, done = iter(rows), 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        while chunk := list(itertools.islice(rows, _CSV_BLOCK)):
-            for k, row in enumerate(chunk, done):
-                if len(row) != width:
-                    raise ValueError(f"{path}: row {k} has {len(row)} "
-                                     f"values for {width} columns: {row!r}")
-            writer.writerows(zip(*map(_csv_column, zip(*chunk))))
-            done += len(chunk)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            while chunk := list(itertools.islice(rows, _CSV_BLOCK)):
+                for k, row in enumerate(chunk, done):
+                    if len(row) != width:
+                        raise ValueError(f"{path}: row {k} has {len(row)} "
+                                         f"values for {width} columns: "
+                                         f"{row!r}")
+                writer.writerows(zip(*map(_csv_column, zip(*chunk))))
+                done += len(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_csv(path):
@@ -129,8 +139,7 @@ DECISION_COLUMNS = ("period", "product", "inventory", "order", "action_index",
                     "action_value", "tag", "gvf1", "gvf2", "gvf3")
 EVAL_COLUMNS = ("window_start", "window_len") + EpisodeMetrics.COLUMNS
 LP_COLUMNS = ("window", "window_start", "window_len", "status",
-              "solver_status", "mean_surrogate", "mean_true_reward",
-              "iterations", "kkt_residual")
+              "solver_status", "mean_surrogate", "iterations", "kkt_residual")
 
 
 def lp_bound_row(ds: datagen.Dataset, window: str, seed: int,
@@ -145,8 +154,7 @@ def lp_bound_row(ds: datagen.Dataset, window: str, seed: int,
         time_limit=time_limit, reward=reward)
 
     row = [window, start, length, res.status, res.solver_status,
-           res.mean_surrogate, res.mean_true_reward, res.iterations,
-           res.kkt_residual]
+           res.mean_surrogate, res.iterations, res.kkt_residual]
     return ["" if v is None else v for v in row]
 
 
@@ -363,17 +371,12 @@ def evaluate_checkpoint(checkpoint_path, dataset, seed: int,
     Works unchanged across datasets because the observation is per-product
     and normalized. The env and reward mod default to the ones stored in
     the checkpoint, so evaluating on the native dataset reproduces the
-    run's own eval row exactly. For a checkpoint that stores no env or no
-    reward mod (every v1 file), pass it: else ``ValueError`` names the key.
+    run's own eval row exactly. A checkpoint without them is refused.
     """
     ds = dataset if isinstance(dataset, datagen.Dataset) else datagen.load(dataset)
     p = ds.spec.products
     bundle = agents.load_agent(checkpoint_path, seed=seed)
     meta = bundle.checkpoint_meta
-    for key, given in (("env", env_params), ("reward_mod", reward_mod)):
-        if given is None and key not in meta:
-            raise ValueError(f"{checkpoint_path}: checkpoint metadata has no "
-                             f"{key!r} and none was passed")
     sim = make_simulator(ds, env_params or EnvParams(**meta["env"]),
                          reward_mod or RewardMod(**meta["reward_mod"]))
     test_start, test_len = ds.test_window
@@ -448,8 +451,7 @@ def extract_heatmaps(decisions: dict[str, np.ndarray]) -> dict[str, HeatmapGrid]
                          ("gvf2", "gvf2"), ("gvf3", "gvf3")):
         total = np.zeros(shape)
         np.add.at(total, (inv_idx, ord_idx), decisions[column])
-        with np.errstate(invalid="ignore"):
-            mean = np.where(count > 0, total / np.maximum(count, 1.0), np.nan)
+        mean = np.where(count > 0, total / np.maximum(count, 1.0), np.nan)
         grids[kind] = HeatmapGrid(kind=kind, inv_edges=INV_EDGES,
                                   order_edges=ORDER_EDGES, mean=mean,
                                   count=count.copy())
@@ -460,22 +462,16 @@ HEATMAP_COLUMNS = ("grid", "inventory_bin", "order_bin", "mean_value", "count")
 
 
 def heatmap_rows(grids: dict[str, HeatmapGrid]):
-    rows = []
-    for kind, grid in grids.items():
-        for i, inv_edge in enumerate(grid.inv_edges):
-            for j, order_edge in enumerate(grid.order_edges):
-                if grid.count[i, j] > 0:
-                    rows.append([kind, inv_edge, order_edge,
-                                 grid.mean[i, j], int(grid.count[i, j])])
-    return rows
+    """One row per populated cell, grid by grid, in row-major cell order."""
+    return [[kind, grid.inv_edges[i], grid.order_edges[j], grid.mean[i, j],
+             int(grid.count[i, j])]
+            for kind, grid in grids.items()
+            for i, j in np.argwhere(grid.count > 0)]
 
 
 # ---------------------------------------------------------------- fine-tune
 
-FINETUNE_COLUMNS = ("algorithm", "seed", "episode", "mean_business_reward",
-                    "mean_empty", "mean_critical", "mean_wastage",
-                    "mean_spread", "mean_refused", "mean_capacity_penalty",
-                    "epsilon")
+FINETUNE_COLUMNS = ("algorithm", "seed") + EpisodeMetrics.COLUMNS
 
 
 def run_finetune_suite(run_dirs: dict[str, Path], dataset_path,

@@ -202,17 +202,12 @@ def save_checkpoint(path, params: MlpParams,
 
 
 def load_checkpoint(path):
-    """Returns (params, config, metadata); reads versions 1 and 2."""
+    """Returns (params, config, metadata); reads version 2 only."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
+        if meta["version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version "
+                             f"{meta['version']}")
         config = MlpConfig(**meta["config"])
-        if meta["version"] == CHECKPOINT_VERSION:
-            params = MlpParams(config, data["params"])
-        elif meta["version"] == 1:   # one array per layer and per head
-            params = MlpParams(config)
-            for name in ("trunk_w", "trunk_b", "head_w", "head_b"):
-                for k, view in enumerate(getattr(params, name)):
-                    view[...] = data[f"{name}_{k}"]
-        else:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
+        params = MlpParams(config, data["params"])
     return params, config, meta["metadata"]

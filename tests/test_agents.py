@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from restock.agents import (DecisionLog, ReplayBuffer, exploration_mode,
                             train_step)
 from restock.config import AgentParams
 from restock.datagen import DatasetSpec, generate, initial_inventories
-from restock.env import NUM_ACTIONS, NUM_FEATURES, RewardParams, Simulator
+from restock.env import (ACTION_SET, NUM_ACTIONS, NUM_FEATURES, RewardParams,
+                         Simulator)
 from conftest import make_catalog
 
 
@@ -371,6 +373,21 @@ def test_decision_log_layout():
     assert arrays["period"].shape == (80,)
     assert set(np.unique(arrays["product"])) == {0, 1, 2, 3}
     assert np.all(arrays["action_value"] >= 0)
+    # one flat column per decisions.csv column, period-major; a log that
+    # opens a second window is sized for it
+    run_episode(bundle, sim, 5, 7, x0=np.full(4, 0.5), mode="eval",
+                decision_log=log)
+    arrays = log.arrays()
+    assert list(arrays) == ["period", "product", "inventory", "order",
+                            "action_index", "action_value", "tag", "gvf1",
+                            "gvf2", "gvf3"]
+    for k in ("period", "product", "action_index", "tag"):
+        assert arrays[k].dtype == np.int64, k
+    np.testing.assert_array_equal(arrays["period"], np.repeat(range(5, 12), 4))
+    np.testing.assert_array_equal(arrays["product"], np.tile(range(4), 7))
+    np.testing.assert_array_equal(arrays["order"], ds.demand[5:12].ravel())
+    np.testing.assert_array_equal(arrays["action_value"],
+                                  ACTION_SET[arrays["action_index"]])
 
 
 def test_fine_tune_zero_episodes_is_identity():
@@ -410,7 +427,7 @@ def test_checkpoint_roundtrip_preserves_policy(tmp_path):
     train_agent(bundle, sim, episodes=2, start=0, length=30,
                 x0_provider=lambda ep: np.full(4, 0.4))
     path = tmp_path / "agent.npz"
-    save_agent(path, bundle)
+    save_agent(path, bundle, env={}, reward_mod={})
     restored = load_agent(path, seed=8)
     assert restored.variant == bundle.variant
     s = np.random.default_rng(0).random((20, NUM_FEATURES))
@@ -425,7 +442,7 @@ def test_load_agent_restores_stored_hyperparameters(tmp_path):
     bundle = tiny_bundle(seed=9, buffer_capacity=300, batch_size=8,
                          gamma=0.8, hidden_dims=(12, 10), lr=5e-4)
     path = tmp_path / "agent.npz"
-    save_agent(path, bundle)
+    save_agent(path, bundle, env={}, reward_mod={})
     restored = load_agent(path, seed=3)
     assert restored.agent == bundle.agent
     assert restored.buffer.capacity == 300
@@ -437,18 +454,23 @@ def test_load_agent_restores_stored_hyperparameters(tmp_path):
         load_agent(path, seed=3, agent=AgentParams())
 
 
-def test_load_agent_without_stored_agent_keeps_gamma_and_shape(tmp_path):
-    """A checkpoint that predates stored hyperparameters keeps its stored
-    gamma and network shape; every other field takes its default."""
+def test_load_agent_refuses_checkpoint_without_scoring_keys(tmp_path):
+    """A checkpoint that does not store its agent, env and reward mod
+    cannot be scored as it was produced: it is refused, even when the
+    caller passes the agent, and the error names every missing key."""
     bundle = tiny_bundle(seed=10, gamma=0.7, hidden_dims=(12, 10))
     path = tmp_path / "agent.npz"
-    save_agent(path, bundle)
+    save_agent(path, bundle, env={}, reward_mod={})
     params, _, meta = nn.load_checkpoint(path)
-    meta = {k: v for k, v in meta.items() if k != "agent"}
-    nn.save_checkpoint(path, params, {**meta, "gamma": 0.7})
-    restored = load_agent(path, seed=10)
-    assert restored.agent == AgentParams(gamma=0.7, hidden_dims=(12, 10))
-    np.testing.assert_array_equal(restored.params.flat, bundle.params.flat)
+    for drop in (("agent",), ("env", "reward_mod"),
+                 ("agent", "env", "reward_mod")):
+        nn.save_checkpoint(path, params, {
+            **{k: v for k, v in meta.items() if k not in drop},
+            "gamma": 0.7})
+        with pytest.raises(ValueError, match=re.escape(repr(list(drop)))):
+            load_agent(path, seed=10)
+        with pytest.raises(ValueError, match=re.escape(repr(list(drop)))):
+            load_agent(path, seed=10, agent=bundle.agent)
 
 
 @pytest.mark.parametrize("bad", [

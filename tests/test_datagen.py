@@ -8,6 +8,18 @@ from restock.baselines import heuristic_action
 from restock.env import Simulator
 
 
+def same_dataset(a: Dataset, b: Dataset) -> bool:
+    """Equal specs, catalogs and demand, array by array."""
+    return (a.spec == b.spec
+            and a.catalog.v_max == b.catalog.v_max
+            and a.catalog.c_max == b.catalog.c_max
+            and all(np.array_equal(getattr(a.catalog, f),
+                                   getattr(b.catalog, f))
+                    for f in ("unit_volume", "unit_weight", "max_shelf",
+                              "spoilage_rate", "critical_level"))
+            and np.array_equal(a.demand, b.demand))
+
+
 def small_spec(**kw):
     defaults = dict(products=5, horizon=60, train_len=40, seed=11)
     defaults.update(kw)
@@ -78,7 +90,7 @@ def test_roundtrip_identity(tmp_path):
     ds = generate(small_spec(seed=21))
     path = tmp_path / "ds.txt"
     save(ds, path)
-    assert load(path) == ds
+    assert same_dataset(load(path), ds)
 
 
 def test_truncated_file_reports_section(tmp_path):
@@ -98,6 +110,43 @@ def test_truncated_file_reports_section(tmp_path):
     with pytest.raises(DatasetFormatError) as err:
         load(headless)
     assert err.value.section == "header"
+
+
+def test_dataset_equality_is_identity():
+    """``==`` on datasets would compare arrays; it is object identity."""
+    ds = generate(small_spec())
+    assert ds == ds and ds != generate(small_spec())
+    assert same_dataset(ds, generate(small_spec()))
+
+
+def rewrite(tmp_path, path, section: str, offset: int, edit):
+    """A copy of a saved dataset whose line ``offset`` past ``section``'s
+    marker is replaced by ``edit(its tokens)``."""
+    lines = path.read_text().splitlines()
+    k = lines.index(section) + offset
+    lines[k] = " ".join(edit(lines[k].split()))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+@pytest.mark.parametrize("section, offset, edit", [
+    ("[catalog]", 2, lambda parts: parts[:2] + ["wide"] + parts[3:]),
+    ("[catalog]", 2, lambda parts: parts[:-1]),
+    ("[catalog]", 3, lambda parts: ["7"] + parts[1:]),
+    ("[catalog]", 3, lambda parts: ["1.5"] + parts[1:]),
+    ("[demand]", 3, lambda parts: parts[:1] + ["0.1x"] + parts[2:]),
+    ("[demand]", 3, lambda parts: parts[:-1]),
+    ("[demand]", 3, lambda parts: parts + ["0.1"]),
+])
+def test_malformed_table_reports_its_section(tmp_path, section, offset, edit):
+    """A non-numeric token, a ragged row or a misplaced product index is a
+    format error of the section it sits in."""
+    path = tmp_path / "ds.txt"
+    save(generate(small_spec()), path)
+    with pytest.raises(DatasetFormatError) as err:
+        load(rewrite(tmp_path, path, section, offset, edit))
+    assert err.value.section == section.strip("[]")
 
 
 def test_invariant_violation_on_load(tmp_path):
@@ -131,7 +180,7 @@ def test_demand_outside_unit_interval_rejected_on_load(tmp_path):
         with pytest.raises(DatasetFormatError) as err:
             load(bad)
         assert err.value.section == "demand", value
-    assert load(path) == ds
+    assert same_dataset(load(path), ds)
 
 
 def test_initial_inventories():
@@ -160,7 +209,7 @@ def test_capacity_constraint_stays_active_for_heuristic():
     sim.reset(x, start=0)
     violations = 0
     for _ in range(40):
-        u = heuristic_action(sim.state.x, sim.forecaster.forecast, 0.5)
+        u = heuristic_action(sim.state.x, sim.forecast, 0.5)
         out = sim.step(u)
         violations += out.rho > 1.0
     assert violations > 0

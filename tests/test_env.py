@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from restock import env
 from restock.env import (
     NUM_FEATURES, ProductCatalog, RewardParams, Simulator, StoreState,
-    ForecastState, apply_demand_and_spoilage, apply_replenishment,
+    apply_demand_and_spoilage, apply_replenishment,
     business_reward, capacity_ratio, clip_action, enforce_capacity,
     per_product_rewards, percentile_spread, shelf_life, step,
 )
@@ -201,27 +201,68 @@ def test_reward_modifications():
 
 # ----------------------------------------------------------------- forecast
 
+class RingForecast:
+    """Trailing-average forecast kept in a zero-filled ring buffer, pushed
+    one period at a time: the reference for ``Simulator.forecast``."""
+
+    def __init__(self, window: int, num_products: int):
+        self.window = window
+        self.buffer = np.zeros((window, num_products))
+        self._pos = 0
+
+    def push(self, demand: np.ndarray) -> None:
+        self.buffer[self._pos] = demand
+        self._pos = (self._pos + 1) % self.window
+
+    @property
+    def forecast(self) -> np.ndarray:
+        return self.buffer.mean(axis=0)
+
+
+def forecasts_after(demand: np.ndarray, start: int, window: int):
+    """``Simulator.forecast`` at every period from ``start`` to the end."""
+    sim = Simulator(make_catalog(p=demand.shape[1]), demand,
+                    forecast_window=window)
+    sim.reset(np.zeros(demand.shape[1]), start)
+    out = []
+    for _ in range(start, len(demand)):
+        out.append(sim.forecast.copy())
+        sim.step(np.zeros(demand.shape[1]))
+    return out + [sim.forecast.copy()]
+
+
 def test_forecast_examples():
-    fs = ForecastState(window=4, num_products=1)
-    for _ in range(4):
-        fs.push(np.array([0.1]))
-    assert fs.forecast[0] == pytest.approx(0.1)
-
-    fs = ForecastState(window=4, num_products=1)
-    fs.push(np.array([0.4]))
-    assert fs.forecast[0] == pytest.approx(0.1)
-
-    fs = ForecastState(window=2, num_products=1)
-    fs.push(np.array([0.1]))
-    fs.push(np.array([0.5]))
-    fs.push(np.array([0.3]))
-    assert sorted(fs.buffer.ravel()) == [0.3, 0.5]
-    assert fs.forecast[0] == pytest.approx(0.4)
+    assert forecasts_after(np.full((4, 1), 0.1), 4, 4)[0] == \
+        pytest.approx([0.1])
+    assert forecasts_after(np.full((1, 1), 0.4), 0, 4)[1] == \
+        pytest.approx([0.1])
+    got = forecasts_after(np.array([[0.1], [0.5], [0.3]]), 0, 2)
+    assert got[3] == pytest.approx([0.4])
 
 
 def test_forecast_empty_buffer_is_zero():
-    fs = ForecastState(window=8, num_products=3)
-    np.testing.assert_array_equal(fs.forecast, np.zeros(3))
+    np.testing.assert_array_equal(
+        forecasts_after(np.full((5, 3), 0.7), 0, 8)[0], np.zeros(3))
+
+
+@pytest.mark.parametrize("p", [1, 20])
+@pytest.mark.parametrize("window", [1, 4, 8])
+def test_forecast_table_matches_the_ring_buffer_bit_for_bit(p, window):
+    """At every period, from every start, the tabulated forecast has the
+    bits of a ring buffer warmed with the periods before the start and
+    pushed once per step. 70 periods span two of ``reset``'s 64-period
+    chunks."""
+    demand = np.random.default_rng([p, window]).random((70, p))
+    for start in range(len(demand) + 1):
+        ring = RingForecast(window, p)
+        for row in demand[max(0, start - window):start]:
+            ring.push(row)
+        for t, got in enumerate(forecasts_after(demand, start, window),
+                                start):
+            np.testing.assert_array_equal(got, ring.forecast,
+                                          err_msg=f"start {start}, t {t}")
+            if t < len(demand):
+                ring.push(demand[t])
 
 
 # ---------------------------------------------------------------- cumulants
@@ -324,6 +365,8 @@ def test_simulator_validates_at_the_boundary():
     for x0 in (np.array([0.5]), np.array([0.5, 1.2]), np.array([-0.3, 0.1])):
         with pytest.raises(ValueError):
             sim.reset(x0)
+    with pytest.raises(ValueError, match="forecast window"):
+        Simulator(cat, np.full((4, 2), 0.2), forecast_window=0)
 
 
 def test_step_dimension_mismatch():
@@ -472,7 +515,7 @@ def test_simulator_walks_demand_and_warms_forecast():
     demand = np.tile(np.array([[0.1, 0.2]]), (10, 1))
     sim = Simulator(cat, demand, forecast_window=4)
     sim.reset(np.array([0.5, 0.5]), start=6)
-    np.testing.assert_allclose(sim.forecaster.forecast, [0.1, 0.2])
+    np.testing.assert_allclose(sim.forecast, [0.1, 0.2])
     feats = sim.features()
     assert feats.shape == (2, 7)
     out = sim.step(np.array([0.0, 0.0]))
@@ -484,7 +527,7 @@ def test_simulator_cold_start_has_zero_forecast():
     cat = make_catalog(p=1)
     sim = Simulator(cat, np.full((5, 1), 0.3), forecast_window=4)
     sim.reset(np.array([0.2]), start=0)
-    assert sim.forecaster.forecast[0] == 0.0
+    assert sim.forecast[0] == 0.0
 
 
 def test_catalog_validation():

@@ -157,6 +157,7 @@ def test_lp_bound_run(smoke_dataset, tmp_path):
     out = run_experiment(cfg, tmp_path / "lp")
     cols, rows = harness.read_csv(out / "seed_0" / "lp_bound.csv")
     assert tuple(cols) == harness.LP_COLUMNS
+    assert "mean_true_reward" not in cols   # a solver tie-break, not a bound
     assert [r[cols.index("window")] for r in rows] == ["train", "test"]
     for r in rows:
         assert r[cols.index("status")] == "optimal"
@@ -367,13 +368,20 @@ def test_write_csv_matches_the_row_wise_writer(tmp_path, n):
 
 @pytest.mark.parametrize("bad", [1, 1024, 1500])
 def test_write_csv_refuses_ragged_rows(tmp_path, bad):
+    """A ragged row raises and leaves no file behind: neither a truncated
+    CSV nor a temporary file, and a CSV already at the path is unchanged."""
     rows = [[k, k / 2, "x"] for k in range(2000)]
     rows[bad] = rows[bad][:2]
     with pytest.raises(ValueError, match=f"row {bad} has 2 values"):
         harness.write_csv(tmp_path / "short.csv", ("a", "b", "c"), rows)
+    assert list(tmp_path.iterdir()) == []
     rows[bad] = [1, 2.0, "x", "extra"]
+    kept = tmp_path / "long.csv"
+    kept.write_bytes(b"a,b,c\n1,2.0,x\n")
     with pytest.raises(ValueError, match=f"row {bad} has 4 values"):
-        harness.write_csv(tmp_path / "long.csv", ("a", "b", "c"), rows)
+        harness.write_csv(kept, ("a", "b", "c"), rows)
+    assert kept.read_bytes() == b"a,b,c\n1,2.0,x\n"
+    assert list(tmp_path.iterdir()) == [kept]
     with pytest.raises(ValueError, match="column"):
         harness.write_csv(tmp_path / "none.csv", (), [])
 
@@ -455,58 +463,45 @@ def test_self_transfer_uses_the_checkpoint_env(smoke_dataset, tmp_path):
     assert default.as_row() != metrics.as_row()
 
 
-def test_run_scored_under_its_manifest_env_without_checkpoint_env(
-        smoke_dataset, tmp_path):
-    """A checkpoint whose metadata stores no env or reward mod is still
-    scored and fine-tuned under its run's env, read from the manifest."""
-    cfg = smoke_config(smoke_dataset, seeds=(0,), episodes=3,
+def strip_checkpoint(ckpt, *keys) -> None:
+    params, _, meta = nn.load_checkpoint(ckpt)
+    nn.save_checkpoint(ckpt, params,
+                       {k: v for k, v in meta.items() if k not in keys})
+
+
+def test_run_with_checkpoint_without_env_is_refused(smoke_dataset, tmp_path):
+    """A checkpoint whose metadata stores no env or reward mod is refused
+    by transfer and fine-tune, although the run's manifest holds both:
+    the checkpoint alone must say how it was produced."""
+    cfg = smoke_config(smoke_dataset, seeds=(0,), episodes=2,
                        env=EnvParams(forecast_window=4, alpha=3.0))
     out = run_experiment(cfg, tmp_path / "run")
-    assert run_config(out) == cfg
-    ckpt = out / "seed_0" / "checkpoint.npz"
-    cols, rows = harness.read_csv(out / "seed_0" / "eval_metrics.csv")
-    reward = float(rows[0][cols.index("mean_business_reward")])
-    mod = RewardMod(wastage_weight=2.0)
-    before = harness.run_finetune_suite(
-        {cfg.algorithm: out}, smoke_dataset, mod, tmp_path / "before.csv",
-        episodes=2).read_bytes()
-
-    params, _, meta = nn.load_checkpoint(ckpt)
-    del meta["env"], meta["reward_mod"]
-    nn.save_checkpoint(ckpt, params, meta)
-    assert [r[4] for r in transfer_rows(out, smoke_dataset)] == [reward]
-    after = harness.run_finetune_suite(
-        {cfg.algorithm: out}, smoke_dataset, mod, tmp_path / "after.csv",
-        episodes=2).read_bytes()
-    assert after == before
+    strip_checkpoint(out / "seed_0" / "checkpoint.npz", "env", "reward_mod")
+    with pytest.raises(ValueError, match="'env', 'reward_mod'"):
+        transfer_rows(out, smoke_dataset)
+    with pytest.raises(ValueError, match="'env', 'reward_mod'"):
+        harness.run_finetune_suite(
+            {cfg.algorithm: out}, smoke_dataset, RewardMod(),
+            tmp_path / "finetune.csv", episodes=1)
+    assert not (tmp_path / "finetune.csv").exists()
 
 
-def test_evaluate_checkpoint_without_stored_env_needs_it_passed(
+def test_evaluate_checkpoint_without_stored_env_is_refused(
         smoke_dataset, tmp_path):
-    """A checkpoint whose metadata stores no env or reward mod is refused
-    unless both are passed, and with both it scores its own eval row."""
+    """A checkpoint whose metadata lacks its env or its reward mod is
+    refused even when both are passed; the error names the missing key."""
     cfg = smoke_config(smoke_dataset, seeds=(0,), episodes=2,
                        env=EnvParams(forecast_window=4, alpha=3.0))
     out = run_experiment(cfg, tmp_path / "run")
     ckpt = out / "seed_0" / "checkpoint.npz"
-    _, rows = harness.read_csv(out / "seed_0" / "eval_metrics.csv")
-    recorded = [float(v) for v in rows[0][2:]]
-
-    params, _, meta = nn.load_checkpoint(ckpt)
-    del meta["env"], meta["reward_mod"]
-    nn.save_checkpoint(ckpt, params, meta)
-    with pytest.raises(ValueError, match="'env'"):
-        harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0)
-    with pytest.raises(ValueError, match="'env'"):
+    strip_checkpoint(ckpt, "reward_mod")
+    with pytest.raises(ValueError, match=r"\['reward_mod'\]"):
         harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0,
+                                    env_params=cfg.env,
                                     reward_mod=cfg.reward_mod)
-    with pytest.raises(ValueError, match="'reward_mod'"):
-        harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0,
-                                    env_params=cfg.env)
-    metrics, _ = harness.evaluate_checkpoint(
-        ckpt, smoke_dataset, seed=0, env_params=cfg.env,
-        reward_mod=cfg.reward_mod)
-    assert [float(v) for v in metrics.as_row()] == recorded
+    strip_checkpoint(ckpt, "env")
+    with pytest.raises(ValueError, match=r"\['env', 'reward_mod'\]"):
+        harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0)
 
 
 def test_evaluation_does_not_depend_on_how_the_dataset_was_made(tmp_path):
@@ -769,6 +764,32 @@ def test_config_validation(smoke_dataset):
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"dataset": "x", "algorithm": "dqn",
                                     "bogus": 1})
+
+
+@pytest.mark.parametrize("section, bad", [
+    ("env", {"forecast_window": 0}), ("env", {"forecast_window": -3}),
+    ("env", {"forecast_window": 2.5}), ("env", {"forecast_window": "8"}),
+    ("env", {"alpha": -2.0}), ("env", {"alpha": float("nan")}),
+    ("env", {"alpha": float("inf")}),
+    ("reward_mod", {"wastage_weight": float("nan")}),
+    ("reward_mod", {"wastage_weight": -0.5}),
+    ("reward_mod", {"wastage_weight": float("inf")}),
+    ("reward_mod", {"critical_override": 1.5}),
+    ("reward_mod", {"critical_override": 0.0}),
+    ("reward_mod", {"critical_override": 1.0}),
+    ("reward_mod", {"critical_override": float("nan")})])
+def test_config_refuses_bad_env_and_reward_mod(section, bad):
+    """Bad env and reward-mod values fail when the config is read, before
+    a run writes anything."""
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ExperimentConfig.from_dict({"dataset": "x", "algorithm": "dqn",
+                                    section: bad})
+
+
+def test_config_accepts_env_and_reward_mod_bounds():
+    EnvParams(alpha=0.0, forecast_window=1)
+    RewardMod(wastage_weight=0.0, critical_override=None)
+    RewardMod(critical_override=0.999)
 
 
 def test_config_drops_retired_lp_keys():
