@@ -10,6 +10,8 @@ dez_dqn_gvf variant.
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -36,6 +38,8 @@ class ReplayBuffer:
         self.c = np.empty((capacity, NUM_CUMULANTS))
         self.s_next = np.empty((capacity, feature_dim))
         self.terminal = np.empty(capacity, dtype=bool)
+        self._stores = (self.s, self.a, self.r, self.c, self.s_next,
+                        self.terminal)
         self._head = 0
         self._size = 0
 
@@ -43,25 +47,21 @@ class ReplayBuffer:
         return self._size
 
     def push_block(self, s, a, r, c, s_next, terminal) -> None:
-        k = len(a)
+        k, head = len(a), self._head
         if k > self.capacity:
             raise ValueError("block larger than buffer capacity")
-        idx = (self._head + np.arange(k)) % self.capacity
-        self.s[idx] = s
-        self.a[idx] = a
-        self.r[idx] = r
-        self.c[idx] = c
-        self.s_next[idx] = s_next
-        self.terminal[idx] = terminal
-        self._head = (self._head + k) % self.capacity
+        idx = (slice(head, head + k) if head + k <= self.capacity
+               else (head + np.arange(k)) % self.capacity)
+        for store, part in zip(self._stores, (s, a, r, c, s_next, terminal)):
+            store[idx] = part
+        self._head = (head + k) % self.capacity
         self._size = min(self._size + k, self.capacity)
 
     def sample(self, rng: np.random.Generator, batch: int):
         if self._size < batch:
             raise ValueError("buffer smaller than the requested batch")
         idx = rng.integers(0, self._size, size=batch)
-        return (self.s[idx], self.a[idx], self.r[idx], self.c[idx],
-                self.s_next[idx], self.terminal[idx])
+        return tuple(store.take(idx, axis=0) for store in self._stores)
 
 
 @dataclass
@@ -79,6 +79,9 @@ class AgentBundle:
     train_steps: int = 0
     episodes_seen: int = 0
     checkpoint_meta: dict = field(default_factory=dict)
+    #: wall seconds of action choice, env step and learning in its episodes
+    seconds: dict = field(default_factory=lambda: dict.fromkeys(
+        ("act_s", "env_s", "learn_s"), 0.0))
 
     @property
     def config(self) -> nn.MlpConfig:
@@ -92,13 +95,13 @@ class AgentBundle:
     def dez_enabled(self) -> bool:
         return self.variant == "dez_dqn_gvf"
 
-    @property
-    def head_mask(self) -> np.ndarray:
-        mask = np.zeros(self.config.num_heads, dtype=bool)
-        mask[0] = True
-        if self.gvf_heads_enabled:
-            mask[1:1 + NUM_GVFS] = True
-        return mask
+    @functools.cached_property
+    def loss_index(self) -> nn.LossIndex:
+        """Head 0, plus the GVF heads in the GVF variants, for batches of
+        ``agent.batch_size``."""
+        heads = 1 + NUM_GVFS if self.gvf_heads_enabled else 1
+        return nn.LossIndex(self.config, np.arange(self.config.num_heads)
+                            < heads, self.agent.batch_size)
 
 
 def make_bundle(variant: str, seed: int,
@@ -122,35 +125,34 @@ def select_actions(params: nn.MlpParams, feats: np.ndarray, epsilon: float,
                    mode: str, rng: np.random.Generator):
     """Pick one action per feature row.
 
-    Returns (action indices, source tags, stacked head values). Greedy
+    Returns (action indices, source tags, ``nn.head_values`` block). Greedy
     choices break ties toward the lowest action index. The exploration
     decision is re-made every call (persistence one).
     """
     qs = nn.head_values(params, feats)
-    p = qs.shape[1]
-    actions = qs[0].argmax(axis=1)
+    p = qs.shape[0]
+    actions = qs[:, 0].argmax(axis=1)
     tags = np.zeros(p, dtype=np.int64)   # TAG_MAIN
-
-    explore = rng.random(p) < epsilon
-    if explore.any():
-        if mode == "epsilon_greedy":
-            k = int(explore.sum())
-            actions[explore] = rng.integers(0, NUM_ACTIONS, size=k)
-            tags[explore] = TAG_RANDOM
-        elif mode == "dez_greedy":
-            g = rng.integers(0, NUM_GVFS + 1, size=p)
-            uniform = explore & (g == 0)
-            if uniform.any():
-                actions[uniform] = rng.integers(0, NUM_ACTIONS,
-                                                size=int(uniform.sum()))
-                tags[uniform] = TAG_RANDOM
-            # each remaining explorer follows the minimizer of its GVF head
-            rows = np.flatnonzero(explore & (g > 0))
-            if rows.size:
-                actions[rows] = qs[g[rows], rows].argmin(axis=1)
-                tags[rows] = TAG_RANDOM + g[rows]
-        else:
-            raise ValueError(f"unknown exploration mode {mode!r}")
+    explore = (rng.random(p) < epsilon).nonzero()[0]
+    if not explore.size:
+        return actions, tags, qs
+    if mode == "epsilon_greedy":
+        tags[explore] = TAG_RANDOM
+        uniform = explore
+    elif mode == "dez_greedy":
+        # an explorer takes the uniform draw (g = 0) or follows the
+        # minimizer of GVF head g
+        g = rng.integers(0, NUM_GVFS + 1, size=p)[explore]
+        tags[explore] = TAG_RANDOM + g
+        follow = g.nonzero()[0]
+        if follow.size:
+            rows = explore[follow]
+            actions[rows] = qs[rows, g[follow]].argmin(axis=1)
+        uniform = explore[g == 0]
+    else:
+        raise ValueError(f"unknown exploration mode {mode!r}")
+    if uniform.size:
+        actions[uniform] = rng.integers(0, NUM_ACTIONS, size=uniform.size)
     return actions, tags, qs
 
 
@@ -168,10 +170,12 @@ def td_targets(bundle: AgentBundle, batch) -> np.ndarray:
     """
     s, a, r, c, s_next, terminal = batch
     qs_next = nn.head_values(bundle.target, s_next)
-    cont = np.where(terminal, 0.0, bundle.agent.gamma)
     targets = np.empty((bundle.config.num_heads, len(a)))
-    targets[0] = r + cont * qs_next[0].max(axis=1)
-    targets[1:] = c.T + cont * qs_next[1:].min(axis=2)
+    qs_next[:, 0].max(axis=1, out=targets[0])
+    qs_next[:, 1:].min(axis=2, out=targets[1:].T)
+    targets *= np.where(terminal, 0.0, bundle.agent.gamma)
+    targets[0] += r
+    targets[1:] += c.T
     return targets
 
 
@@ -186,11 +190,13 @@ def train_step(bundle: AgentBundle, batch=None):
         batch = bundle.buffer.sample(bundle.rng, bundle.agent.batch_size)
     s, a = batch[0], batch[1]
     targets = td_targets(bundle, batch)
-    loss, grads = nn.backward(bundle.params, s, a, targets, bundle.head_mask)
+    loss, grads = nn.backward(bundle.params, s, a, targets,
+                              bundle.loss_index, bundle.opt.grads)
     bundle.opt.step(bundle.params, grads)
     bundle.train_steps += 1
     if bundle.train_steps % bundle.agent.target_sync == 0:
         np.copyto(bundle.target.flat, bundle.params.flat)
+        bundle.opt.flush_subnormals()
     return {"loss": loss, "train_steps": bundle.train_steps}
 
 
@@ -269,11 +275,17 @@ def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
 
     totals = np.zeros(7)  # reward, empty, critical, wastage, spread, refused, cap
     feats = sim.features()
+    clock, seconds = time.perf_counter, bundle.seconds
     for k in range(length):
+        t0 = clock()
         actions, tags, qs = select_actions(bundle.params, feats, eps,
                                            sel_mode, bundle.rng)
+        t1 = clock()
         out = sim.step(ACTION_SET[actions])
         next_feats = sim.features()
+        t2 = clock()
+        seconds["act_s"] += t1 - t0
+        seconds["env_s"] += t2 - t1
 
         totals += out.component_means
 
@@ -283,12 +295,13 @@ def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
                                      k == length - 1)
             if k % bundle.agent.train_every == 0:
                 train_step(bundle)
+            seconds["learn_s"] += clock() - t2
 
         if log is not None:
             log.inventory[k] = feats[:, 0]
             log.action_index[k] = actions
             log.tag[k] = tags
-            log.gvf1[k], log.gvf2[k], log.gvf3[k] = qs[1:, products, actions]
+            log.gvf1[k], log.gvf2[k], log.gvf3[k] = qs[products, 1:, actions].T
         feats = next_feats
 
     if train:

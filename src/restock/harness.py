@@ -81,28 +81,28 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# numpy bools, ints and floats whose ``tolist`` gives Python bools, ints
-# and floats (a longdouble's gives a longdouble)
-_TOLIST_TYPES = frozenset(np.dtype(c).type for c in "?bhilqBHILQefd")
+# ints and floats; ``tolist`` turns numpy ones into Python ones
+_NUMBER_TYPES = frozenset([int, float, *(np.dtype(c).type
+                                         for c in "bhilqBHILQefd")])
 _CSV_BLOCK = 1024  # rows that write_csv turns into columns at a time
 
 
-def _csv_column(values: tuple) -> list:
-    """One column of a block, in values that ``csv`` writes to ``_fmt``'s
-    bytes: a column of one type in ``_TOLIST_TYPES`` in one ``tolist`` call
-    (``csv`` writes Python ints as ``str`` and floats as ``repr``), any
-    other column through ``_fmt``."""
-    kind = type(values[0])
-    if kind in _TOLIST_TYPES and all(type(v) is kind for v in values):
-        return np.array(values).tolist()
-    return [_fmt(v) for v in values]
+def _csv_column(values: tuple) -> tuple[list[str], bool]:
+    """One column of a block as the strings ``_fmt`` gives, and whether
+    it holds numbers only. A column of one type in ``_NUMBER_TYPES`` takes
+    one ``tolist`` call and one ``repr`` per value."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and kinds <= _NUMBER_TYPES:
+        return list(map(repr, np.array(values).tolist())), True
+    return [_fmt(v) for v in values], False
 
 
 def write_csv(path, columns, rows) -> None:
     """Writes the header, then ``rows`` in blocks of ``_CSV_BLOCK``, each
     turned into columns, to a file beside ``path`` that replaces it at the
-    end. A row whose length is not the header's raises, and an error
-    leaves ``path`` as it was."""
+    end. ``csv`` writes a block that holds a non-number; no number needs
+    quoting, so any other block is joined with ``csv``'s line ending. A row
+    whose length is not the header's raises; an error leaves ``path``."""
     width = len(columns)
     if width == 0:
         raise ValueError(f"{path}: a CSV needs at least one column")
@@ -119,7 +119,12 @@ def write_csv(path, columns, rows) -> None:
                         raise ValueError(f"{path}: row {k} has {len(row)} "
                                          f"values for {width} columns: "
                                          f"{row!r}")
-                writer.writerows(zip(*map(_csv_column, zip(*chunk))))
+                strings, numbers = zip(*map(_csv_column, zip(*chunk)))
+                if all(numbers):
+                    fh.write("".join([",".join(row) + "\r\n"
+                                      for row in zip(*strings)]))
+                else:
+                    writer.writerows(zip(*strings))
                 done += len(chunk)
         os.replace(tmp, path)
     except BaseException:
@@ -182,8 +187,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
     Worker processes forked from this one run the seeds, one per seed and
     at most one per CPU this process may use. With one seed or one CPU the
     seeds run here, one after another. Outputs do not depend on the worker
-    count; ``timings.json`` records it next to the per-seed and total wall
-    times.
+    count; ``timings.json`` records it next to the wall time of the run
+    and, split per layer, of each seed.
     """
     workers = min(len(cfg.seeds), _usable_cpus())
     t0 = time.monotonic()
@@ -226,9 +231,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_forked(tasks, workers: int) -> dict[int, float]:
+def _run_forked(tasks, workers: int) -> dict[int, dict]:
     """``_timed_seed`` of every task, each in a process forked for it, at
-    most ``workers`` at a time; returns {seed: seconds}.
+    most ``workers`` at a time; returns {seed: seconds by layer}.
 
     Each worker answers over a pipe of its own, so workers share no lock
     and one that dies, however it dies, cannot stall the rest: it fails the
@@ -286,16 +291,17 @@ def _seed_worker(task, writer) -> None:
                     f"{traceback.format_exc()}")
 
 
-def _timed_seed(task) -> tuple[int, float]:
-    """Runs one seed into its directory; returns (seed, wall seconds)."""
+def _timed_seed(task) -> tuple[int, dict]:
+    """Runs one seed into its directory; returns (seed, seconds by layer)."""
     cfg, ds, seed, seed_dir = task
     t0 = time.monotonic()
     seed_dir.mkdir(exist_ok=True)
-    _run_seed(cfg, ds, seed, seed_dir)
-    return seed, time.monotonic() - t0
+    layers = _run_seed(cfg, ds, seed, seed_dir)
+    return seed, {"wall_s": time.monotonic() - t0, **layers}
 
 
-def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
+def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> dict:
+    """Runs one seed; an agent's returns the seconds of each layer."""
     p = ds.spec.products
     sim = make_simulator(ds, cfg.env, cfg.reward_mod)
     train_start, train_len = ds.train_window
@@ -307,7 +313,7 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
                   [lp_bound_row(ds, window, seed, sim.reward,
                                 cfg.lp_time_limit)
                    for window in ("train", "test")])
-        return
+        return {}
 
     if cfg.algorithm == "heuristic":
         def heuristic_row(start, length, x0):
@@ -322,19 +328,20 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
         write_csv(seed_dir / "eval_metrics.csv", EVAL_COLUMNS,
                   [[test_start, test_len,
                     *heuristic_row(test_start, test_len, x0_eval)]])
-        return
+        return {}
 
     # RL variants
     bundle = agents.make_bundle(cfg.algorithm, seed, cfg.agent)
     history = agents.train_agent(
         bundle, sim, cfg.episodes, train_start, train_len,
         x0_provider=lambda ep: episode_inventories(p, seed, _PURPOSE_TRAIN, ep))
-    write_csv(seed_dir / "train_metrics.csv", EpisodeMetrics.COLUMNS,
-              [m.as_row() for m in history])
-
     log = DecisionLog() if cfg.collect_decisions else None
     eval_m = agents.run_episode(bundle, sim, test_start, test_len, x0_eval,
                                 mode="eval", decision_log=log)
+
+    t0 = time.perf_counter()
+    write_csv(seed_dir / "train_metrics.csv", EpisodeMetrics.COLUMNS,
+              [m.as_row() for m in history])
     write_csv(seed_dir / "eval_metrics.csv", EVAL_COLUMNS,
               [[test_start, test_len, *eval_m.as_row()]])
     if log is not None:
@@ -343,6 +350,7 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> None:
                   zip(*(arrays[c] for c in DECISION_COLUMNS)))
     agents.save_agent(seed_dir / "checkpoint.npz", bundle,
                       env=asdict(cfg.env), reward_mod=asdict(cfg.reward_mod))
+    return {**bundle.seconds, "write_s": time.perf_counter() - t0}
 
 
 def replay_manifest(run_dir, out_dir) -> Path:
@@ -389,9 +397,13 @@ def evaluate_checkpoint(checkpoint_path, dataset, seed: int,
 
 def transfer_rows(run_dir, dataset_path, env_params=None):
     """Evaluate every seed checkpoint of a run on a foreign dataset, under
-    the run's env (or ``env_params``) and reward mod."""
+    the run's env (or ``env_params``) and reward mod. Rows name datasets
+    by file sha256, the run's own as its manifest pins it."""
     run_dir = Path(run_dir)
-    cfg = run_config(run_dir)
+    manifest = read_manifest(run_dir)
+    cfg = ExperimentConfig.from_dict(manifest["config"])
+    trained_on = manifest.get("dataset_sha256") or file_sha256(cfg.dataset)
+    evaluated_on = file_sha256(dataset_path)
     ds = datagen.load(dataset_path)
     rows = []
     for seed in cfg.seeds:
@@ -399,13 +411,13 @@ def transfer_rows(run_dir, dataset_path, env_params=None):
         metrics, _ = evaluate_checkpoint(ckpt, ds, seed,
                                          env_params or cfg.env,
                                          cfg.reward_mod)
-        rows.append([cfg.algorithm, cfg.dataset, str(dataset_path), seed,
+        rows.append([cfg.algorithm, trained_on, evaluated_on, seed,
                      metrics.mean_business_reward])
     return rows
 
 
-TRANSFER_COLUMNS = ("algorithm", "trained_on", "evaluated_on", "seed",
-                    "mean_business_reward")
+TRANSFER_COLUMNS = ("algorithm", "trained_on_sha256", "evaluated_on_sha256",
+                    "seed", "mean_business_reward")
 
 
 # ----------------------------------------------------------------- heatmaps

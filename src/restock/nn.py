@@ -7,7 +7,8 @@ selected by a mask; the trunk accumulates every active head's gradient.
 
 Every weight lives in one contiguous vector, and the heads are fused into
 one (embedding, heads * actions) matrix, so each layer of the forward and
-backward pass is one matmul and the optimizer works on whole vectors.
+backward pass is one matmul and the optimizer works on whole vectors; the
+gradients go to a buffer the optimizer owns, never to a fresh vector.
 """
 
 from __future__ import annotations
@@ -89,71 +90,72 @@ def _trunk(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _fused_heads(params: MlpParams, emb: np.ndarray) -> np.ndarray:
-    """All head outputs side by side, (B, num_heads * num_actions)."""
-    q = emb @ params.heads_w
-    q += params.heads_b
-    return q
-
-
-def forward(params: MlpParams, x: np.ndarray):
-    """Returns (trunk embedding (B, emb), head outputs (num_heads, B,
-    num_actions))."""
+def head_values(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """All head outputs as one (B, num_heads, num_actions) block, a view
+    of the fused output layer."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
         raise ValueError("non-finite feature input")
-    emb = _trunk(params, x)[-1]
-    q = _fused_heads(params, emb)
-    cfg = params.config
-    qs = q.reshape(len(x), cfg.num_heads, cfg.num_actions)
-    return emb, qs.transpose(1, 0, 2)
+    q = _trunk(params, x)[-1] @ params.heads_w
+    q += params.heads_b
+    return q.reshape(len(x), params.config.num_heads, -1)
 
 
-def head_values(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """All head outputs stacked to (num_heads, B, num_actions)."""
-    return forward(params, x)[1]
+class LossIndex:
+    """The heads a masked TD loss trains, and ``first[i, b]``: the flat
+    index of head ``heads[i]``'s action 0 in row b of a batch's (batch,
+    heads * actions) output block. Built once per mask and batch size."""
+
+    def __init__(self, config: MlpConfig, head_mask: np.ndarray, batch: int):
+        self.heads = np.flatnonzero(head_mask)
+        width = config.num_heads * config.num_actions
+        self.first = (np.arange(0, batch * width, width)
+                      + self.heads[:, None] * config.num_actions)
 
 
 def backward(params: MlpParams, x: np.ndarray, actions: np.ndarray,
-             targets: np.ndarray, head_mask: np.ndarray):
-    """Loss and gradients of the masked TD loss; masked heads get zero
-    gradient. The gradients come back as one ``MlpParams``."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    actions = np.asarray(actions, dtype=np.intp)
+             targets: np.ndarray, index: LossIndex, grads: MlpParams):
+    """(loss, grads) of the TD loss summed over ``index.heads``; the
+    gradients, zero for every other head, are written into ``grads``."""
+    x = np.asarray(x, dtype=float)
     targets = np.asarray(targets, dtype=float)
+    batch = x.shape[0]
+    if x.ndim != 2 or index.first.shape[1] != batch:
+        raise ValueError(f"{x.shape} input for a loss over batches of "
+                         f"{index.first.shape[1]} rows")
     if not np.isfinite(targets).all():
         raise ValueError("non-finite TD target")
-    batch = x.shape[0]
-    rows = np.arange(batch)
-    heads = np.flatnonzero(head_mask)
-    cols = heads[:, None] * params.config.num_actions + actions
-
     acts = _trunk(params, x)
     emb = acts[-1]
-    q = _fused_heads(params, emb)
-    err = q[rows, cols] - targets[heads]
+    dq = emb @ params.heads_w
+    dq += params.heads_b
+    taken = index.first + actions
+    err = dq.take(taken)
+    err -= targets[index.heads]
     loss = float((err * err).mean(axis=1).sum())
-    dq = np.zeros_like(q)
-    dq[rows, cols] = 2.0 * err / batch
+    err *= 2.0
+    err /= batch
+    dq.fill(0.0)
+    dq.put(taken, err)
 
-    grads = MlpParams(params.config)
     np.matmul(emb.T, dq, out=grads.heads_w)
     dq.sum(axis=0, out=grads.heads_b)
     dh = dq @ params.heads_w.T
     for layer in range(len(params.trunk_w) - 1, -1, -1):
         # a unit is active exactly when its ReLU output is positive
-        dz = dh * (acts[layer + 1] > 0.0)
-        np.matmul(acts[layer].T, dz, out=grads.trunk_w[layer])
-        dz.sum(axis=0, out=grads.trunk_b[layer])
+        dh *= acts[layer + 1] > 0.0
+        np.matmul(acts[layer].T, dh, out=grads.trunk_w[layer])
+        dh.sum(axis=0, out=grads.trunk_b[layer])
         if layer > 0:
-            dh = dz @ params.trunk_w[layer].T
+            dh = dh @ params.trunk_w[layer].T
     return loss, grads
 
 
 # ---------------------------------------------------------------- optimizer
 
 class AdamState:
-    """Adam with bias correction; updates ``params.flat`` in place."""
+    """Adam with bias correction; updates ``params.flat`` in place. It
+    owns ``grads``, the gradient buffer that ``backward`` writes into."""
 
     def __init__(self, params: MlpParams, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -161,7 +163,14 @@ class AdamState:
             raise ValueError("learning rate must be positive")
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
+        self.grads = MlpParams(params.config)
         self.m, self.v, self._num, self._den = np.zeros((4, params.flat.size))
+
+    def flush_subnormals(self) -> None:
+        """Zeroes the first moment's subnormals: once a weight's gradient
+        stays 0 its moment decays to a few ulp, where ``beta1`` times it
+        rounds back to itself, and subnormal arithmetic slows every step."""
+        self.m[np.abs(self.m) < np.finfo(float).tiny] = 0.0
 
     def step(self, params: MlpParams, grads: MlpParams) -> MlpParams:
         """p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), element by element."""

@@ -15,6 +15,7 @@ from restock.datagen import DatasetSpec, generate, initial_inventories
 from restock.env import (ACTION_SET, NUM_ACTIONS, NUM_FEATURES, RewardParams,
                          Simulator)
 from conftest import make_catalog
+import oracles
 
 
 def select_action(params, s, epsilon, mode, rng):
@@ -190,8 +191,8 @@ def test_td_targets_use_min_for_gvf_heads():
     batch = fixed_batch(bundle, s, [0], [0.0], [[0.0, 0.0, 0.0]], s, [False])
     targets = td_targets(bundle, batch)
     gamma = bundle.agent.gamma
-    assert targets[0, 0] == pytest.approx(gamma * qs[0].max())
-    assert targets[2, 0] == pytest.approx(gamma * qs[2].min())
+    assert targets[0, 0] == pytest.approx(gamma * qs[:, 0].max())
+    assert targets[2, 0] == pytest.approx(gamma * qs[:, 2].min())
 
 
 def test_train_step_respects_head_mask():
@@ -258,7 +259,7 @@ def test_single_state_chain_learns_geometric_sum():
     qs = nn.head_values(bundle.params, state)
     expect = 0.3 / (1.0 - 0.9)  # = 3.0
     for head in range(4):
-        np.testing.assert_allclose(qs[head][0], expect, rtol=0.01)
+        np.testing.assert_allclose(qs[0][head], expect, rtol=0.01)
 
 
 def test_three_state_chain_matches_value_iteration():
@@ -285,11 +286,11 @@ def test_three_state_chain_matches_value_iteration():
         qs = nn.head_values(bundle.params, s)
         assert np.allclose(qs[0][0], v_main[k], rtol=0.01, atol=0.02)
         for g in range(3):
-            assert np.allclose(qs[1 + g][0], v_gvf[k, g], rtol=0.01, atol=0.02)
+            assert np.allclose(qs[0][1 + g], v_gvf[k, g], rtol=0.01, atol=0.02)
     # bounded cumulants keep GVF2 inside [0, 1/(1-gamma)] (+5%)
     band = 1.0 / (1.0 - bundle.agent.gamma)
     for s in states:
-        q2 = nn.head_values(bundle.params, s)[2]
+        q2 = nn.head_values(bundle.params, s)[:, 2]
         assert np.all(q2 >= -0.05 * band) and np.all(q2 <= 1.05 * band)
 
 
@@ -507,11 +508,119 @@ def test_dez_choice_matches_per_head_reference():
     rng = np.random.default_rng(13)
     explore = rng.random(200) < 0.6
     g = rng.integers(0, 4, size=200)
-    expect = np.argmax(qs[0], axis=1)
+    expect = np.argmax(qs[:, 0], axis=1)
     expect[explore & (g == 0)] = rng.integers(
         0, NUM_ACTIONS, size=int((explore & (g == 0)).sum()))
     for k in (1, 2, 3):
         chosen = explore & (g == k)
-        expect[chosen] = np.argmin(qs[k][chosen], axis=1)
+        expect[chosen] = np.argmin(qs[chosen, k], axis=1)
     np.testing.assert_array_equal(actions, expect)
     np.testing.assert_array_equal(tags, np.where(explore, 1 + g, 0))
+
+
+# ------------------------------------------------------ hot-path oracles
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def perturbed_bundle(variant, seed, **kw):
+    """A default-sized bundle whose weights and biases are all nonzero."""
+    bundle = make_bundle(variant, seed, AgentParams(**kw))
+    rng = np.random.default_rng(seed)
+    bundle.params.flat += rng.uniform(-0.2, 0.2, bundle.params.flat.size)
+    bundle.target = bundle.params.copy()
+    bundle.target.flat += rng.uniform(-0.2, 0.2, bundle.params.flat.size)
+    return bundle
+
+
+@pytest.mark.parametrize("p", [1, 5, 100])
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("mode", ["epsilon_greedy", "dez_greedy"])
+def test_select_actions_matches_the_oracle(p, epsilon, mode):
+    """Same actions, tags and head values as the oracle, from the same
+    draws: both Generators end in the same state."""
+    bundle = perturbed_bundle("dez_dqn_gvf", p)
+    feats = np.random.default_rng(p).random((p, NUM_FEATURES))
+    rng, oracle_rng = (np.random.default_rng([p, 7]) for _ in range(2))
+    for _ in range(5):
+        actions, tags, qs = select_actions(bundle.params, feats, epsilon,
+                                           mode, rng)
+        want = oracles.select_actions(bundle.params, feats, epsilon, mode,
+                                      oracle_rng)
+        assert same_bits(actions, want[0]) and same_bits(tags, want[1])
+        assert same_bits(qs, want[2].transpose(1, 0, 2))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("batch", [1, 2, 9, 33, 64])
+@pytest.mark.parametrize("variant", ["dqn", "dez_dqn_gvf"])
+def test_td_targets_match_the_oracle(batch, variant):
+    bundle = perturbed_bundle(variant, batch)
+    rng = np.random.default_rng(batch)
+    sample = (rng.random((batch, NUM_FEATURES)), rng.integers(0, 14, batch),
+              rng.standard_normal(batch), rng.random((batch, 3)),
+              rng.random((batch, NUM_FEATURES)), rng.random(batch) < 0.3)
+    assert same_bits(td_targets(bundle, sample),
+                     oracles.td_targets(bundle.target, bundle.agent.gamma,
+                                        sample))
+
+
+def test_replay_buffer_matches_the_oracle():
+    """Blocks that fit, blocks that wrap the ring and blocks of its whole
+    capacity leave the same slots; samples take the same rows and draws."""
+    buf, oracle = ReplayBuffer(50), oracles.ReplayBuffer(50)
+    rng, rng_oracle = (np.random.default_rng(21) for _ in range(2))
+    data = np.random.default_rng(22)
+    for k in (20, 20, 7, 13, 50, 1, 49, 3, 26):
+        block = (data.random((k, NUM_FEATURES)), data.integers(0, 14, k),
+                 data.standard_normal(k), data.random((k, 3)),
+                 data.random((k, NUM_FEATURES)), bool(k % 2))
+        buf.push_block(*block)
+        oracle.push_block(*block)
+        assert len(buf) == len(oracle)
+        for name in ("s", "a", "r", "c", "s_next", "terminal"):
+            stored = slice(0, len(buf))
+            assert same_bits(getattr(buf, name)[stored],
+                             getattr(oracle, name)[stored]), name
+        for batch in (1, min(len(buf), 64)):
+            got = buf.sample(rng, batch)
+            want = oracle.sample(rng_oracle, batch)
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+    assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("variant", ["dqn", "dqn_gvf", "dez_dqn_gvf"])
+def test_train_step_matches_the_oracle_learner(variant):
+    """Steps of the in-place learner (one gradient buffer, targets from
+    the fused output block) leave the parameters, the optimizer state and
+    the target net with the oracle learner's bits, through a target sync."""
+    rng = np.random.default_rng(23)
+    block = (rng.random((300, NUM_FEATURES)), rng.integers(0, 14, 300),
+             rng.standard_normal(300), rng.random((300, 3)),
+             rng.random((300, NUM_FEATURES)), rng.random(300) < 0.1)
+    bundles = [make_bundle(variant, 3, AgentParams(batch_size=32,
+                                                   target_sync=7))
+               for _ in range(2)]
+    for bundle in bundles:
+        bundle.buffer.push_block(*block)
+    fast, slow = bundles
+    mask = np.zeros(4, bool)
+    mask[0] = True
+    mask[1:] = variant != "dqn"
+    for _ in range(10):
+        loss = train_step(fast)["loss"]
+        batch = slow.buffer.sample(slow.rng, 32)
+        targets = oracles.td_targets(slow.target, slow.agent.gamma, batch)
+        want, grads = oracles.backward(slow.params, batch[0], batch[1],
+                                       targets, mask)
+        slow.opt.step(slow.params, grads)
+        slow.train_steps += 1
+        if slow.train_steps % 7 == 0:
+            slow.target.flat[:] = slow.params.flat
+        assert same_bits(loss, want)
+    for a, b in ((fast.params.flat, slow.params.flat),
+                 (fast.target.flat, slow.target.flat),
+                 (fast.opt.m, slow.opt.m), (fast.opt.v, slow.opt.v)):
+        assert same_bits(a, b)

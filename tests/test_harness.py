@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import shutil
 import time
 import warnings
 from dataclasses import asdict, replace
@@ -215,11 +216,19 @@ def test_pool_output_is_byte_identical_to_serial(smoke_dataset, tmp_path,
     assert compared >= len(cfg.seeds)
     assert (serial / "manifest.json").read_bytes() == \
         (pooled / "manifest.json").read_bytes()
+    # an agent's seed splits its wall time into layers
+    layers = ({"act_s", "env_s", "learn_s", "write_s"}
+              if algorithm == "dez_dqn_gvf" else set())
     for out, workers in ((serial, 1), (pooled, 2)):
         timings = json.loads((out / "timings.json").read_text())
         assert timings["workers"] == workers
         assert timings["wall_s"] > 0
         assert {f"seed_{s}" for s in cfg.seeds} < set(timings)
+        for seed in cfg.seeds:
+            seconds = timings[f"seed_{seed}"]
+            assert set(seconds) == {"wall_s", *layers}
+            assert min(seconds.values()) > 0
+            assert sum(seconds[k] for k in layers) < seconds["wall_s"]
     assert multiprocessing.active_children() == []
 
 
@@ -523,6 +532,35 @@ def test_evaluation_does_not_depend_on_how_the_dataset_was_made(tmp_path):
         rows = [harness.evaluate_checkpoint(ckpt, ds, seed=0)[0].as_row()
                 for ds in copies]
         assert rows[0] == rows[1] == rows[2], seed
+
+
+def test_transfer_csv_does_not_depend_on_where_the_files_are(
+        smoke_run, smoke_dataset, tmp_path):
+    """One run and its datasets copied to two directories give the same
+    ``transfer.csv`` bytes from the CLI: both datasets go by their sha256,
+    the run's own as its manifest pins it, or hashed from its file when an
+    older manifest does not."""
+    _, run = smoke_run
+    written = []
+    for home in (tmp_path / "a", tmp_path / "b"):
+        shutil.copytree(run, home / "run")
+        shutil.copy(smoke_dataset, home / "data.txt")
+        out = home / "transfer.csv"
+        assert cli.main(["transfer", "--run", str(home / "run"), "--dataset",
+                         str(home / "data.txt"), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    manifest = json.loads((tmp_path / "b" / "run" / "manifest.json")
+                          .read_text())
+    digest = manifest.pop("dataset_sha256")
+    (tmp_path / "b" / "run" / "manifest.json").write_text(
+        json.dumps(manifest))
+    rows = transfer_rows(tmp_path / "b" / "run", tmp_path / "b" / "data.txt")
+    assert written[0] == written[1]
+    cols, csv_rows = harness.read_csv(tmp_path / "a" / "transfer.csv")
+    assert tuple(cols) == harness.TRANSFER_COLUMNS
+    assert cols.index("mean_business_reward") == 4
+    assert [r[1:3] for r in csv_rows] == [[digest, digest]] * len(csv_rows)
+    assert [r[1:3] for r in rows] == [[digest, digest]] * len(rows)
 
 
 def test_transfer_rows_on_foreign_dataset(smoke_run, tmp_path):

@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 
 from restock import nn
-from restock.nn import (AdamState, MlpConfig, MlpParams, backward, forward,
+from restock.nn import (AdamState, LossIndex, MlpConfig, MlpParams, backward,
                         head_values, init_params, load_checkpoint,
                         save_checkpoint)
+import oracles
+
+
+def grads_of(params: MlpParams, x, actions, targets, head_mask):
+    """``backward`` over the heads of ``head_mask``, into a fresh buffer."""
+    return backward(params, x, actions, targets,
+                    LossIndex(params.config, head_mask, len(x)),
+                    MlpParams(params.config))
 
 
 def td_loss(params: MlpParams, x, actions, targets, head_mask) -> float:
     """Masked sum over heads of mean((Q_h(s, a) - y_h)^2), one head at a
     time: the oracle the fused backward pass is checked against."""
-    _, heads = forward(params, x)
+    heads = head_values(params, x).transpose(1, 0, 2)
     idx = np.arange(len(actions))
     total = 0.0
     for h, q in enumerate(heads):
@@ -43,27 +51,24 @@ def test_zero_params_give_zero_outputs():
     params = init_params(cfg, np.random.default_rng(0))
     zero = MlpParams(cfg)
     assert params.flat.size == zero.flat.size
-    _, heads = forward(zero, np.random.default_rng(1).random((3, 4)))
-    for q in heads:
-        np.testing.assert_array_equal(q, 0.0)
+    np.testing.assert_array_equal(
+        head_values(zero, np.random.default_rng(1).random((3, 4))), 0.0)
 
 
 def test_forward_is_deterministic_and_finite():
     cfg = small_config()
     params = init_params(cfg, np.random.default_rng(0))
     x = np.random.default_rng(1).random((5, 4))
-    emb1, h1 = forward(params, x)
-    emb2, h2 = forward(params, x)
-    np.testing.assert_array_equal(emb1, emb2)
-    for a, b in zip(h1, h2):
-        np.testing.assert_array_equal(a, b)
-        assert np.all(np.isfinite(a))
+    q1, q2 = head_values(params, x), head_values(params, x)
+    assert q1.shape == (5, cfg.num_heads, cfg.num_actions)
+    np.testing.assert_array_equal(q1, q2)
+    assert np.all(np.isfinite(q1))
 
 
 def test_forward_rejects_nonfinite_input():
     params = init_params(small_config(), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        forward(params, np.array([np.nan, 0, 0, 0]))
+        head_values(params, np.array([np.nan, 0, 0, 0]))
 
 
 def test_head_isolation():
@@ -71,12 +76,12 @@ def test_head_isolation():
     rng = np.random.default_rng(2)
     params = init_params(cfg, rng)
     x = rng.random((2, 4))
-    _, before = forward(params, x)
+    before = head_values(params, x)
     params.head_w[1] += 0.5
-    _, after = forward(params, x)
-    np.testing.assert_array_equal(before[0], after[0])
-    np.testing.assert_array_equal(before[2], after[2])
-    assert not np.array_equal(before[1], after[1])
+    after = head_values(params, x)
+    np.testing.assert_array_equal(before[:, 0], after[:, 0])
+    np.testing.assert_array_equal(before[:, 2], after[:, 2])
+    assert not np.array_equal(before[:, 1], after[:, 1])
 
 
 def test_zero_loss_gives_zero_gradients():
@@ -85,10 +90,9 @@ def test_zero_loss_gives_zero_gradients():
     params = init_params(cfg, rng)
     x = rng.random((4, 4))
     actions = rng.integers(0, 4, size=4)
-    _, heads = forward(params, x)
-    idx = np.arange(4)
-    targets = np.stack([q[idx, actions] for q in heads])
-    loss, grads = backward(params, x, actions, targets, np.ones(3, bool))
+    q = head_values(params, x)
+    targets = q[np.arange(4), :, actions].T
+    loss, grads = grads_of(params, x, actions, targets, np.ones(3, bool))
     assert loss == pytest.approx(0.0, abs=1e-18)
     np.testing.assert_array_equal(grads.flat, 0.0)
 
@@ -100,7 +104,7 @@ def test_masking_all_heads_zeroes_trunk_gradient():
     x = rng.random((4, 4))
     actions = rng.integers(0, 4, size=4)
     targets = rng.random((3, 4))
-    _, grads = backward(params, x, actions, targets, np.zeros(3, bool))
+    _, grads = grads_of(params, x, actions, targets, np.zeros(3, bool))
     np.testing.assert_array_equal(grads.flat, 0.0)
 
 
@@ -112,7 +116,7 @@ def test_masked_head_gets_zero_gradient():
     actions = rng.integers(0, 4, size=6)
     targets = rng.random((3, 6))
     mask = np.array([True, False, True])
-    _, grads = backward(params, x, actions, targets, mask)
+    _, grads = grads_of(params, x, actions, targets, mask)
     np.testing.assert_array_equal(grads.head_w[1], 0.0)
     np.testing.assert_array_equal(grads.head_b[1], 0.0)
     assert np.any(grads.head_w[0] != 0)
@@ -156,7 +160,7 @@ def test_gradients_match_finite_differences():
         actions = rng.integers(0, cfg.num_actions, size=batch)
         targets = rng.standard_normal((cfg.num_heads, batch))
         mask = rng.random(cfg.num_heads) < 0.8
-        loss, analytic = backward(params, x, actions, targets, mask)
+        loss, analytic = grads_of(params, x, actions, targets, mask)
         assert loss == pytest.approx(td_loss(params, x, actions, targets,
                                              mask), rel=1e-12, abs=1e-15)
         numeric = finite_difference_grads(params, x, actions, targets, mask)
@@ -194,7 +198,7 @@ def test_adam_steps_are_deterministic():
         params = init_params(cfg, np.random.default_rng(7))
         opt = AdamState(params, lr=1e-3)
         for _ in range(5):
-            _, grads = backward(params, x, actions, targets, np.ones(3, bool))
+            _, grads = grads_of(params, x, actions, targets, np.ones(3, bool))
             opt.step(params, grads)
         results.append(params)
     np.testing.assert_array_equal(results[0].flat, results[1].flat)
@@ -212,7 +216,7 @@ def test_training_reduces_regression_loss():
     mask = np.ones(1, bool)
     first = td_loss(params, x, actions, targets, mask)
     for _ in range(1000):
-        _, grads = backward(params, x, actions, targets, mask)
+        _, grads = grads_of(params, x, actions, targets, mask)
         opt.step(params, grads)
     final = td_loss(params, x, actions, targets, mask)
     assert final < 0.1 * first
@@ -310,7 +314,7 @@ def test_masked_head_stays_bit_identical_through_adam():
     trunk_before = params.trunk_w[0].copy()
     for _ in range(20):
         x = rng.random((8, 4))
-        _, grads = backward(params, x, rng.integers(0, 4, 8),
+        _, grads = grads_of(params, x, rng.integers(0, 4, 8),
                             rng.random((3, 8)), mask)
         np.testing.assert_array_equal(grads.head_w[1], 0.0)
         opt.step(params, grads)
@@ -363,3 +367,96 @@ def test_only_version_2_checkpoints_load(tmp_path):
             np.savez(fh, **arrays)
         with pytest.raises(ValueError, match=f"version {version}"):
             load_checkpoint(path)
+
+
+# ------------------------------------------------- in-place learner oracles
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 17, 64])
+def test_head_values_is_the_oracle_forward_block(batch):
+    cfg = MlpConfig(input_dim=7, hidden_dims=(64, 64), num_heads=4,
+                    num_actions=14)
+    rng = np.random.default_rng(batch)
+    params = init_params(cfg, rng)
+    params.flat += rng.uniform(-0.1, 0.1, params.flat.size)
+    x = rng.random((batch, 7))
+    assert same_bits(head_values(params, x),
+                     oracles.forward(params, x)[1].transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 17, 64])
+def test_backward_matches_the_fresh_gradient_oracle(batch):
+    """Loss and every gradient bit equal the oracle's for every head mask,
+    and each call overwrites the whole buffer, whatever it held."""
+    cfg = MlpConfig(input_dim=7, hidden_dims=(64, 64), num_heads=4,
+                    num_actions=14)
+    rng = np.random.default_rng(100 + batch)
+    params = init_params(cfg, rng)
+    params.flat += rng.uniform(-0.1, 0.1, params.flat.size)
+    grads = MlpParams(cfg)
+    for mask in ([1, 0, 0, 0], [1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 0, 0]):
+        mask = np.array(mask, bool)
+        x = rng.random((batch, 7))
+        actions = rng.integers(0, 14, batch)
+        targets = rng.standard_normal((4, batch))
+        grads.flat[:] = np.nan
+        loss, out = backward(params, x, actions, targets,
+                             LossIndex(cfg, mask, batch), grads)
+        want_loss, want = oracles.backward(params, x, actions, targets, mask)
+        assert out is grads
+        assert same_bits(loss, want_loss)
+        assert same_bits(grads.flat, want.flat)
+
+
+def test_backward_refuses_a_batch_its_index_was_not_built_for():
+    cfg = small_config()
+    params = init_params(cfg, np.random.default_rng(16))
+    index = LossIndex(cfg, np.ones(3, bool), 4)
+    with pytest.raises(ValueError, match="batches of 4 rows"):
+        backward(params, np.zeros((5, 4)), np.zeros(5, int),
+                 np.zeros((3, 5)), index, MlpParams(cfg))
+
+
+def test_flushing_leaves_no_subnormal_first_moment():
+    """A weight whose gradient turns 0 for good has its first moment decay
+    into the subnormal range and stay there; a flush at every target sync
+    (500 steps) leaves none after 7,000 zero gradients."""
+    cfg = small_config()
+    rng = np.random.default_rng(17)
+    subnormal = []
+    for flush in (False, True):
+        params = init_params(cfg, rng)
+        opt = AdamState(params, lr=1e-3)
+        opt.step(params, MlpParams(cfg, rng.standard_normal(
+            params.flat.size)))
+        zero = MlpParams(cfg)
+        for t in range(1, 7001):
+            opt.step(params, zero)
+            if flush and t % 500 == 0:
+                opt.flush_subnormals()
+        tiny = np.finfo(float).tiny
+        subnormal.append(int(((opt.m != 0) & (np.abs(opt.m) < tiny)).sum()))
+    assert subnormal[0] > 0 and subnormal[1] == 0
+
+
+def test_target_sync_flushes_the_first_moment():
+    from restock import agents
+    from restock.config import AgentParams
+    bundle = agents.make_bundle("dqn", seed=0, agent=AgentParams(
+        hidden_dims=(8, 8), batch_size=4, target_sync=3))
+    rng = np.random.default_rng(0)
+    s = rng.random((8, 7))
+    bundle.buffer.push_block(s, rng.integers(0, 14, 8), rng.random(8),
+                             rng.random((8, 3)), s, np.zeros(8, bool))
+    # a GVF head weight: the dqn variant never gives it a gradient
+    k = bundle.params.flat.size - 1
+    bundle.opt.m[k] = 5e-324
+    for _ in range(2):
+        agents.train_step(bundle)
+    assert bundle.opt.m[k] == 5e-324        # 0.9 ulp rounds back to 1 ulp
+    agents.train_step(bundle)               # the third step syncs
+    assert bundle.opt.m[k] == 0.0
