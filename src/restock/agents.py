@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .config import AgentParams
-from .env import ACTION_SET, NUM_ACTIONS, NUM_CUMULANTS, NUM_FEATURES, Simulator
+from .env import ACTION_SET, NUM_ACTIONS, NUM_FEATURES, Simulator
 
 VARIANTS = ("dqn", "dqn_gvf", "dez_dqn_gvf")
 NUM_GVFS = 3
@@ -35,7 +35,7 @@ class ReplayBuffer:
         self.s = np.empty((capacity, feature_dim))
         self.a = np.empty(capacity, dtype=np.int64)
         self.r = np.empty(capacity)
-        self.c = np.empty((capacity, NUM_CUMULANTS))
+        self.c = np.empty((capacity, NUM_GVFS))
         self.s_next = np.empty((capacity, feature_dim))
         self.terminal = np.empty(capacity, dtype=bool)
         self._stores = (self.s, self.a, self.r, self.c, self.s_next,
@@ -290,9 +290,10 @@ def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
         totals += out.component_means
 
         if train:
+            # the GVF cumulants per product: wastage, stockout, depletion
+            cumulants = np.array([out.q_waste, out.b_empty, 1.0 - out.x]).T
             bundle.buffer.push_block(feats, actions, out.per_product_rewards,
-                                     out.cumulants.T, next_feats,
-                                     k == length - 1)
+                                     cumulants, next_feats, k == length - 1)
             if k % bundle.agent.train_every == 0:
                 train_step(bundle)
             seconds["learn_s"] += clock() - t2

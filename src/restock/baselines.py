@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import simplex
-from .env import RewardParams, Simulator
+from .env import RewardParams, Simulator, apply_demand_and_spoilage
 
 
 def heuristic_action(x: np.ndarray, forecast: np.ndarray,
@@ -42,7 +42,7 @@ def run_heuristic_episode(sim: Simulator, start: int, length: int,
     executed = np.empty((length, sim.catalog.num_products))
     totals = np.zeros(7)
     for k in range(length):
-        u = heuristic_action(sim.state.x, sim.forecast, target_level)
+        u = heuristic_action(sim.x, sim.forecast, target_level)
         out = sim.step(u)
         rewards[k] = out.business_reward
         executed[k] = out.executed
@@ -190,11 +190,8 @@ def surrogate_scores(catalog, x0: np.ndarray, demand: np.ndarray,
     x = np.asarray(x0, dtype=float).copy()
     scores = np.empty(demand.shape[0])
     for t in range(demand.shape[0]):
-        x_plus = x + executed[t]
-        lost = np.maximum(0.0, demand[t] - x_plus)
-        residual = np.maximum(0.0, x_plus - demand[t])
-        waste = delta * residual
-        x = (1.0 - delta) * residual
+        x, waste, lost = apply_demand_and_spoilage(x + executed[t], demand[t],
+                                                   delta)
         shortfall = np.maximum(0.0, catalog.critical_level - x)
         spread = float(x.max() - x.min())
         scores[t] = (1.0

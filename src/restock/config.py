@@ -68,7 +68,7 @@ class AgentParams:
             raise ValueError("buffer_capacity must be >= batch_size")
         if not self.lr > 0:
             raise ValueError("lr must be positive")
-        for name in ("gamma", "eps_start", "eps_end"):
+        for name in ("gamma", "eps_start", "eps_end", "anneal_frac"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
 

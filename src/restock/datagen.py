@@ -142,10 +142,6 @@ def initial_inventories(p: int, seed) -> np.ndarray:
 
 # ------------------------------------------------------------------ file io
 
-_HEADER_INTS = {"products", "horizon", "train_len", "seed", "season_period",
-                "shelf_lo", "shelf_hi"}
-
-
 def save(dataset: Dataset, path) -> None:
     spec, cat = dataset.spec, dataset.catalog
     lines = ["# restock dataset", f"format_version {FORMAT_VERSION}",
@@ -212,7 +208,8 @@ def load(path) -> Dataset:
         kwargs = {}
         for f in fields(DatasetSpec):
             raw = header[f.name]
-            kwargs[f.name] = int(raw) if f.name in _HEADER_INTS else float(raw)
+            # ``from __future__ import annotations`` makes f.type a string
+            kwargs[f.name] = int(raw) if f.type == "int" else float(raw)
         spec = DatasetSpec(**kwargs)
         v_max = float(header["v_max"])
         c_max = float(header["c_max"])

@@ -21,7 +21,6 @@ ACTION_SET = np.array([
 ])
 NUM_ACTIONS = len(ACTION_SET)
 NUM_FEATURES = 7
-NUM_CUMULANTS = 3
 
 
 def _as_vector(values, p: int, name: str) -> np.ndarray:
@@ -73,28 +72,6 @@ class ProductCatalog:
         return self.unit_volume.shape[0]
 
 
-@dataclass
-class StoreState:
-    """Pre-replenishment inventory vector at the start of period ``t``."""
-
-    t: int
-    x: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        if self.x.ndim != 1:
-            raise ValueError("inventory must be a 1-d vector")
-        if np.any(self.x < -1e-12) or np.any(self.x > 1 + 1e-12):
-            raise ValueError("inventory levels must lie in [0, 1]")
-
-    @classmethod
-    def _trusted(cls, t: int, x: np.ndarray) -> "StoreState":
-        """A state the step kernel produced, without re-validation."""
-        state = object.__new__(cls)
-        state.t, state.x = t, x
-        return state
-
-
 @dataclass(frozen=True)
 class RewardParams:
     """Reward shaping knobs.
@@ -114,7 +91,7 @@ class RewardParams:
 class StepOutcome:
     """Everything observable about one completed period."""
 
-    next_state: StoreState
+    x: np.ndarray               # end-of-period inventory: the next x
     executed: np.ndarray        # physically received order
     b_empty: np.ndarray         # end-of-period stockout flags (0/1)
     b_critical: np.ndarray      # end-of-period below-critical flags (0/1)
@@ -125,16 +102,15 @@ class StepOutcome:
     capacity_penalty: float     # alpha * max(rho - 1, 0)
     business_reward: float
     per_product_rewards: np.ndarray
-    cumulants: np.ndarray       # shape (3, p): wastage, stockout, depletion
     #: (7,) business reward, empty, critical, wastage, spread, refused and
     #: capacity penalty, each the period's mean over products
     component_means: np.ndarray
 
 
-def clip_action(state: StoreState, raw: np.ndarray) -> np.ndarray:
+def clip_action(x: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """Clip each requested order to [0, 1 - x_i]: no negative order (which
     would dispose of stock for free) and no order beyond the free shelf."""
-    return np.minimum(np.maximum(raw, 0.0), 1.0 - state.x)
+    return np.minimum(np.maximum(raw, 0.0), 1.0 - x)
 
 
 def capacity_ratio(catalog: ProductCatalog, u: np.ndarray) -> float:
@@ -150,9 +126,9 @@ def enforce_capacity(u: np.ndarray, rho: float) -> np.ndarray:
     return u / rho
 
 
-def apply_replenishment(state: StoreState, u: np.ndarray) -> np.ndarray:
+def apply_replenishment(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Post-replenishment inventory x+ = x- + u."""
-    x_plus = state.x + u
+    x_plus = x + u
     if (x_plus > 1.0 + 1e-9).any():
         raise ValueError("replenished inventory exceeds shelf capacity; "
                          "action was not clipped")
@@ -230,34 +206,30 @@ def per_product_rewards(b_empty: np.ndarray, b_critical: np.ndarray,
             - spread - refused - penalty)
 
 
-def cumulants(q_waste: np.ndarray, b_empty: np.ndarray,
-              x_next: np.ndarray) -> np.ndarray:
-    """Predictive signals per product: wastage, stockout flag, depletion."""
-    return np.array([q_waste, b_empty, 1.0 - x_next])
-
-
-def step(catalog: ProductCatalog, state: StoreState, raw_action: np.ndarray,
+def step(catalog: ProductCatalog, x: np.ndarray, raw_action: np.ndarray,
          demand: np.ndarray,
          reward: RewardParams = RewardParams()) -> StepOutcome:
-    """Advance one period. Pure function of its inputs.
+    """Advance one period from the inventory ``x``. Pure function of its
+    inputs.
 
-    The catalog, the state and the demand are validated where they are
-    built; per period only the shapes and the action's finiteness are
-    checked. Every returned array is new, so outcomes never alias.
+    The catalog, the inventory and the demand are validated where they are
+    built (``Simulator.reset`` checks ``x0``); per period only the shapes
+    and the action's finiteness are checked. Every returned array is new,
+    so outcomes never alias.
     """
     raw = np.asarray(raw_action, dtype=float)
     w = np.asarray(demand, dtype=float)
     p = catalog.num_products
-    if not raw.shape == w.shape == state.x.shape == (p,):
-        raise ValueError(f"action {raw.shape}, demand {w.shape} and state "
-                         f"{state.x.shape} must all have shape ({p},)")
+    if not raw.shape == w.shape == x.shape == (p,):
+        raise ValueError(f"action {raw.shape}, demand {w.shape} and "
+                         f"inventory {x.shape} must all have shape ({p},)")
     if not np.isfinite(raw).all():
         raise ValueError("action must be finite")
 
-    requested = clip_action(state, raw)
+    requested = clip_action(x, raw)
     rho = capacity_ratio(catalog, requested)
     executed = enforce_capacity(requested, rho)
-    x_plus = apply_replenishment(state, executed)
+    x_plus = apply_replenishment(x, executed)
     x_next, q_waste, refused = apply_demand_and_spoilage(
         x_plus, w, catalog.spoilage_rate)
 
@@ -270,7 +242,7 @@ def step(catalog: ProductCatalog, state: StoreState, raw_action: np.ndarray,
     penalty = reward.alpha * max(rho - 1.0, 0.0)
     b_empty, b_critical, q_waste, refused = components
     return StepOutcome(
-        next_state=StoreState._trusted(state.t + 1, x_next),
+        x=x_next,
         executed=executed,
         b_empty=b_empty,
         b_critical=b_critical,
@@ -282,7 +254,6 @@ def step(catalog: ProductCatalog, state: StoreState, raw_action: np.ndarray,
         business_reward=r_global,
         per_product_rewards=per_product_rewards(
             b_empty, b_critical, q_waste, spread, refused, rho, reward),
-        cumulants=cumulants(q_waste, b_empty, x_next),
         component_means=np.array([r_global, empty, critical, wastage,
                                   spread, lost, penalty]),
     )
@@ -297,7 +268,9 @@ def shelf_life(catalog: ProductCatalog) -> np.ndarray:
 class Simulator:
     """Stateful wrapper that walks a demand matrix through the dynamics.
 
-    One instance is single-threaded; independent instances share nothing.
+    It owns the store state: the period ``t`` and the pre-replenishment
+    inventory ``x``, both set by ``reset``. One instance is
+    single-threaded; independent instances share nothing.
     """
 
     def __init__(self, catalog: ProductCatalog, demand: np.ndarray,
@@ -314,7 +287,8 @@ class Simulator:
         self.demand = demand
         self.reward = reward
         self.forecast_window = forecast_window
-        self.state: StoreState | None = None
+        self.t: int | None = None
+        self.x: np.ndarray | None = None
         # static feature columns never change within a catalog
         self._static = np.column_stack([
             catalog.unit_volume / catalog.unit_volume.max(),
@@ -326,11 +300,15 @@ class Simulator:
     def horizon(self) -> int:
         return self.demand.shape[0]
 
-    def reset(self, x0: np.ndarray, start: int = 0) -> StoreState:
+    def reset(self, x0: np.ndarray, start: int = 0) -> None:
         """Start a window at period ``start``; ``x0`` is validated here.
         Tabulates the forecast of every period from ``start`` on."""
         p = self.catalog.num_products
-        self.state = StoreState(t=start, x=_as_vector(x0, p, "x0").copy())
+        x = _as_vector(x0, p, "x0").copy()
+        # written as a range to accept, so that NaN fails
+        if not np.all((x >= -1e-12) & (x <= 1 + 1e-12)):
+            raise ValueError("x0 must be finite and lie in [0, 1]")
+        self.t, self.x = start, x
         w = self.forecast_window
         first = max(0, start - w)
         # each period's w previous demands, ordered as in a ring buffer
@@ -345,18 +323,17 @@ class Simulator:
             block[s < first] = 0.0
             block.mean(axis=1, out=self._forecasts[k:k + 64])
         self._start = start
-        return self.state
 
     @property
     def forecast(self) -> np.ndarray:
         """Mean demand of the ``forecast_window`` periods before the current
         one, periods before 0 counting as zero demand."""
-        return self._forecasts[self.state.t - self._start]
+        return self._forecasts[self.t - self._start]
 
     def features(self) -> np.ndarray:
         feats = np.empty((self.catalog.num_products, NUM_FEATURES))
         forecast = self.forecast
-        feats[:, 0] = self.state.x
+        feats[:, 0] = self.x
         feats[:, 1] = forecast
         feats[:, 2:5] = self._static
         feats[:, 5] = self.catalog.unit_volume @ forecast / self.catalog.v_max
@@ -364,10 +341,10 @@ class Simulator:
         return feats
 
     def step(self, raw_action: np.ndarray) -> StepOutcome:
-        t = self.state.t
+        t = self.t
         if t >= self.horizon:
             raise IndexError(f"period {t} is past the end of the demand data")
-        out = step(self.catalog, self.state, raw_action, self.demand[t],
+        out = step(self.catalog, self.x, raw_action, self.demand[t],
                    self.reward)
-        self.state = out.next_state
+        self.t, self.x = t + 1, out.x
         return out

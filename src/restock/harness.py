@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import __version__, agents, baselines, datagen
 from .agents import DecisionLog, EpisodeMetrics
@@ -371,22 +371,21 @@ def replay_manifest(run_dir, out_dir) -> Path:
 # ----------------------------------------------------------------- transfer
 
 def evaluate_checkpoint(checkpoint_path, dataset, seed: int,
-                        env_params: EnvParams | None = None,
-                        reward_mod: RewardMod | None = None,
                         collect_decisions: bool = False):
     """Greedy evaluation of a stored policy on a dataset's test window.
 
     Works unchanged across datasets because the observation is per-product
-    and normalized. The env and reward mod default to the ones stored in
-    the checkpoint, so evaluating on the native dataset reproduces the
-    run's own eval row exactly. A checkpoint without them is refused.
+    and normalized. The policy is scored under the env and reward mod
+    stored in the checkpoint, so evaluating on the native dataset
+    reproduces the run's own eval row exactly. A checkpoint without them
+    is refused.
     """
     ds = dataset if isinstance(dataset, datagen.Dataset) else datagen.load(dataset)
     p = ds.spec.products
     bundle = agents.load_agent(checkpoint_path, seed=seed)
     meta = bundle.checkpoint_meta
-    sim = make_simulator(ds, env_params or EnvParams(**meta["env"]),
-                         reward_mod or RewardMod(**meta["reward_mod"]))
+    sim = make_simulator(ds, EnvParams(**meta["env"]),
+                         RewardMod(**meta["reward_mod"]))
     test_start, test_len = ds.test_window
     x0 = episode_inventories(p, seed, _PURPOSE_EVAL, 0)
     log = DecisionLog() if collect_decisions else None
@@ -395,10 +394,10 @@ def evaluate_checkpoint(checkpoint_path, dataset, seed: int,
     return metrics, log
 
 
-def transfer_rows(run_dir, dataset_path, env_params=None):
+def transfer_rows(run_dir, dataset_path):
     """Evaluate every seed checkpoint of a run on a foreign dataset, under
-    the run's env (or ``env_params``) and reward mod. Rows name datasets
-    by file sha256, the run's own as its manifest pins it."""
+    the env and reward mod each checkpoint stores. Rows name datasets by
+    file sha256, the run's own as its manifest pins it."""
     run_dir = Path(run_dir)
     manifest = read_manifest(run_dir)
     cfg = ExperimentConfig.from_dict(manifest["config"])
@@ -408,9 +407,7 @@ def transfer_rows(run_dir, dataset_path, env_params=None):
     rows = []
     for seed in cfg.seeds:
         ckpt = run_dir / f"seed_{seed}" / "checkpoint.npz"
-        metrics, _ = evaluate_checkpoint(ckpt, ds, seed,
-                                         env_params or cfg.env,
-                                         cfg.reward_mod)
+        metrics, _ = evaluate_checkpoint(ckpt, ds, seed)
         rows.append([cfg.algorithm, trained_on, evaluated_on, seed,
                      metrics.mean_business_reward])
     return rows
@@ -488,15 +485,13 @@ FINETUNE_COLUMNS = ("algorithm", "seed") + EpisodeMetrics.COLUMNS
 
 def run_finetune_suite(run_dirs: dict[str, Path], dataset_path,
                        reward_mod: RewardMod, out_path,
-                       episodes: int = 100, epsilon: float = 0.1,
-                       env_params=None) -> Path:
+                       episodes: int = 100, epsilon: float = 0.1) -> Path:
     """Fine-tune stored checkpoints under a modified reward at a constant
     ``epsilon``.
 
     ``run_dirs`` maps algorithm name to its pretraining run directory; all
     algorithms and seeds share per-episode initial inventories. Each run
-    keeps the env and agent hyperparameters it was trained with, unless
-    ``env_params`` is given.
+    keeps the env and agent hyperparameters it was trained with.
     """
     ds = datagen.load(dataset_path)
     p = ds.spec.products
@@ -513,7 +508,7 @@ def run_finetune_suite(run_dirs: dict[str, Path], dataset_path,
             ckpt = run_dir / f"seed_{seed}" / "checkpoint.npz"
             bundle = agents.load_agent(ckpt, seed=seed, agent=replace(
                 cfg.agent, eps_start=epsilon, eps_end=epsilon))
-            sim = make_simulator(ds, env_params or cfg.env, reward_mod)
+            sim = make_simulator(ds, cfg.env, reward_mod)
             history = agents.train_agent(
                 bundle, sim, episodes, train_start, train_len,
                 x0_provider=lambda ep: episode_inventories(
@@ -541,7 +536,8 @@ def t_interval_halfwidth(values) -> float:
     sd = values.std(ddof=1)
     if sd == 0.0:
         return 0.0
-    return float(stats.t.ppf(0.975, n - 1) * sd / np.sqrt(n))
+    # the t distribution's 0.975 quantile, as ``scipy.stats.t.ppf`` gets it
+    return float(special.stdtrit(n - 1, 0.975) * sd / np.sqrt(n))
 
 
 def summarize(run_dirs, out_path=None):

@@ -157,25 +157,26 @@ class AdamState:
     """Adam with bias correction; updates ``params.flat`` in place. It
     owns ``grads``, the gradient buffer that ``backward`` writes into."""
 
-    def __init__(self, params: MlpParams, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: MlpParams, lr: float = 1e-3):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.grads = MlpParams(params.config)
         self.m, self.v, self._num, self._den = np.zeros((4, params.flat.size))
 
     def flush_subnormals(self) -> None:
         """Zeroes the first moment's subnormals: once a weight's gradient
-        stays 0 its moment decays to a few ulp, where ``beta1`` times it
+        stays 0 its moment decays to a few ulp, where ``BETA1`` times it
         rounds back to itself, and subnormal arithmetic slows every step."""
         self.m[np.abs(self.m) < np.finfo(float).tiny] = 0.0
 
     def step(self, params: MlpParams, grads: MlpParams) -> MlpParams:
         """p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), element by element."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         g, m, v, num, den = grads.flat, self.m, self.v, self._num, self._den
         np.multiply(g, 1.0 - b1, out=num)
         m *= b1
@@ -186,7 +187,7 @@ class AdamState:
         v += den
         np.divide(v, 1.0 - b2 ** self.t, out=den)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += self.EPS
         np.divide(m, 1.0 - b1 ** self.t, out=num)
         num *= self.lr
         num /= den

@@ -5,7 +5,7 @@ rewritten code must match bit for bit, Generator state included."""
 import numpy as np
 
 from restock import nn
-from restock.env import NUM_ACTIONS, NUM_CUMULANTS, NUM_FEATURES
+from restock.env import NUM_ACTIONS, NUM_FEATURES
 
 NUM_GVFS = 3
 TAG_MAIN, TAG_RANDOM = 0, 1
@@ -112,7 +112,7 @@ class ReplayBuffer:
         self.s = np.empty((capacity, feature_dim))
         self.a = np.empty(capacity, dtype=np.int64)
         self.r = np.empty(capacity)
-        self.c = np.empty((capacity, NUM_CUMULANTS))
+        self.c = np.empty((capacity, NUM_GVFS))
         self.s_next = np.empty((capacity, feature_dim))
         self.terminal = np.empty(capacity, dtype=bool)
         self._head = 0

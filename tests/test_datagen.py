@@ -209,7 +209,7 @@ def test_capacity_constraint_stays_active_for_heuristic():
     sim.reset(x, start=0)
     violations = 0
     for _ in range(40):
-        u = heuristic_action(sim.state.x, sim.forecast, 0.5)
+        u = heuristic_action(sim.x, sim.forecast, 0.5)
         out = sim.step(u)
         violations += out.rho > 1.0
     assert violations > 0

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from restock import env
+from restock.agents import make_bundle, run_episode
 from restock.env import (
-    NUM_FEATURES, ProductCatalog, RewardParams, Simulator, StoreState,
+    ACTION_SET, NUM_FEATURES, ProductCatalog, RewardParams, Simulator,
     apply_demand_and_spoilage, apply_replenishment,
     business_reward, capacity_ratio, clip_action, enforce_capacity,
     per_product_rewards, percentile_spread, shelf_life, step,
@@ -52,12 +53,9 @@ def simulator_features(catalog: ProductCatalog, x: np.ndarray,
 # ---------------------------------------------------------------- clipping
 
 def test_clip_action_examples():
-    s = StoreState(t=0, x=np.array([0.9]))
-    assert clip_action(s, np.array([0.5])) == pytest.approx(0.1)
-    s = StoreState(t=0, x=np.array([0.0]))
-    assert clip_action(s, np.array([1.0])) == pytest.approx(1.0)
-    s = StoreState(t=0, x=np.array([0.5]))
-    assert clip_action(s, np.array([0.2])) == pytest.approx(0.2)
+    assert clip_action(np.array([0.9]), np.array([0.5])) == pytest.approx(0.1)
+    assert clip_action(np.array([0.0]), np.array([1.0])) == pytest.approx(1.0)
+    assert clip_action(np.array([0.5]), np.array([0.2])) == pytest.approx(0.2)
 
 
 def test_capacity_ratio_examples():
@@ -89,19 +87,18 @@ def test_enforced_action_hits_ratio_one():
 # ----------------------------------------------------------- replenishment
 
 def test_apply_replenishment_examples():
-    s = StoreState(t=0, x=np.array([0.5]))
-    assert apply_replenishment(s, np.array([0.3])) == pytest.approx(0.8)
-    s = StoreState(t=0, x=np.array([0.0]))
-    assert apply_replenishment(s, np.array([0.0])) == pytest.approx(0.0)
-    s = StoreState(t=0, x=np.array([0.1, 0.9]))
-    np.testing.assert_allclose(apply_replenishment(s, np.array([0.2, 0.1])),
+    x = np.array([0.5])
+    assert apply_replenishment(x, np.array([0.3])) == pytest.approx(0.8)
+    x = np.array([0.0])
+    assert apply_replenishment(x, np.array([0.0])) == pytest.approx(0.0)
+    x = np.array([0.1, 0.9])
+    np.testing.assert_allclose(apply_replenishment(x, np.array([0.2, 0.1])),
                                [0.3, 1.0])
 
 
 def test_apply_replenishment_rejects_overflow():
-    s = StoreState(t=0, x=np.array([0.9]))
     with pytest.raises(ValueError):
-        apply_replenishment(s, np.array([0.5]))
+        apply_replenishment(np.array([0.9]), np.array([0.5]))
 
 
 def test_apply_demand_and_spoilage_examples():
@@ -268,12 +265,22 @@ def test_forecast_table_matches_the_ring_buffer_bit_for_bit(p, window):
 # ---------------------------------------------------------------- cumulants
 
 def test_cumulant_examples():
-    c = env.cumulants(np.array([0.0]), np.array([1.0]), np.array([0.0]))
-    np.testing.assert_allclose(c[:, 0], [0.0, 1.0, 1.0])
-    c = env.cumulants(np.array([0.0]), np.array([0.0]), np.array([1.0]))
-    np.testing.assert_allclose(c[:, 0], [0.0, 0.0, 0.0])
-    c = env.cumulants(np.array([0.1]), np.array([0.0]), np.array([0.3]))
-    np.testing.assert_allclose(c[:, 0], [0.1, 0.0, 0.7])
+    """The buffer rows one train period pushes carry, per product, the
+    wastage, the stockout flag and the depletion 1 - x of the step."""
+    cat = make_catalog(p=3, spoilage=[0.1, 0.4, 0.2])
+    # product 0 sells out whatever it orders; product 1 sells nothing
+    demand = np.array([[1.0, 0.0, 0.3]])
+    x0 = np.array([0.0, 0.5, 0.6])
+    bundle = make_bundle("dqn_gvf", seed=3)
+    run_episode(bundle, Simulator(cat, demand), 0, 1, x0, mode="train",
+                epsilon=1.0)
+    assert len(bundle.buffer) == 3
+    c = bundle.buffer.c[:3]
+    np.testing.assert_array_equal(c[0], [0.0, 1.0, 1.0])
+    out = step(cat, x0, ACTION_SET[bundle.buffer.a[:3]], demand[0])
+    assert out.b_empty[1] == 0.0 and out.q_waste[1] > 0.0
+    np.testing.assert_array_equal(
+        c, np.column_stack([out.q_waste, out.b_empty, 1.0 - out.x]))
 
 
 # ----------------------------------------------------------------- features
@@ -310,19 +317,16 @@ def test_system_features_shared_across_products():
 
 def test_step_zero_action_zero_demand():
     cat = make_catalog(p=1, spoilage=[0.1])
-    out = step(cat, StoreState(t=0, x=np.array([0.5])), np.array([0.0]),
-               np.array([0.0]))
-    assert out.next_state.x[0] == pytest.approx(0.45)
+    out = step(cat, np.array([0.5]), np.array([0.0]), np.array([0.0]))
+    assert out.x[0] == pytest.approx(0.45)
     assert out.q_waste[0] == pytest.approx(0.05)
-    assert out.next_state.t == 1
 
 
 def test_step_reward_reconstruction():
     cat = make_catalog(p=3, volume=[1, 2, 1], weight=[2, 1, 1],
                        v_max=0.4, c_max=0.5, spoilage=[0.1, 0.2, 0.3])
     rng = np.random.default_rng(11)
-    state = StoreState(t=0, x=rng.random(3))
-    out = step(cat, state, rng.random(3), rng.random(3) * 0.5)
+    out = step(cat, rng.random(3), rng.random(3), rng.random(3) * 0.5)
     rebuilt = (1.0 - out.b_empty.mean() - out.b_critical.mean()
                - out.q_waste.mean() - out.spread - out.refused.mean())
     assert rebuilt == pytest.approx(out.business_reward, abs=1e-12)
@@ -343,14 +347,12 @@ def test_consecutive_outcomes_do_not_alias():
     first = sim.step(np.full(3, 0.2))
     saved = {k: np.copy(v) for k, v in vars(first).items()
              if isinstance(v, np.ndarray)}
-    saved_x = first.next_state.x.copy()
+
     second = sim.step(np.full(3, 0.4))
     for name, value in saved.items():
         np.testing.assert_array_equal(getattr(first, name), value)
         assert not np.shares_memory(getattr(first, name),
                                     getattr(second, name)), name
-    np.testing.assert_array_equal(first.next_state.x, saved_x)
-    assert not np.shares_memory(first.next_state.x, second.next_state.x)
     assert not np.array_equal(first.executed, second.executed)
 
 
@@ -362,7 +364,9 @@ def test_simulator_validates_at_the_boundary():
         with pytest.raises(ValueError):
             Simulator(cat, demand)
     sim = Simulator(cat, np.full((4, 2), 0.2))
-    for x0 in (np.array([0.5]), np.array([0.5, 1.2]), np.array([-0.3, 0.1])):
+    for x0 in (np.array([0.5]), np.array([0.5, 1.2]), np.array([-0.3, 0.1]),
+               np.array([np.nan, 0.5]), np.array([0.5, np.inf]),
+               np.array([-np.inf, 0.5])):
         with pytest.raises(ValueError):
             sim.reset(x0)
     with pytest.raises(ValueError, match="forecast window"):
@@ -372,31 +376,32 @@ def test_simulator_validates_at_the_boundary():
 def test_step_dimension_mismatch():
     cat = make_catalog(p=2)
     with pytest.raises(ValueError):
-        step(cat, StoreState(t=0, x=np.zeros(2)), np.zeros(3), np.zeros(2))
+        step(cat, np.zeros(2), np.zeros(3), np.zeros(2))
     with pytest.raises(ValueError):
-        step(cat, StoreState(t=0, x=np.zeros(2)), np.zeros(2), np.zeros(3))
+        step(cat, np.zeros(2), np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError):
+        step(cat, np.zeros(3), np.zeros(2), np.zeros(2))
 
 
 def test_step_clips_negative_order_to_zero():
     """A negative order is no order, not free disposal of stock."""
     cat = make_catalog(p=2, spoilage=[0.1, 0.1])
-    state = StoreState(t=0, x=np.array([0.8, 0.3]))
+    x = np.array([0.8, 0.3])
     demand = np.array([0.0, 0.1])
-    out = step(cat, state, np.array([-0.5, 0.2]), demand)
-    ref = step(cat, state, np.array([0.0, 0.2]), demand)
+    out = step(cat, x, np.array([-0.5, 0.2]), demand)
+    ref = step(cat, x, np.array([0.0, 0.2]), demand)
     np.testing.assert_array_equal(out.executed, [0.0, 0.2])
-    np.testing.assert_array_equal(out.next_state.x, ref.next_state.x)
-    assert out.next_state.x[0] == pytest.approx(0.72)
+    np.testing.assert_array_equal(out.x, ref.x)
+    assert out.x[0] == pytest.approx(0.72)
     assert out.q_waste[0] == pytest.approx(0.08)
     assert out.business_reward == ref.business_reward
 
 
 def test_step_rejects_nonfinite_action():
     cat = make_catalog(p=2)
-    state = StoreState(t=0, x=np.full(2, 0.5))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
-            step(cat, state, np.array([0.1, bad]), np.zeros(2))
+            step(cat, np.full(2, 0.5), np.array([0.1, bad]), np.zeros(2))
 
 
 def scalar_trace(x0, actions, demands, volume, weight, v_max, c_max,
@@ -441,11 +446,11 @@ def test_step_matches_scalar_trace():
     expect = scalar_trace(x0, actions, demands, volume, weight, v_max, c_max,
                           spoilage, kappa)
 
-    state = StoreState(t=0, x=np.array(x0))
+    x = np.array(x0)
     for k in range(3):
-        out = step(cat, state, np.array(actions[k]), np.array(demands[k]))
+        out = step(cat, x, np.array(actions[k]), np.array(demands[k]))
         ref = expect[k]
-        np.testing.assert_allclose(out.next_state.x, ref["x"], atol=1e-12)
+        np.testing.assert_allclose(out.x, ref["x"], atol=1e-12)
         np.testing.assert_allclose(out.q_waste, ref["waste"], atol=1e-12)
         np.testing.assert_allclose(out.refused, ref["refused"], atol=1e-12)
         assert out.rho == pytest.approx(ref["rho"], abs=1e-12)
@@ -453,7 +458,7 @@ def test_step_matches_scalar_trace():
         assert out.business_reward == pytest.approx(ref["r"], abs=1e-12)
         np.testing.assert_allclose(out.per_product_rewards, ref["r_i"],
                                    atol=1e-12)
-        state = out.next_state
+        x = out.x
 
 
 # --------------------------------------------------------- property checks
@@ -480,14 +485,13 @@ def test_step_invariants(args):
     p, vol, wgt, spoil, kap, v_max, c_max, x0, raw, w = args
     cat = make_catalog(p=p, volume=vol, weight=wgt, spoilage=spoil,
                        critical=kap, v_max=v_max, c_max=c_max)
-    out = step(cat, StoreState(t=0, x=np.array(x0)), np.array(raw),
-               np.array(w))
+    out = step(cat, np.array(x0), np.array(raw), np.array(w))
 
-    assert np.all(out.next_state.x >= 0) and np.all(out.next_state.x <= 1 + 1e-12)
+    assert np.all(out.x >= 0) and np.all(out.x <= 1 + 1e-12)
     # conservation: received stock is sold, spoiled, or carried over
     x_plus = np.array(x0) + out.executed
     sold = np.minimum(np.array(w), x_plus)
-    np.testing.assert_allclose(x_plus, sold + out.q_waste + out.next_state.x,
+    np.testing.assert_allclose(x_plus, sold + out.q_waste + out.x,
                                atol=1e-9)
     assert cat.unit_volume @ out.executed <= cat.v_max + 1e-9
     assert cat.unit_weight @ out.executed <= cat.c_max + 1e-9
@@ -502,9 +506,9 @@ def test_step_invariants(args):
 def test_step_is_deterministic(catalog2):
     rng = np.random.default_rng(5)
     x0, raw, w = rng.random(2), rng.random(2), rng.random(2)
-    a = step(catalog2, StoreState(t=3, x=x0), raw, w)
-    b = step(catalog2, StoreState(t=3, x=x0), raw, w)
-    np.testing.assert_array_equal(a.next_state.x, b.next_state.x)
+    a = step(catalog2, x0, raw, w)
+    b = step(catalog2, x0, raw, w)
+    np.testing.assert_array_equal(a.x, b.x)
     assert a.business_reward == b.business_reward
 
 
@@ -519,8 +523,9 @@ def test_simulator_walks_demand_and_warms_forecast():
     feats = sim.features()
     assert feats.shape == (2, 7)
     out = sim.step(np.array([0.0, 0.0]))
-    assert sim.state.t == 7
-    assert out.next_state.x[0] == pytest.approx((0.5 - 0.1) * 0.9)
+    assert sim.t == 7
+    assert sim.x is out.x
+    assert out.x[0] == pytest.approx((0.5 - 0.1) * 0.9)
 
 
 def test_simulator_cold_start_has_zero_forecast():

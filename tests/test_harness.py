@@ -275,7 +275,7 @@ def test_pool_fails_fast_and_leaves_no_worker(smoke_dataset, tmp_path,
     def failing(cfg, ds, seed, seed_dir):
         if seed == 1:
             fail()
-        run_seed(cfg, ds, seed, seed_dir)
+        return run_seed(cfg, ds, seed, seed_dir)
 
     # the forked workers inherit the patched module
     monkeypatch.setattr(harness, "_run_seed", failing)
@@ -445,14 +445,13 @@ def test_transfer_self_matches_eval_row(smoke_run, smoke_dataset):
     cols, rows = harness.read_csv(out / "seed_0" / "eval_metrics.csv")
     recorded = float(rows[0][cols.index("mean_business_reward")])
     metrics, _ = harness.evaluate_checkpoint(
-        out / "seed_0" / "checkpoint.npz", smoke_dataset, seed=0,
-        env_params=cfg.env)
+        out / "seed_0" / "checkpoint.npz", smoke_dataset, seed=0)
     assert metrics.mean_business_reward == recorded
 
 
 def test_self_transfer_uses_the_checkpoint_env(smoke_dataset, tmp_path):
-    """With no env passed, a checkpoint is scored under the env and reward
-    mod it was trained with, so it reproduces its own eval row."""
+    """A checkpoint is scored under the env and reward mod it was trained
+    with, so it reproduces its own eval row."""
     cfg = smoke_config(smoke_dataset, seeds=(0,), episodes=2,
                        env=EnvParams(forecast_window=4, alpha=3.0),
                        reward_mod=RewardMod(wastage_weight=2.0))
@@ -465,11 +464,6 @@ def test_self_transfer_uses_the_checkpoint_env(smoke_dataset, tmp_path):
     assert recorded[2:] == [float(v) for v in metrics.as_row()]
     reward = recorded[cols.index("mean_business_reward")]
     assert [r[4] for r in transfer_rows(out, smoke_dataset)] == [reward]
-    # the defaults the checkpoint used to fall back to score it differently
-    default, _ = harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0,
-                                             env_params=EnvParams(),
-                                             reward_mod=RewardMod())
-    assert default.as_row() != metrics.as_row()
 
 
 def strip_checkpoint(ckpt, *keys) -> None:
@@ -498,16 +492,14 @@ def test_run_with_checkpoint_without_env_is_refused(smoke_dataset, tmp_path):
 def test_evaluate_checkpoint_without_stored_env_is_refused(
         smoke_dataset, tmp_path):
     """A checkpoint whose metadata lacks its env or its reward mod is
-    refused even when both are passed; the error names the missing key."""
+    refused; the error names the missing key."""
     cfg = smoke_config(smoke_dataset, seeds=(0,), episodes=2,
                        env=EnvParams(forecast_window=4, alpha=3.0))
     out = run_experiment(cfg, tmp_path / "run")
     ckpt = out / "seed_0" / "checkpoint.npz"
     strip_checkpoint(ckpt, "reward_mod")
     with pytest.raises(ValueError, match=r"\['reward_mod'\]"):
-        harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0,
-                                    env_params=cfg.env,
-                                    reward_mod=cfg.reward_mod)
+        harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0)
     strip_checkpoint(ckpt, "env")
     with pytest.raises(ValueError, match=r"\['env', 'reward_mod'\]"):
         harness.evaluate_checkpoint(ckpt, smoke_dataset, seed=0)
@@ -568,7 +560,7 @@ def test_transfer_rows_on_foreign_dataset(smoke_run, tmp_path):
     foreign = tmp_path / "foreign.txt"
     datagen.save(datagen.generate(datagen.DatasetSpec(
         products=8, horizon=60, train_len=40, seed=99)), foreign)
-    rows = transfer_rows(out, foreign, env_params=cfg.env)
+    rows = transfer_rows(out, foreign)
     assert len(rows) == len(cfg.seeds)
     for row in rows:
         assert row[0] == cfg.algorithm
@@ -649,7 +641,7 @@ def test_finetune_suite_curves(smoke_run, smoke_dataset, tmp_path):
     path = harness.run_finetune_suite(
         {"dez_dqn_gvf": out}, smoke_dataset,
         RewardMod(wastage_weight=4.0), tmp_path / "ft.csv",
-        episodes=4, epsilon=0.1, env_params=cfg.env)
+        episodes=4, epsilon=0.1)
     cols, rows = harness.read_csv(path)
     assert len(rows) == 4 * len(cfg.seeds)
     episodes = [int(r[cols.index("episode")]) for r in rows]
@@ -802,6 +794,12 @@ def test_config_validation(smoke_dataset):
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"dataset": "x", "algorithm": "dqn",
                                     "bogus": 1})
+    # out of [0, 1] the anneal would be skipped in silence
+    for bad in (float("nan"), -1.0, 1.5):
+        with pytest.raises(ValueError, match="anneal_frac"):
+            AgentParams(anneal_frac=bad)
+    for good in (0.0, 1.0):
+        AgentParams(anneal_frac=good)
 
 
 @pytest.mark.parametrize("section, bad", [
