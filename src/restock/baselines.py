@@ -4,11 +4,10 @@ The heuristic restores each product to a target level plus forecast demand;
 it respects shelf limits but not the shared transport capacity (the
 environment scales its orders down when needed).
 
-The LP sees the realized demand window in advance and maximizes a linear
-surrogate of the business reward: lost sales stand in for stockouts,
-below-critical shortfall for the critical flags, and the max-min inventory
-range for the percentile spread. Scores of concrete trajectories under the
-same surrogate are therefore bounded by the LP optimum.
+The LP sees the realized demand window in advance (a perfect-information
+relaxation) and maximizes a linear surrogate that is never below a
+period's business reward (see ``_penalty_weights``), so its optimum bounds
+the mean business reward of every policy on the same window.
 """
 
 from __future__ import annotations
@@ -55,21 +54,19 @@ def run_heuristic_episode(sim: Simulator, start: int, length: int,
 class LpLayout:
     """Variable and row indices of the perfect-information program.
 
-    Every field is an index array, built once. Variables come in six
-    blocks, in this order: orders ``u``, lost sales ``l``, end-of-period
-    inventories ``x`` (before the next period's order), critical
-    shortfalls ``m``, each (periods, p) with index ``t * p + i`` inside
-    its block, then the per-period range trackers ``hi`` and ``lo``.
+    Every field is an index array, built once. The variables are four
+    (periods, p) blocks, in this order: orders ``u``, lost sales ``l``,
+    end-of-period inventories ``x`` (before the next period's order) and
+    critical shortfalls ``m``; inside a block, ``t * p + i`` is the index.
 
-    Rows go period by period. Each period holds, product by product, its
-    dynamics (=), shelf (<, not in period 0, where the bound on ``u`` does
-    its work), critical (>), range-hi (>) and range-lo (>) rows, and then
-    the period's volume (<) and weight (<) rows. ``shelf`` is therefore
-    (periods - 1, p) and covers periods 1 onward.
+    Rows go period by period: product by product, its dynamics (=), shelf
+    (<, not in period 0, where the bound on ``u`` does its work) and
+    critical (>) rows, then the period's volume (<) and weight (<) rows.
+    So ``shelf`` is (periods - 1, p) and covers periods 1 onward.
 
     This order is a contract: the optimal face is degenerate, so moving a
     row or a column can change the vertex that crossover ends on, and with
-    it ``LpBoundResult.actions`` and the iteration count.
+    it the ``iterations`` that ``lp_bound.csv`` records.
     """
 
     def __init__(self, products: int, periods: int):
@@ -77,26 +74,34 @@ class LpLayout:
         self.periods = periods
         self.u, self.l, self.x, self.m = np.arange(
             4 * periods * p).reshape(4, periods, p)
-        self.hi = 4 * periods * p + np.arange(periods)
-        self.lo = self.hi + periods
-        self.num_vars = 4 * periods * p + 2 * periods
+        self.num_vars = 4 * periods * p
 
         later = np.arange(periods) > 0       # periods that carry shelf rows
-        per_product = 4 + later              # rows per product in a period
+        per_product = 2 + later              # rows per product in a period
         width = per_product * p + 2          # rows per period
         start = np.cumsum(width) - width     # first row of each period
         self.dynamics = start[:, None] + np.arange(p) * per_product[:, None]
         self.shelf = self.dynamics[1:] + 1
         self.critical = self.dynamics + 1 + later[:, None]
-        self.range_hi = self.critical + 1
-        self.range_lo = self.critical + 2
         self.volume = start + width - 2
         self.weight = self.volume + 1
         self.num_rows = int(width.sum())
 
 
+def _penalty_weights(catalog, demand: np.ndarray, reward: RewardParams):
+    """Per-unit LP weights ``(lost, kappa)``, each term at most the reward
+    term it stands for: a lost sale ``l <= w`` costs ``l * (1 + 1/w)`` <=
+    empty + refused (``w = 0`` fixes ``l = 0``), a shortfall ``s`` costs
+    ``s / kappa`` <= the critical flag, ``kappa`` the override if set."""
+    lost = 1.0 + np.divide(1.0, demand, out=np.zeros_like(demand),
+                           where=demand > 0.0)
+    kappa = catalog.critical_level if reward.critical_override is None \
+        else reward.critical_override
+    return lost, kappa
+
+
 def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
-                          wastage_weight: float = 1.0):
+                          reward: RewardParams = RewardParams()):
     """Assemble the hindsight LP over a realized demand window.
 
     Requires spoilage rates strictly below 1 (waste is then proportional to
@@ -116,18 +121,16 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
     delta = catalog.spoilage_rate
     if np.any(delta >= 1.0):
         raise ValueError("perfect-information LP requires spoilage rates < 1")
-    kappa = catalog.critical_level
+    lost, kappa = _penalty_weights(catalog, demand, reward)
     periods = demand.shape[0]
     lay = LpLayout(p, periods)
     keep = 1.0 - delta
 
     # objective: maximize sum_t of the per-period surrogate reward
     c = np.zeros(lay.num_vars)
-    c[lay.l] = -(1.0 + 1.0 / float(kappa.mean())) / p
-    c[lay.x] = -(wastage_weight * delta / (1.0 - delta) / p)
+    c[lay.l] = -lost / p
+    c[lay.x] = -(reward.wastage_weight * delta / (1.0 - delta) / p)
     c[lay.m] = -1.0 / (p * kappa)
-    c[lay.hi] = -1.0
-    c[lay.lo] = 1.0
     lo = np.zeros(lay.num_vars)
     hi = np.ones(lay.num_vars)
     hi[lay.l] = demand
@@ -145,7 +148,7 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
     b[lay.shelf] = 1.0
     b[lay.volume] = catalog.v_max
     b[lay.weight] = catalog.c_max
-    # shortfall below the critical level; the range rows keep b = 0
+    # shortfall below the critical level
     b[lay.critical] = kappa
 
     # one (row, column, coefficient) triple per nonzero, broadcast per term
@@ -158,10 +161,6 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
         (lay.shelf, lay.x[:-1], 1.0),
         (lay.critical, lay.m, 1.0),
         (lay.critical, lay.x, 1.0),
-        (lay.range_hi, lay.hi[:, None], 1.0),
-        (lay.range_hi, lay.x, -1.0),
-        (lay.range_lo, lay.x, 1.0),
-        (lay.range_lo, lay.lo[:, None], -1.0),
         (lay.volume[:, None], lay.u, catalog.unit_volume),
         (lay.weight[:, None], lay.u, catalog.unit_weight),
     )]
@@ -176,29 +175,27 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
 
 def surrogate_scores(catalog, x0: np.ndarray, demand: np.ndarray,
                      executed: np.ndarray,
-                     wastage_weight: float = 1.0) -> np.ndarray:
+                     reward: RewardParams = RewardParams()) -> np.ndarray:
     """Per-period surrogate rewards of a concrete executed-action sequence.
 
     Uses the LP's linear penalty terms (lost sales, critical shortfall,
-    waste, max-min range) so any feasible trajectory scores at or below the
-    LP optimum on the same window.
+    waste), so any feasible trajectory scores at or below the LP optimum
+    on the same window, and each period at or above its business reward.
     """
     demand = np.asarray(demand, dtype=float)
     executed = np.asarray(executed, dtype=float)
-    kappa_bar = float(catalog.critical_level.mean())
+    lost_weight, kappa = _penalty_weights(catalog, demand, reward)
     delta = catalog.spoilage_rate
     x = np.asarray(x0, dtype=float).copy()
     scores = np.empty(demand.shape[0])
     for t in range(demand.shape[0]):
         x, waste, lost = apply_demand_and_spoilage(x + executed[t], demand[t],
                                                    delta)
-        shortfall = np.maximum(0.0, catalog.critical_level - x)
-        spread = float(x.max() - x.min())
+        shortfall = np.maximum(0.0, kappa - x)
         scores[t] = (1.0
-                     - (1.0 + 1.0 / kappa_bar) * lost.mean()
-                     - (shortfall / catalog.critical_level).mean()
-                     - wastage_weight * waste.mean()
-                     - spread)
+                     - (lost_weight[t] * lost).mean()
+                     - (shortfall / kappa).mean()
+                     - reward.wastage_weight * waste.mean())
     return scores
 
 
@@ -206,41 +203,33 @@ def surrogate_scores(catalog, x0: np.ndarray, demand: np.ndarray,
 class LpBoundResult:
     status: str                    # 'optimal' or 'dnf'
     mean_surrogate: float | None   # LP optimum / periods
-    # the orders (periods, p) of the vertex that HiGHS's crossover ends on.
-    # The optimal face is degenerate, so they depend on the LP's row order
-    # (see ``LpLayout``); only their surrogate score is fixed by the bound
-    actions: np.ndarray | None
     solver_status: str
     iterations: int                # interior-point plus crossover
     kkt_residual: float | None     # largest KKT violation of the optimum
 
 
 def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
-                   max_iters: int = 500_000,
                    time_limit: float | None = None,
                    reward: RewardParams = RewardParams()) -> LpBoundResult:
-    """Hindsight LP bound over a window, with the orders that attain it.
+    """Hindsight LP bound on the mean business reward over a window.
 
-    HiGHS solves the perfect-information LP within ``max_iters`` and
-    ``time_limit``; a run out of either budget reports status 'dnf'. An
+    HiGHS solves the perfect-information LP within ``time_limit`` and its
+    default iteration budget; a run out of either reports status 'dnf'. An
     optimal solve carries its certificate: ``kkt_residual`` is the largest
     of the primal, dual and complementary-slackness residuals.
     """
-    problem, lay = build_perfect_info_lp(
-        catalog, x0, demand, wastage_weight=reward.wastage_weight)
-    sol = simplex.solve_lp(problem, max_iters=max_iters,
-                           time_limit=time_limit)
+    problem, lay = build_perfect_info_lp(catalog, x0, demand, reward)
+    sol = simplex.solve_lp(problem, time_limit=time_limit)
     if sol.status != "optimal":
         status = "dnf" if sol.status in ("iteration_limit", "time_limit") \
             else sol.status
         return LpBoundResult(status=status, mean_surrogate=None,
-                             actions=None, solver_status=sol.status,
+                             solver_status=sol.status,
                              iterations=sol.iterations, kkt_residual=None)
     kkt = simplex.kkt_residuals(problem, sol)
     return LpBoundResult(
         status="optimal",
         mean_surrogate=float(sol.objective / lay.periods),
-        actions=sol.x[lay.u],                            # (periods, p)
         solver_status=sol.status,
         iterations=sol.iterations,
         kkt_residual=max(kkt.values()))

@@ -101,15 +101,18 @@ class ExperimentConfig:
     collect_decisions: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
-        if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
+        # int() would truncate 1.5, and bad values would fail only later
+        if not (all(isinstance(n, int) for n in (*self.seeds, self.episodes))
+                and self.episodes >= 1 and 0 <= self.heuristic_target <= 1):
+            raise ValueError(f"need integer seeds, an integer episodes >= 1 "
+                             f"and a heuristic_target in [0, 1], got {self}")
         if not 0.0 <= (self.lp_time_limit or 0.0) < float("inf"):
             raise ValueError(f"lp_time_limit must be finite and >= 0, "
                              f"got {self.lp_time_limit}")

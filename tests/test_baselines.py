@@ -11,7 +11,7 @@ from restock.baselines import (LpBoundResult, build_perfect_info_lp,
                                heuristic_action, lp_upper_bound,
                                run_heuristic_episode, surrogate_scores)
 from restock.datagen import DatasetSpec, generate, initial_inventories
-from restock.env import Simulator
+from restock.env import RewardParams, Simulator, step
 from restock.simplex import certify_optimal, kkt_residuals, solve_lp
 from conftest import make_catalog
 
@@ -55,15 +55,15 @@ def test_heuristic_episode_reports_components():
 
 # ------------------------------------------------------------- LP building
 
-def looped_perfect_info_lp(catalog, x0, demand, wastage_weight=1.0):
+def looped_perfect_info_lp(catalog, x0, demand, reward=RewardParams()):
     """The hindsight LP built one coefficient and one row at a time, with
     its own index arithmetic: the oracle that ``build_perfect_info_lp``
     must equal bit for bit."""
     demand = np.asarray(demand, dtype=float)
     periods, p = demand.shape
     delta = catalog.spoilage_rate
-    kappa = catalog.critical_level
-    kappa_bar = float(kappa.mean())
+    kappa = [catalog.critical_level[i] if reward.critical_override is None
+             else reward.critical_override for i in range(p)]
 
     def var(block, i, t):
         return block * p * periods + t * p + i
@@ -80,26 +80,18 @@ def looped_perfect_info_lp(catalog, x0, demand, wastage_weight=1.0):
     def m(i, t):
         return var(3, i, t)
 
-    def hi_var(t):
-        return 4 * p * periods + t
-
-    def lo_var(t):
-        return 4 * p * periods + periods + t
-
-    n = 4 * p * periods + 2 * periods
+    n = 4 * p * periods
     lo = np.zeros(n)
     hi = np.ones(n)
     c = np.zeros(n)
-    waste_coef = wastage_weight * delta / (1.0 - delta) / p
-    lost_coef = (1.0 + 1.0 / kappa_bar) / p
+    waste_coef = reward.wastage_weight * delta / (1.0 - delta) / p
     for t in range(periods):
         for i in range(p):
-            hi[l(i, t)] = demand[t, i]
-            c[l(i, t)] = -lost_coef
+            w = demand[t, i]
+            hi[l(i, t)] = w
+            c[l(i, t)] = -(1.0 + 1.0 / w if w > 0.0 else 1.0) / p
             c[x(i, t)] = -waste_coef[i]
             c[m(i, t)] = -1.0 / (p * kappa[i])
-        c[hi_var(t)] = -1.0
-        c[lo_var(t)] = 1.0
 
     rows_i, cols_j, vals = [], [], []
     senses, b = [], []
@@ -128,8 +120,6 @@ def looped_perfect_info_lp(catalog, x0, demand, wastage_weight=1.0):
             else:
                 add([(u(i, t), 1.0), (x(i, t - 1), 1.0)], "<", 1.0)
             add([(m(i, t), 1.0), (x(i, t), 1.0)], ">", kappa[i])
-            add([(hi_var(t), 1.0), (x(i, t), -1.0)], ">", 0.0)
-            add([(x(i, t), 1.0), (lo_var(t), -1.0)], ">", 0.0)
         add([(u(i, t), catalog.unit_volume[i]) for i in range(p)],
             "<", catalog.v_max)
         add([(u(i, t), catalog.unit_weight[i]) for i in range(p)],
@@ -146,21 +136,34 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def reward_id(case):
+    """``full_shelf-wastage_weight``, then ``-kappa`` for an override."""
+    full_shelf, reward = case
+    kappa = reward.critical_override
+    return f"{full_shelf}-{reward.wastage_weight}" + (
+        "" if kappa is None else f"-kappa{kappa}")
+
+
+ORACLE_CASES = [(False, RewardParams()),
+                (True, RewardParams(wastage_weight=0.5)),
+                (False, RewardParams(wastage_weight=2.0)),
+                (False, RewardParams(critical_override=0.5))]
+
+
 @pytest.mark.parametrize("p, periods", [(1, 1), (1, 2), (3, 5), (5, 20),
                                         (20, 100)])
-@pytest.mark.parametrize("full_shelf, wastage_weight",
-                         [(False, 1.0), (True, 0.5), (False, 2.0)])
-def test_array_assembly_matches_looped_oracle(p, periods, full_shelf,
-                                              wastage_weight):
+@pytest.mark.parametrize("full_shelf, reward", ORACLE_CASES,
+                         ids=map(reward_id, ORACLE_CASES))
+def test_array_assembly_matches_looped_oracle(p, periods, full_shelf, reward):
     ds = generate(DatasetSpec(products=p, horizon=periods + 1,
                               train_len=1, seed=p + periods))
     x0 = initial_inventories(p, periods)
     if full_shelf:
         x0[0] = 1.0
-    demand = ds.demand[1:]
-    problem, lay = build_perfect_info_lp(ds.catalog, x0, demand,
-                                         wastage_weight=wastage_weight)
-    oracle = looped_perfect_info_lp(ds.catalog, x0, demand, wastage_weight)
+    demand = ds.demand[1:].copy()
+    demand[1::2, -1] = 0.0       # a zero demand fixes its lost sale at 0
+    problem, lay = build_perfect_info_lp(ds.catalog, x0, demand, reward)
+    oracle = looped_perfect_info_lp(ds.catalog, x0, demand, reward)
     for name in ("c", "b", "lo", "hi", "senses"):
         assert_same_bits(getattr(problem, name), getattr(oracle, name))
     assert problem.A.shape == oracle.A.shape == (lay.num_rows, lay.num_vars)
@@ -268,23 +271,23 @@ def test_lp_upper_bound_result_and_replay():
     res = lp_upper_bound(ds.catalog, x0, ds.demand[20:30])
     assert isinstance(res, LpBoundResult)
     assert res.status == "optimal"
-    assert res.actions.shape == (10, 3)
-    # replayed actions must themselves score below the surrogate bound
-    replay_score = surrogate_scores(ds.catalog, x0, ds.demand[20:30],
-                                    res.actions).mean()
-    assert res.mean_surrogate >= replay_score - 1e-9
     assert 0.0 <= res.kkt_residual < 1e-7
+    problem, lay = build_perfect_info_lp(ds.catalog, x0, ds.demand[20:30])
+    orders = solve_lp(problem).x[lay.u]
+    assert orders.shape == (10, 3)
+    # the optimal orders, replayed, score no higher than the bound
+    replay_score = surrogate_scores(ds.catalog, x0, ds.demand[20:30],
+                                    orders).mean()
+    assert res.mean_surrogate >= replay_score - 1e-9
 
 
 def test_lp_upper_bound_dnf_and_errors():
     ds = generate(DatasetSpec(products=3, horizon=30, train_len=20, seed=4))
     x0 = initial_inventories(3, 2)
-    res = lp_upper_bound(ds.catalog, x0, ds.demand[20:30], max_iters=2)
-    assert res.status == "dnf" and res.mean_surrogate is None
-    assert res.solver_status == "iteration_limit"
-    assert res.kkt_residual is None
     res = lp_upper_bound(ds.catalog, x0, ds.demand[20:30], time_limit=0.0)
-    assert res.status == "dnf" and res.solver_status == "time_limit"
+    assert res.status == "dnf" and res.mean_surrogate is None
+    assert res.solver_status == "time_limit"
+    assert res.kkt_residual is None
 
     with pytest.raises(ValueError):
         lp_upper_bound(ds.catalog, x0, ds.demand[20:20])
@@ -356,19 +359,21 @@ def test_layout_row_bookkeeping():
                                          ds.demand[:5])
     assert (lay.num_rows, lay.num_vars) == problem.A.shape
     # the variable blocks and the row families each cover their range once
-    blocks = (lay.u, lay.l, lay.x, lay.m, lay.hi, lay.lo)
+    blocks = (lay.u, lay.l, lay.x, lay.m)
     assert np.array_equal(np.concatenate([v.ravel() for v in blocks]),
                           np.arange(lay.num_vars))
     families = {"=": (lay.dynamics,),
                 "<": (lay.shelf, lay.volume, lay.weight),
-                ">": (lay.critical, lay.range_hi, lay.range_lo)}
+                ">": (lay.critical,)}
     rows = np.concatenate([r.ravel() for fam in families.values()
                            for r in fam])
     assert np.array_equal(np.sort(rows), np.arange(lay.num_rows))
     for sense, fam in families.items():
         for r in fam:
             assert np.all(problem.senses[r] == sense)
+    # three rows per product-period, two in period 0, which has no shelf row
     assert lay.shelf.shape == (4, 3)
+    assert lay.num_rows == 3 * 3 * 5 - 3 + 2 * 5
     # rows go period by period: period t's rows end with volume, weight
     assert np.array_equal(lay.weight, lay.volume + 1)
     assert np.all(lay.dynamics[1:, 0] == lay.weight[:-1] + 1)
@@ -396,3 +401,64 @@ def test_lp_rejects_x0_outside_unit_interval(bad, monkeypatch):
         build_perfect_info_lp(ds.catalog, x0, ds.demand[20:30])
     with pytest.raises(ValueError, match="x0"):
         lp_upper_bound(ds.catalog, x0, ds.demand[20:30])
+
+
+# ---------------------------------------------- a bound on the business reward
+
+REWARDS = [RewardParams(), RewardParams(critical_override=0.5),
+           RewardParams(wastage_weight=2.0)]
+REWARD_IDS = ["default", "kappa0.5", "waste2"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(REWARDS))
+def test_surrogate_is_at_least_the_business_reward(p, periods, seed, reward):
+    """Each penalty term of the surrogate is at most the business-reward
+    term it stands for, so on any trajectory that ``env.step`` executes
+    every period's surrogate is at least its business reward (up to float
+    rounding)."""
+    rng = np.random.default_rng(seed)
+    ds = generate(DatasetSpec(products=p, horizon=periods + 1, train_len=1,
+                              seed=seed % 1000))
+    demand = ds.demand[1:] * rng.choice([0.0, 1.0, 8.0], size=(periods, p))
+    demand = np.minimum(demand, 1.0)      # zero, typical and large demands
+    x0 = rng.random(p) * rng.integers(0, 2, size=p)
+    x, executed, rewards = x0, np.empty((periods, p)), np.empty(periods)
+    for t in range(periods):
+        out = step(ds.catalog, x, rng.random(p) ** rng.integers(1, 4),
+                   demand[t], reward)
+        x, executed[t], rewards[t] = out.x, out.executed, out.business_reward
+    scores = surrogate_scores(ds.catalog, x0, demand, executed, reward)
+    assert np.all(scores >= rewards - 1e-12)
+
+
+@pytest.mark.parametrize("reward", REWARDS, ids=REWARD_IDS)
+def test_bound_tops_the_heuristic_business_reward(reward):
+    """The certified bound sits above the heuristic's mean business reward
+    under the same reward, and a wastage weight or an override moves it."""
+    ds = generate(DatasetSpec(products=5, horizon=80, train_len=40, seed=3))
+    start, length = ds.test_window
+    x0 = initial_inventories(5, 9)
+    sim = Simulator(ds.catalog, ds.demand, reward, forecast_window=8)
+    rewards, _, _ = run_heuristic_episode(sim, start, length, x0, 0.5)
+    res = lp_upper_bound(ds.catalog, x0, ds.demand[start:start + length],
+                         reward=reward)
+    assert res.status == "optimal" and res.kkt_residual < 1e-7
+    assert res.mean_surrogate >= rewards.mean()
+    default = lp_upper_bound(ds.catalog, x0,
+                             ds.demand[start:start + length])
+    assert (res.mean_surrogate == default.mean_surrogate) == (
+        reward == RewardParams())
+
+
+@pytest.mark.parametrize("level", [0.0, 1e-9])
+@pytest.mark.parametrize("reward", REWARDS[:2], ids=REWARD_IDS[:2])
+def test_bound_is_certified_on_vanishing_demand(level, reward):
+    """Zero demand fixes every lost sale at 0, and a tiny one gives it a
+    weight of about 1/demand; both windows solve with a certificate."""
+    ds = generate(DatasetSpec(products=4, horizon=30, train_len=10, seed=5))
+    res = lp_upper_bound(ds.catalog, initial_inventories(4, 1),
+                         np.full((20, 4), level), reward=reward)
+    assert res.status == "optimal" and res.kkt_residual < 1e-7
+    assert res.mean_surrogate <= 1.0

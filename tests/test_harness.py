@@ -759,31 +759,80 @@ def test_cli_seed_override(tmp_path):
 
 def test_cli_lp_bound_scores_under_the_runs_reward(smoke_dataset, tmp_path):
     """``lp-bound --run`` solves with the run's env and reward mod, so it
-    reproduces the run's row; without it the defaults give another."""
-    cfg = smoke_config(smoke_dataset, algorithm="lp_bound", seeds=(0,),
-                       reward_mod=RewardMod(wastage_weight=2.0))
-    run = run_experiment(cfg, tmp_path / "run")
-    _, run_rows = harness.read_csv(run / "seed_0" / "lp_bound.csv")
-    rows = {}
-    for name, args in (("run", ["--run", str(run)]),
-                       ("default", ["--dataset", str(smoke_dataset)])):
-        path = tmp_path / f"{name}.csv"
-        assert cli.main(["lp-bound", *args, "--window", "test",
-                         "--out", str(path)]) == 0
-        rows[name] = harness.read_csv(path)[1]
-    assert rows["run"] == [r for r in run_rows if r[0] == "test"]
-    assert rows["default"] != rows["run"]
+    reproduces the run's row; without it the defaults give another. Both
+    a wastage weight and a critical override move the bound."""
+    for k, mod in enumerate((RewardMod(wastage_weight=2.0),
+                             RewardMod(critical_override=0.5))):
+        cfg = smoke_config(smoke_dataset, algorithm="lp_bound", seeds=(0,),
+                           reward_mod=mod)
+        run = run_experiment(cfg, tmp_path / f"run{k}")
+        _, run_rows = harness.read_csv(run / "seed_0" / "lp_bound.csv")
+        rows = {}
+        for name, args in (("run", ["--run", str(run)]),
+                           ("default", ["--dataset", str(smoke_dataset)])):
+            path = tmp_path / f"{name}{k}.csv"
+            assert cli.main(["lp-bound", *args, "--window", "test",
+                             "--out", str(path)]) == 0
+            rows[name] = harness.read_csv(path)[1]
+        assert rows["run"] == [r for r in run_rows if r[0] == "test"]
+        bound = harness.LP_COLUMNS.index("mean_surrogate")
+        assert rows["default"][0][bound] != rows["run"][0][bound]
     with pytest.raises(SystemExit):
         cli.main(["lp-bound", "--window", "test"])
 
 
-def test_config_validation(smoke_dataset):
+@pytest.mark.parametrize("mod", [RewardMod(), RewardMod(critical_override=0.5),
+                                 RewardMod(wastage_weight=2.0)],
+                         ids=["default", "kappa0.5", "waste2"])
+def test_lp_bound_tops_the_eval_rewards_of_a_study(smoke_dataset, tmp_path,
+                                                   mod):
+    """Per seed, the test-window bound of an ``lp_bound`` run is at least
+    the eval reward of a ``heuristic`` and a ``dqn`` run under the same
+    reward mod: all three start the window from the same inventories."""
+    seeds = (0, 1)
+    rewards = {}
+    for algorithm in ("lp_bound", "heuristic", "dqn"):
+        cfg = smoke_config(smoke_dataset, algorithm=algorithm, seeds=seeds,
+                           reward_mod=mod, collect_decisions=False)
+        run = run_experiment(cfg, tmp_path / algorithm)
+        for seed in seeds:
+            if algorithm == "lp_bound":
+                cols, rows = harness.read_csv(run / f"seed_{seed}" /
+                                              "lp_bound.csv")
+                value = float(rows[1][cols.index("mean_surrogate")])
+                assert rows[1][cols.index("window")] == "test"
+            else:
+                cols, rows = harness.read_csv(run / f"seed_{seed}" /
+                                              "eval_metrics.csv")
+                value = float(rows[0][cols.index("mean_business_reward")])
+            rewards[algorithm, seed] = value
+    for seed in seeds:
+        assert rewards["lp_bound", seed] >= rewards["heuristic", seed]
+        assert rewards["lp_bound", seed] >= rewards["dqn", seed]
+
+
+def test_config_validation(smoke_dataset, tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(dataset="x", algorithm="sarsa")
     with pytest.raises(ValueError):
         ExperimentConfig(dataset="x", algorithm="dqn", seeds=())
     with pytest.raises(ValueError, match="distinct"):
         ExperimentConfig(dataset="x", algorithm="dqn", seeds=(1, 2, 1))
+    # int() would have truncated these to (1, 2), (1,) and 2 in silence
+    for bad in ({"seeds": (1.5, 2.9)}, {"seeds": [1.5]}, {"episodes": 2.5},
+                {"episodes": 0}, {"heuristic_target": float("nan")},
+                {"heuristic_target": -0.1}, {"heuristic_target": 1.5},
+                {"heuristic_target": float("inf")}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ExperimentConfig.from_dict({"dataset": "x", "algorithm": "dqn",
+                                        **bad})
+    path = tmp_path / "seeds.yaml"
+    path.write_text("dataset: x\nalgorithm: dqn\nseeds: [1.5]\n")
+    with pytest.raises(ValueError, match="seeds"):
+        load_config(path)
+    for good in (0, 0.5, 1):
+        ExperimentConfig(dataset="x", algorithm="heuristic",
+                         heuristic_target=good)
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lp_time_limit"):
             ExperimentConfig(dataset="x", algorithm="lp_bound",
