@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import simplex
 from .env import RewardParams, Simulator, apply_demand_and_spoilage
 
 
@@ -55,34 +53,35 @@ class LpLayout:
     """Variable and row indices of the perfect-information program.
 
     Every field is an index array, built once. The variables are four
-    (periods, p) blocks, in this order: orders ``u``, lost sales ``l``,
-    end-of-period inventories ``x`` (before the next period's order) and
-    critical shortfalls ``m``; inside a block, ``t * p + i`` is the index.
+    (periods, p) blocks, in this order: orders ``u``, lost sales ``l``, and
+    the end-of-period inventory (before the next period's order) split at
+    the critical level kappa into ``xb`` in [0, kappa] and ``xa`` in
+    [0, 1 - kappa], so the shortfall ``kappa - xb`` needs no row. Inside a
+    block, ``t * p + i`` is the index.
 
-    Rows go period by period: product by product, its dynamics (=), shelf
-    (<, not in period 0, where the bound on ``u`` does its work) and
-    critical (>) rows, then the period's volume (<) and weight (<) rows.
-    So ``shelf`` is (periods - 1, p) and covers periods 1 onward.
+    Rows go period by period: product by product, its dynamics (=) and
+    shelf (<, not in period 0, where the bound on ``u`` does its work) rows,
+    then the period's volume (<) and weight (<) rows. So ``shelf`` is
+    (periods - 1, p) and covers periods 1 onward.
 
     This order is a contract: the optimal face is degenerate, so moving a
-    row or a column can change the vertex that crossover ends on, and with
+    row or a column can change the vertex that the simplex ends on, and with
     it the ``iterations`` that ``lp_bound.csv`` records.
     """
 
     def __init__(self, products: int, periods: int):
         p = self.products = products
         self.periods = periods
-        self.u, self.l, self.x, self.m = np.arange(
+        self.u, self.l, self.xb, self.xa = np.arange(
             4 * periods * p).reshape(4, periods, p)
         self.num_vars = 4 * periods * p
 
         later = np.arange(periods) > 0       # periods that carry shelf rows
-        per_product = 2 + later              # rows per product in a period
+        per_product = 1 + later              # rows per product in a period
         width = per_product * p + 2          # rows per period
         start = np.cumsum(width) - width     # first row of each period
         self.dynamics = start[:, None] + np.arange(p) * per_product[:, None]
         self.shelf = self.dynamics[1:] + 1
-        self.critical = self.dynamics + 1 + later[:, None]
         self.volume = start + width - 2
         self.weight = self.volume + 1
         self.num_rows = int(width.sum())
@@ -107,8 +106,10 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
     Requires spoilage rates strictly below 1 (waste is then proportional to
     the carried inventory) and a starting inventory ``x0`` in [0, 1].
     Returns (LpProblem, LpLayout); the problem is a maximization whose
-    objective already includes the +1 per period.
+    objective is the window's summed surrogate reward.
     """
+    import scipy.sparse as sp
+    from . import simplex
     demand = np.asarray(demand, dtype=float)
     if demand.ndim != 2 or demand.shape[0] == 0:
         raise ValueError("demand window must be a non-empty (periods, p) matrix")
@@ -126,17 +127,21 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
     lay = LpLayout(p, periods)
     keep = 1.0 - delta
 
-    # objective: maximize sum_t of the per-period surrogate reward
+    # objective: maximize sum_t of the per-period surrogate reward; its +1
+    # cancels the -1/p of each product's shortfall cost (kappa - xb)/(p kappa)
+    waste = reward.wastage_weight * delta / (1.0 - delta) / p
     c = np.zeros(lay.num_vars)
     c[lay.l] = -lost / p
-    c[lay.x] = -(reward.wastage_weight * delta / (1.0 - delta) / p)
-    c[lay.m] = -1.0 / (p * kappa)
+    c[lay.xb] = 1.0 / (p * kappa) - waste
+    c[lay.xa] = -waste
     lo = np.zeros(lay.num_vars)
     hi = np.ones(lay.num_vars)
     hi[lay.l] = demand
     hi[lay.u[0]] = 1.0 - x0      # period 0's shelf limit is a bound
+    hi[lay.xb] = kappa
+    hi[lay.xa] = 1.0 - kappa
 
-    senses = np.full(lay.num_rows, ">")
+    senses = np.full(lay.num_rows, "<")
     b = np.zeros(lay.num_rows)
     # inventory recursion: x_end = (1-delta) * (x_begin + u - w + l)
     senses[lay.dynamics] = "="
@@ -144,23 +149,20 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
     b[lay.dynamics[1:]] = -keep * demand[1:]
     # shelf limit on the order placed at the START of periods 1 onward,
     # and the shared transport capacity on the requested orders
-    senses[lay.shelf] = senses[lay.volume] = senses[lay.weight] = "<"
     b[lay.shelf] = 1.0
     b[lay.volume] = catalog.v_max
     b[lay.weight] = catalog.c_max
-    # shortfall below the critical level
-    b[lay.critical] = kappa
 
-    # one (row, column, coefficient) triple per nonzero, broadcast per term
+    # one (row, column, coefficient) triple per nonzero, broadcast per
+    # term; the inventory is xb + xa wherever it appears
+    x = np.stack([lay.xb, lay.xa])
     terms = [np.broadcast_arrays(*term) for term in (
-        (lay.dynamics, lay.x, 1.0),
+        (lay.dynamics, x, 1.0),
         (lay.dynamics, lay.u, -keep),
         (lay.dynamics, lay.l, -keep),
-        (lay.dynamics[1:], lay.x[:-1], -keep),
+        (lay.dynamics[1:], x[:, :-1], -keep),
         (lay.shelf, lay.u[1:], 1.0),
-        (lay.shelf, lay.x[:-1], 1.0),
-        (lay.critical, lay.m, 1.0),
-        (lay.critical, lay.x, 1.0),
+        (lay.shelf, x[:, :-1], 1.0),
         (lay.volume[:, None], lay.u, catalog.unit_volume),
         (lay.weight[:, None], lay.u, catalog.unit_weight),
     )]
@@ -168,8 +170,7 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
                         for k in range(3))
     A = sp.csr_matrix((vals, (rows, cols)), shape=(lay.num_rows, lay.num_vars))
     problem = simplex.LpProblem(
-        c=c, A=A, senses=senses, b=b, lo=lo, hi=hi, maximize=True,
-        c0=float(periods))
+        c=c, A=A, senses=senses, b=b, lo=lo, hi=hi, maximize=True)
     return problem, lay
 
 
@@ -202,10 +203,10 @@ def surrogate_scores(catalog, x0: np.ndarray, demand: np.ndarray,
 @dataclass(frozen=True)
 class LpBoundResult:
     status: str                    # 'optimal' or 'dnf'
-    mean_surrogate: float | None   # LP optimum / periods
     solver_status: str
-    iterations: int                # interior-point plus crossover
-    kkt_residual: float | None     # largest KKT violation of the optimum
+    iterations: int                # simplex pivots
+    mean_surrogate: float | None = None   # LP optimum / periods
+    kkt_residual: float | None = None     # largest KKT violation of it
 
 
 def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
@@ -213,23 +214,21 @@ def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
                    reward: RewardParams = RewardParams()) -> LpBoundResult:
     """Hindsight LP bound on the mean business reward over a window.
 
-    HiGHS solves the perfect-information LP within ``time_limit`` and its
-    default iteration budget; a run out of either reports status 'dnf'. An
-    optimal solve carries its certificate: ``kkt_residual`` is the largest
-    of the primal, dual and complementary-slackness residuals.
+    HiGHS solves the perfect-information LP within ``time_limit``; a run
+    out of time reports status 'dnf'. An optimal solve carries its
+    certificate: ``kkt_residual`` is the largest of the primal, dual and
+    complementary-slackness residuals.
     """
+    from . import simplex
     problem, lay = build_perfect_info_lp(catalog, x0, demand, reward)
     sol = simplex.solve_lp(problem, time_limit=time_limit)
     if sol.status != "optimal":
         status = "dnf" if sol.status in ("iteration_limit", "time_limit") \
             else sol.status
-        return LpBoundResult(status=status, mean_surrogate=None,
-                             solver_status=sol.status,
-                             iterations=sol.iterations, kkt_residual=None)
+        return LpBoundResult(status=status, solver_status=sol.status,
+                             iterations=sol.iterations)
     kkt = simplex.kkt_residuals(problem, sol)
-    return LpBoundResult(
-        status="optimal",
-        mean_surrogate=float(sol.objective / lay.periods),
-        solver_status=sol.status,
-        iterations=sol.iterations,
-        kkt_residual=max(kkt.values()))
+    return LpBoundResult(status="optimal", solver_status=sol.status,
+                         iterations=sol.iterations,
+                         mean_surrogate=float(sol.objective / lay.periods),
+                         kkt_residual=max(kkt.values()))

@@ -13,6 +13,7 @@ with shortest round-trip repr, so save/load is byte-stable.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, fields
 
@@ -158,8 +159,7 @@ def save(dataset: Dataset, path) -> None:
     for i, row in enumerate(zip(*columns)):
         lines.append(" ".join([str(i), *map(format_value, row)]))
     lines.append("[demand]")
-    for row in dataset.demand:
-        lines.append(" ".join(format_value(v) for v in row))
+    lines.extend(" ".join(map(repr, row)) for row in dataset.demand.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -185,10 +185,26 @@ def _table(section: str, rows: list[str], shape: tuple) -> np.ndarray:
     return table
 
 
+_LOADED: dict[str, Dataset] = {}   # by file sha256, least recent first
+_LOADED_MAX = 4
+
+
 def load(path) -> Dataset:
-    with open(path) as fh:
-        raw_lines = fh.read().splitlines()
-    lines = [ln for ln in raw_lines if ln and not ln.startswith("#")]
+    """The dataset a file holds. Bytes seen by one of the last few calls are
+    not parsed again: their Dataset is returned, shared, so its arrays are
+    read-only."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    dataset = _LOADED.pop(digest, None) or _parse(data.decode())
+    _LOADED[digest] = dataset
+    if len(_LOADED) > _LOADED_MAX:
+        del _LOADED[next(iter(_LOADED))]
+    return dataset
+
+
+def _parse(text: str) -> Dataset:
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
 
     header: dict[str, str] = {}
     idx = 0
@@ -239,4 +255,8 @@ def load(path) -> Dataset:
             critical_level=table[:, 5], v_max=v_max, c_max=c_max)
     except ValueError as exc:
         raise DatasetFormatError("catalog", str(exc)) from exc
+    for array in (demand, catalog.unit_volume, catalog.unit_weight,
+                  catalog.max_shelf, catalog.spoilage_rate,
+                  catalog.critical_level):
+        array.setflags(write=False)
     return Dataset(spec=spec, catalog=catalog, demand=demand)

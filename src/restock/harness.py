@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import __version__, agents, baselines, datagen
 from .agents import DecisionLog, EpisodeMetrics
@@ -100,13 +99,15 @@ def _csv_column(values: tuple) -> tuple[list[str], bool]:
 def write_csv(path, columns, rows) -> None:
     """Writes the header, then ``rows`` in blocks of ``_CSV_BLOCK``, each
     turned into columns, to a file beside ``path`` that replaces it at the
-    end. ``csv`` writes a block that holds a non-number; no number needs
-    quoting, so any other block is joined with ``csv``'s line ending. A row
-    whose length is not the header's raises; an error leaves ``path``."""
+    end, in a parent directory created if missing. ``csv`` writes a block
+    that holds a non-number; no number needs quoting, so any other block is
+    joined with ``csv``'s line ending. A row whose length is not the
+    header's raises; an error leaves ``path``."""
     width = len(columns)
     if width == 0:
         raise ValueError(f"{path}: a CSV needs at least one column")
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     rows, done = iter(rows), 0
     try:
@@ -515,10 +516,8 @@ def run_finetune_suite(run_dirs: dict[str, Path], dataset_path,
                     p, seed, _PURPOSE_FINETUNE, ep))
             for m in history:
                 rows.append([algorithm, seed, *m.as_row()])
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out_path, FINETUNE_COLUMNS, rows)
-    return out_path
+    return Path(out_path)
 
 
 # ------------------------------------------------------------------ summary
@@ -536,6 +535,7 @@ def t_interval_halfwidth(values) -> float:
     sd = values.std(ddof=1)
     if sd == 0.0:
         return 0.0
+    from scipy import special
     # the t distribution's 0.975 quantile, as ``scipy.stats.t.ppf`` gets it
     return float(special.stdtrit(n - 1, 0.975) * sd / np.sqrt(n))
 

@@ -1,12 +1,11 @@
 """Linear programming: a HiGHS bridge plus KKT certificates.
 
-``solve_lp`` hands an ``LpProblem`` to scipy's HiGHS (Huangfu & Hall, Math.
-Prog. Comp. 2018) and maps its status, solution and row duals back onto
-``LpSolution``. HiGHS solves it with its interior-point method (IPX:
-Schork & Gondzio, Math. Prog. Comp. 2020) followed by crossover, which
-ends on a basic solution: a vertex, with the duals of its basis. Row duals
-are reported for the stated problem: the dual of a row is the objective
-change per unit of extra right-hand side.
+``solve_lp`` hands an ``LpProblem`` to scipy's HiGHS and maps its status,
+solution and row duals back onto ``LpSolution``. HiGHS solves it with its
+dual simplex method (Huangfu & Hall, Math. Prog. Comp. 2018), which ends on
+a basic solution: a vertex, with the duals of its basis. Row duals are
+reported for the stated problem: the dual of a row is the objective change
+per unit of extra right-hand side.
 
 ``kkt_residuals`` measures how far a solution is from satisfying the
 optimality conditions (primal feasibility, dual feasibility and
@@ -38,7 +37,6 @@ class LpProblem:
     lo: np.ndarray
     hi: np.ndarray
     maximize: bool = True
-    c0: float = 0.0  # constant objective offset
 
     def __post_init__(self):
         A = self.A if sp.issparse(self.A) else sp.csr_matrix(np.atleast_2d(self.A))
@@ -56,8 +54,7 @@ class LpProblem:
             raise ValueError(f"row senses must be one of {SENSES}")
         if np.any(self.lo > self.hi):
             raise ValueError("inconsistent bounds: lo > hi")
-        if not np.all(np.isfinite(self.c)) or not np.all(np.isfinite(self.b)) \
-                or not np.isfinite(self.c0):
+        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.b))):
             raise ValueError("objective and rhs must be finite")
         if np.any(~np.isfinite(self.lo)):
             raise ValueError("lower bounds must be finite")
@@ -66,24 +63,24 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpSolution:
     status: str     # optimal | infeasible | unbounded | iteration_limit | time_limit
-    x: np.ndarray | None
-    objective: float | None
-    duals: np.ndarray | None
-    iterations: int  # interior-point plus crossover iterations
-    engine: str
+    iterations: int  # simplex pivots
+    x: np.ndarray | None = None
+    objective: float | None = None
+    duals: np.ndarray | None = None
+    engine: str = "scipy"
 
 
-def solve_lp(problem: LpProblem, max_iters: int = 50_000,
+def solve_lp(problem: LpProblem, max_iters: int | None = None,
              time_limit: float | None = None) -> LpSolution:
-    """Solve an LP with HiGHS within ``max_iters`` interior-point
-    iterations and ``time_limit`` seconds; a zero ``time_limit`` is a budget
-    already spent, so the solve stops with status ``time_limit`` at once."""
-    if max_iters < 1 or not 0.0 <= (time_limit or 0.0) < np.inf:
+    """Solve an LP with HiGHS's dual simplex within ``max_iters`` pivots
+    (None: no cap) and ``time_limit`` seconds; a zero ``time_limit`` is spent
+    already, so the solve stops with status ``time_limit`` at once."""
+    if (max_iters is not None and max_iters < 1
+            or not 0.0 <= (time_limit or 0.0) < np.inf):
         raise ValueError(f"need max_iters >= 1 and a finite time_limit >= 0, "
                          f"got {max_iters} and {time_limit}")
     if time_limit == 0.0:
-        return LpSolution(status="time_limit", x=None, objective=None,
-                          duals=None, iterations=0, engine="scipy")
+        return LpSolution(status="time_limit", iterations=0)
     A, b = problem.A, problem.b
     le, ge, eq = (problem.senses == s for s in "<>=")
     A_ub, b_ub = sp.vstack([A[le], -A[ge]]), np.concatenate([b[le], -b[ge]])
@@ -94,17 +91,16 @@ def solve_lp(problem: LpProblem, max_iters: int = 50_000,
     res = scipy.optimize.linprog(
         c, A_ub=A_ub, b_ub=b_ub, A_eq=A[eq], b_eq=b[eq],
         bounds=np.column_stack([problem.lo, problem.hi]),
-        method="highs-ipm", options=options)
+        method="highs-ds", options=options)
 
     status_map = {0: "optimal", 1: "iteration_limit", 2: "infeasible",
                   3: "unbounded", 4: "numerical_error"}
     status = status_map.get(res.status, "numerical_error")
     if status == "iteration_limit" and "time" in (res.message or "").lower():
         status = "time_limit"
-    iterations = int(res.nit or 0) + int(res.crossover_nit or 0)
+    iterations = int(res.nit or 0)
     if status != "optimal":
-        return LpSolution(status=status, x=None, objective=None, duals=None,
-                          iterations=iterations, engine="scipy")
+        return LpSolution(status=status, iterations=iterations)
 
     y = np.zeros(len(b))
     sign = 1.0 if problem.maximize else -1.0
@@ -112,9 +108,8 @@ def solve_lp(problem: LpProblem, max_iters: int = 50_000,
     y[le] = sign * -res.ineqlin.marginals[:n_le]
     y[ge] = sign * res.ineqlin.marginals[n_le:]
     y[eq] = sign * -res.eqlin.marginals
-    return LpSolution(status="optimal", x=res.x.copy(),
-                      objective=float(problem.c @ res.x + problem.c0),
-                      duals=y, iterations=iterations, engine="scipy")
+    return LpSolution(status="optimal", iterations=iterations, x=res.x.copy(),
+                      objective=float(problem.c @ res.x), duals=y)
 
 
 # ---------------------------------------------------------- certificates

@@ -74,10 +74,10 @@ def looped_perfect_info_lp(catalog, x0, demand, reward=RewardParams()):
     def l(i, t):
         return var(1, i, t)
 
-    def x(i, t):
+    def xb(i, t):
         return var(2, i, t)
 
-    def m(i, t):
+    def xa(i, t):
         return var(3, i, t)
 
     n = 4 * p * periods
@@ -90,8 +90,10 @@ def looped_perfect_info_lp(catalog, x0, demand, reward=RewardParams()):
             w = demand[t, i]
             hi[l(i, t)] = w
             c[l(i, t)] = -(1.0 + 1.0 / w if w > 0.0 else 1.0) / p
-            c[x(i, t)] = -waste_coef[i]
-            c[m(i, t)] = -1.0 / (p * kappa[i])
+            c[xb(i, t)] = 1.0 / (p * kappa[i]) - waste_coef[i]
+            c[xa(i, t)] = -waste_coef[i]
+            hi[xb(i, t)] = kappa[i]
+            hi[xa(i, t)] = 1.0 - kappa[i]
 
     rows_i, cols_j, vals = [], [], []
     senses, b = [], []
@@ -108,18 +110,19 @@ def looped_perfect_info_lp(catalog, x0, demand, reward=RewardParams()):
     keep = 1.0 - delta
     for t in range(periods):
         for i in range(p):
-            coefs = [(x(i, t), 1.0), (u(i, t), -keep[i]), (l(i, t), -keep[i])]
+            coefs = [(xb(i, t), 1.0), (xa(i, t), 1.0), (u(i, t), -keep[i]),
+                     (l(i, t), -keep[i])]
             if t == 0:
                 rhs = keep[i] * (x0[i] - demand[t, i])
             else:
-                coefs.append((x(i, t - 1), -keep[i]))
+                coefs += [(xb(i, t - 1), -keep[i]), (xa(i, t - 1), -keep[i])]
                 rhs = -keep[i] * demand[t, i]
             add(coefs, "=", rhs)
             if t == 0:
                 hi[u(i, 0)] = max(0.0, 1.0 - x0[i])
             else:
-                add([(u(i, t), 1.0), (x(i, t - 1), 1.0)], "<", 1.0)
-            add([(m(i, t), 1.0), (x(i, t), 1.0)], ">", kappa[i])
+                add([(u(i, t), 1.0), (xb(i, t - 1), 1.0), (xa(i, t - 1), 1.0)],
+                    "<", 1.0)
         add([(u(i, t), catalog.unit_volume[i]) for i in range(p)],
             "<", catalog.v_max)
         add([(u(i, t), catalog.unit_weight[i]) for i in range(p)],
@@ -128,7 +131,61 @@ def looped_perfect_info_lp(catalog, x0, demand, reward=RewardParams()):
     A = sp.csr_matrix((vals, (rows_i, cols_j)), shape=(len(b), n))
     return simplex.LpProblem(
         c=c, A=A, senses=np.array(senses), b=np.array(b, dtype=float),
-        lo=lo, hi=hi, maximize=True, c0=float(periods))
+        lo=lo, hi=hi, maximize=True)
+
+
+def critical_row_lp(catalog, x0, demand, reward=RewardParams()):
+    """The hindsight LP as the package built it with a shortfall block
+    ``m`` and a critical row ``m + x >= kappa`` per product-period: the
+    reference whose optimum plus 1 per period the split-inventory LP must
+    reach. Blocks ``u, l, x, m``; per period, product by product, the
+    dynamics, shelf (periods 1 onward) and critical rows, then volume and
+    weight."""
+    demand = np.asarray(demand, dtype=float)
+    periods, p = demand.shape
+    lost, kappa = baselines._penalty_weights(catalog, demand, reward)
+    delta = catalog.spoilage_rate
+    keep = 1.0 - delta
+    u, l, x, m = np.arange(4 * periods * p).reshape(4, periods, p)
+    later = np.arange(periods) > 0
+    per_product = 2 + later
+    width = per_product * p + 2
+    start = np.cumsum(width) - width
+    dynamics = start[:, None] + np.arange(p) * per_product[:, None]
+    shelf = dynamics[1:] + 1
+    critical = dynamics + 1 + later[:, None]
+    volume = start + width - 2
+    weight = volume + 1
+    num_rows, num_vars = int(width.sum()), 4 * periods * p
+
+    c = np.zeros(num_vars)
+    c[l] = -lost / p
+    c[x] = -(reward.wastage_weight * delta / (1.0 - delta) / p)
+    c[m] = -1.0 / (p * kappa)
+    hi = np.ones(num_vars)
+    hi[l] = demand
+    hi[u[0]] = 1.0 - x0
+    senses = np.full(num_rows, ">")
+    b = np.zeros(num_rows)
+    senses[dynamics] = "="
+    b[dynamics[0]] = keep * (x0 - demand[0])
+    b[dynamics[1:]] = -keep * demand[1:]
+    senses[shelf] = senses[volume] = senses[weight] = "<"
+    b[shelf] = 1.0
+    b[volume] = catalog.v_max
+    b[weight] = catalog.c_max
+    b[critical] = kappa
+    terms = [np.broadcast_arrays(*term) for term in (
+        (dynamics, x, 1.0), (dynamics, u, -keep), (dynamics, l, -keep),
+        (dynamics[1:], x[:-1], -keep), (shelf, u[1:], 1.0),
+        (shelf, x[:-1], 1.0), (critical, m, 1.0), (critical, x, 1.0),
+        (volume[:, None], u, catalog.unit_volume),
+        (weight[:, None], u, catalog.unit_weight))]
+    rows, cols, vals = (np.concatenate([term[k].ravel() for term in terms])
+                        for k in range(3))
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(num_rows, num_vars))
+    return simplex.LpProblem(c=c, A=A, senses=senses, b=b,
+                             lo=np.zeros(num_vars), hi=hi, maximize=True)
 
 
 def assert_same_bits(a, b):
@@ -169,7 +226,37 @@ def test_array_assembly_matches_looped_oracle(p, periods, full_shelf, reward):
     assert problem.A.shape == oracle.A.shape == (lay.num_rows, lay.num_vars)
     for name in ("indptr", "indices", "data"):
         assert_same_bits(getattr(problem.A, name), getattr(oracle.A, name))
-    assert (problem.maximize, problem.c0) == (oracle.maximize, oracle.c0)
+    assert problem.maximize and oracle.maximize
+
+
+@pytest.mark.parametrize("reward", [RewardParams(),
+                                    RewardParams(critical_override=0.5),
+                                    RewardParams(wastage_weight=2.0)],
+                         ids=["default", "kappa0.5", "waste2"])
+def test_split_inventory_lp_matches_the_critical_row_lp(reward):
+    """Splitting the inventory at the critical level leaves the optimum of
+    the LP with explicit shortfall rows unchanged: on random windows with
+    zero-demand columns and empty and full starting shelves both optima
+    agree, and the split LP's carries its certificate."""
+    rng = np.random.default_rng(14)
+    for p, periods in [(1, 1), (1, 6), (3, 12), (5, 20), (8, 30)]:
+        ds = generate(DatasetSpec(products=p, horizon=periods + 40,
+                                  train_len=20, seed=int(rng.integers(999))))
+        start = int(rng.integers(0, 40))
+        demand = ds.demand[start:start + periods].copy()
+        demand[:, rng.integers(p)] = 0.0
+        x0 = rng.random(p)
+        x0[0] = float(rng.integers(2))      # an empty or a full shelf
+        if p > 1:
+            x0[-1] = 1.0 - x0[0]
+        problem, _ = build_perfect_info_lp(ds.catalog, x0, demand, reward)
+        sol = solve_lp(problem)
+        assert sol.status == "optimal"
+        assert max(kkt_residuals(problem, sol).values()) <= 1e-7
+        reference = solve_lp(critical_row_lp(ds.catalog, x0, demand, reward))
+        assert reference.status == "optimal"
+        assert sol.objective == pytest.approx(reference.objective + periods,
+                                              rel=1e-9)
 
 
 def test_one_product_one_period_hand_case():
@@ -314,7 +401,7 @@ def test_scipy_engine_agrees_on_structured_lp():
 
     assert np.all(np.isfinite(problem.hi))
     z = problem.c - problem.A.T @ sol.duals
-    dual_value = (problem.b @ sol.duals + problem.c0
+    dual_value = (problem.b @ sol.duals
                   + np.where(z > 0.0, z * problem.hi, z * problem.lo).sum())
     assert dual_value == pytest.approx(sol.objective, abs=1e-7)
 
@@ -333,7 +420,7 @@ def dual_simplex_optimum(problem) -> float:
         A_eq=problem.A[eq], b_eq=problem.b[eq],
         bounds=np.column_stack([problem.lo, problem.hi]), method="highs-ds")
     assert res.status == 0, res.message
-    return -res.fun + problem.c0
+    return -res.fun
 
 
 @pytest.mark.parametrize("p,periods", [(3, 40), (5, 30), (20, 15)])
@@ -359,21 +446,20 @@ def test_layout_row_bookkeeping():
                                          ds.demand[:5])
     assert (lay.num_rows, lay.num_vars) == problem.A.shape
     # the variable blocks and the row families each cover their range once
-    blocks = (lay.u, lay.l, lay.x, lay.m)
+    blocks = (lay.u, lay.l, lay.xb, lay.xa)
     assert np.array_equal(np.concatenate([v.ravel() for v in blocks]),
                           np.arange(lay.num_vars))
     families = {"=": (lay.dynamics,),
-                "<": (lay.shelf, lay.volume, lay.weight),
-                ">": (lay.critical,)}
+                "<": (lay.shelf, lay.volume, lay.weight)}
     rows = np.concatenate([r.ravel() for fam in families.values()
                            for r in fam])
     assert np.array_equal(np.sort(rows), np.arange(lay.num_rows))
     for sense, fam in families.items():
         for r in fam:
             assert np.all(problem.senses[r] == sense)
-    # three rows per product-period, two in period 0, which has no shelf row
+    # two rows per product-period, one in period 0, which has no shelf row
     assert lay.shelf.shape == (4, 3)
-    assert lay.num_rows == 3 * 3 * 5 - 3 + 2 * 5
+    assert lay.num_rows == 2 * 3 * 5 - 3 + 2 * 5
     # rows go period by period: period t's rows end with volume, weight
     assert np.array_equal(lay.weight, lay.volume + 1)
     assert np.all(lay.dynamics[1:, 0] == lay.weight[:-1] + 1)

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,63 @@ def test_loaded_catalog_vectors_are_contiguous(tmp_path):
     for name in ("unit_volume", "unit_weight", "max_shelf", "spoilage_rate",
                  "critical_level"):
         assert getattr(catalog, name).flags.c_contiguous, name
+
+
+def test_save_writes_demand_as_the_per_value_writer(tmp_path):
+    """The demand rows hold the bytes that ``format_value`` gives value by
+    value, on the smallest subnormal, 1.0, 1e-5 and 17-digit values."""
+    ds = generate(small_spec(products=4, horizon=6, train_len=3))
+    edges = [5e-324, 1.0, 1e-5, 0.0, 0.12345678901234568, 0.9999999999999999,
+             2.2250738585072014e-308, 1 / 3]
+    demand = np.resize(edges, ds.demand.shape)
+    demand[3] = np.random.default_rng(0).random(4)
+    path = tmp_path / "ds.txt"
+    save(Dataset(spec=ds.spec, catalog=ds.catalog, demand=demand), path)
+    text = path.read_text()
+    assert text.endswith("".join(
+        " ".join(datagen.format_value(v) for v in row) + "\n"
+        for row in demand))
+    assert text.split("[demand]\n")[1].count("\n") == len(demand)
+    assert np.array_equal(load(path).demand, demand)
+
+
+def test_load_parses_each_content_once(tmp_path, monkeypatch):
+    """A second load of the same bytes parses nothing and returns the same
+    read-only Dataset; a rewritten file is parsed again, and the least
+    recently loaded content drops out after a few others."""
+    path = tmp_path / "ds.txt"
+    save(generate(small_spec(seed=31)), path)
+    first = load(path)
+    parse = datagen._parse
+
+    def no_parse(text):
+        raise AssertionError("parsed bytes seen before")
+    monkeypatch.setattr(datagen, "_parse", no_parse)
+    assert load(path) is first
+    shutil.copy(path, tmp_path / "copy.txt")
+    assert load(tmp_path / "copy.txt") is first
+
+    parsed = []
+    monkeypatch.setattr(datagen, "_parse",
+                        lambda text: parsed.append(text) or parse(text))
+    save(generate(small_spec(seed=32)), path)
+    rewritten = load(path)
+    assert len(parsed) == 1
+    assert same_dataset(rewritten, generate(small_spec(seed=32)))
+    for seed in range(33, 33 + datagen._LOADED_MAX):
+        save(generate(small_spec(seed=seed)), tmp_path / f"{seed}.txt")
+        load(tmp_path / f"{seed}.txt")
+    assert load(tmp_path / "copy.txt") is not first
+    assert same_dataset(load(tmp_path / "copy.txt"), first)
+
+
+def test_loaded_arrays_are_read_only(tmp_path):
+    path = tmp_path / "ds.txt"
+    save(generate(small_spec()), path)
+    ds = load(path)
+    for array in (ds.demand, ds.catalog.unit_volume, ds.catalog.unit_weight,
+                  ds.catalog.max_shelf, ds.catalog.spoilage_rate,
+                  ds.catalog.critical_level):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    assert same_dataset(ds, generate(small_spec()))

@@ -744,6 +744,45 @@ def test_cli_end_to_end(tmp_path):
     assert (tmp_path / "summary.csv").exists()
 
 
+def test_cli_out_creates_missing_directories(smoke_run, smoke_dataset,
+                                            tmp_path):
+    """Every command that writes a CSV creates the ``--out`` file's missing
+    parent directories."""
+    _, run_dir = smoke_run
+    seed_dir = run_dir / "seed_0"
+    commands = {
+        "eval": ["--checkpoint", str(seed_dir / "checkpoint.npz"),
+                 "--dataset", str(smoke_dataset)],
+        "transfer": ["--run", str(run_dir), "--dataset", str(smoke_dataset)],
+        "heatmap": ["--decisions", str(seed_dir / "decisions.csv")],
+        "summarize": [str(run_dir)],
+        "lp-bound": ["--dataset", str(smoke_dataset)],
+        "finetune": [f"--run=dez_dqn_gvf={run_dir}", "--dataset",
+                     str(smoke_dataset), "--episodes", "1"],
+    }
+    for command, args in commands.items():
+        out = tmp_path / "no" / command / "x.csv"
+        assert cli.main([command, *args, "--out", str(out)]) == 0
+        columns, rows = harness.read_csv(out)
+        assert columns and rows, command
+
+
+def test_importing_the_cli_loads_no_lp_or_statistics_stack():
+    """The LP stack and ``scipy.special`` are imported where they are
+    used, so a process that only trains never loads them."""
+    import subprocess
+    import sys
+    code = ("import sys, restock.cli; print(sorted(m for m in sys.modules if "
+            "m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'sparse'], "
+            "['scipy', 'special'])))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_cli_seed_override(tmp_path):
     data = tmp_path / "ds.txt"
     cli.main(["datagen", "--products", "3", "--seed", "1", "--horizon", "40",

@@ -80,7 +80,9 @@ def test_budgets(monkeypatch):
     assert not certify_optimal(prob, sol)
 
 
-def test_iterations_count_interior_point_and_crossover(monkeypatch):
+def test_iterations_count_simplex_pivots(monkeypatch):
+    """``solve_lp`` runs dual simplex with no pivot cap by default, and
+    reports HiGHS's pivot count."""
     ds = generate(DatasetSpec(products=3, horizon=30, train_len=20, seed=4))
     problem, _ = build_perfect_info_lp(ds.catalog, initial_inventories(3, 2),
                                        ds.demand[20:30])
@@ -88,14 +90,15 @@ def test_iterations_count_interior_point_and_crossover(monkeypatch):
     linprog = scipy.optimize.linprog
 
     def observed(*args, **kwargs):
-        seen.append((kwargs["method"], linprog(*args, **kwargs)))
-        return seen[-1][1]
+        seen.append((kwargs["method"], kwargs["options"]["maxiter"],
+                     linprog(*args, **kwargs)))
+        return seen[-1][2]
     monkeypatch.setattr(scipy.optimize, "linprog", observed)
     sol = solve_lp(problem)
-    ((method, res),) = seen
-    assert method == "highs-ipm"
+    ((method, maxiter, res),) = seen
+    assert (method, maxiter) == ("highs-ds", None)
     assert sol.status == "optimal" and res.nit > 0
-    assert sol.iterations == res.nit + res.crossover_nit
+    assert sol.iterations == res.nit
 
 
 def test_equality_row_and_bound_flip():
