@@ -203,10 +203,10 @@ def surrogate_scores(catalog, x0: np.ndarray, demand: np.ndarray,
 @dataclass(frozen=True)
 class LpBoundResult:
     status: str                    # 'optimal' or 'dnf'
+    mean_surrogate: float | None   # LP optimum / periods
     solver_status: str
     iterations: int                # simplex pivots
-    mean_surrogate: float | None = None   # LP optimum / periods
-    kkt_residual: float | None = None     # largest KKT violation of it
+    kkt_residual: float | None     # largest KKT violation of the optimum
 
 
 def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
@@ -225,10 +225,11 @@ def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
     if sol.status != "optimal":
         status = "dnf" if sol.status in ("iteration_limit", "time_limit") \
             else sol.status
-        return LpBoundResult(status=status, solver_status=sol.status,
-                             iterations=sol.iterations)
+        return LpBoundResult(status=status, mean_surrogate=None,
+                             solver_status=sol.status,
+                             iterations=sol.iterations, kkt_residual=None)
     kkt = simplex.kkt_residuals(problem, sol)
-    return LpBoundResult(status="optimal", solver_status=sol.status,
-                         iterations=sol.iterations,
+    return LpBoundResult(status="optimal",
                          mean_surrogate=float(sol.objective / lay.periods),
+                         solver_status=sol.status, iterations=sol.iterations,
                          kkt_residual=max(kkt.values()))

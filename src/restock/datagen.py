@@ -185,22 +185,25 @@ def _table(section: str, rows: list[str], shape: tuple) -> np.ndarray:
     return table
 
 
-_LOADED: dict[str, Dataset] = {}   # by file sha256, least recent first
-_LOADED_MAX = 4
+_LOADED: dict[str, Dataset] = {}   # last 4 by file sha256, least recent first
 
 
 def load(path) -> Dataset:
-    """The dataset a file holds. Bytes seen by one of the last few calls are
-    not parsed again: their Dataset is returned, shared, so its arrays are
-    read-only."""
+    return load_with_digest(path)[0]
+
+
+def load_with_digest(path) -> tuple[Dataset, str]:
+    """The dataset a file holds and the sha256 of its bytes. Bytes seen by
+    one of the last few calls are not parsed again: their Dataset is
+    returned, shared, so its arrays are read-only."""
     with open(path, "rb") as fh:
         data = fh.read()
     digest = hashlib.sha256(data).hexdigest()
     dataset = _LOADED.pop(digest, None) or _parse(data.decode())
     _LOADED[digest] = dataset
-    if len(_LOADED) > _LOADED_MAX:
+    if len(_LOADED) > 4:
         del _LOADED[next(iter(_LOADED))]
-    return dataset
+    return dataset, digest
 
 
 def _parse(text: str) -> Dataset:
@@ -255,8 +258,7 @@ def _parse(text: str) -> Dataset:
             critical_level=table[:, 5], v_max=v_max, c_max=c_max)
     except ValueError as exc:
         raise DatasetFormatError("catalog", str(exc)) from exc
-    for array in (demand, catalog.unit_volume, catalog.unit_weight,
-                  catalog.max_shelf, catalog.spoilage_rate,
-                  catalog.critical_level):
-        array.setflags(write=False)
+    for array in (demand, *vars(catalog).values()):
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
     return Dataset(spec=spec, catalog=catalog, demand=demand)

@@ -16,7 +16,6 @@ not record it.
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
 import json
 import os
@@ -64,10 +63,6 @@ def read_manifest(run_dir) -> dict:
 def run_config(run_dir) -> ExperimentConfig:
     """The config a run directory's manifest was written from."""
     return ExperimentConfig.from_dict(read_manifest(run_dir)["config"])
-
-
-def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _fmt(v) -> str:
@@ -195,7 +190,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
     t0 = time.monotonic()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ds = datagen.load(cfg.dataset)
+    ds, digest = datagen.load_with_digest(cfg.dataset)
     p = ds.spec.products
 
     manifest = {
@@ -206,7 +201,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
         "dataset_header": {"products": p, "horizon": ds.spec.horizon,
                            "train_len": ds.spec.train_len,
                            "seed": ds.spec.seed, "theta": ds.spec.theta},
-        "dataset_sha256": file_sha256(cfg.dataset),
+        "dataset_sha256": digest,
     }
     with open(out / MANIFEST_NAME, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -363,7 +358,7 @@ def replay_manifest(run_dir, out_dir) -> Path:
     manifest = read_manifest(run_dir)
     cfg = ExperimentConfig.from_dict(manifest["config"])
     pinned = manifest.get("dataset_sha256")
-    if pinned is not None and file_sha256(cfg.dataset) != pinned:
+    if pinned not in (None, datagen.load_with_digest(cfg.dataset)[1]):
         raise ValueError(f"{cfg.dataset}: dataset sha256 differs from the "
                          f"one pinned in {Path(run_dir) / MANIFEST_NAME}")
     return run_experiment(cfg, out_dir)
@@ -402,9 +397,9 @@ def transfer_rows(run_dir, dataset_path):
     run_dir = Path(run_dir)
     manifest = read_manifest(run_dir)
     cfg = ExperimentConfig.from_dict(manifest["config"])
-    trained_on = manifest.get("dataset_sha256") or file_sha256(cfg.dataset)
-    evaluated_on = file_sha256(dataset_path)
-    ds = datagen.load(dataset_path)
+    trained_on = (manifest.get("dataset_sha256")
+                  or datagen.load_with_digest(cfg.dataset)[1])
+    ds, evaluated_on = datagen.load_with_digest(dataset_path)
     rows = []
     for seed in cfg.seeds:
         ckpt = run_dir / f"seed_{seed}" / "checkpoint.npz"

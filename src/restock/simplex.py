@@ -63,11 +63,11 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpSolution:
     status: str     # optimal | infeasible | unbounded | iteration_limit | time_limit
+    x: np.ndarray | None
+    objective: float | None
+    duals: np.ndarray | None
     iterations: int  # simplex pivots
-    x: np.ndarray | None = None
-    objective: float | None = None
-    duals: np.ndarray | None = None
-    engine: str = "scipy"
+    engine: str
 
 
 def solve_lp(problem: LpProblem, max_iters: int | None = None,
@@ -80,7 +80,8 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
         raise ValueError(f"need max_iters >= 1 and a finite time_limit >= 0, "
                          f"got {max_iters} and {time_limit}")
     if time_limit == 0.0:
-        return LpSolution(status="time_limit", iterations=0)
+        return LpSolution(status="time_limit", x=None, objective=None,
+                          duals=None, iterations=0, engine="scipy")
     A, b = problem.A, problem.b
     le, ge, eq = (problem.senses == s for s in "<>=")
     A_ub, b_ub = sp.vstack([A[le], -A[ge]]), np.concatenate([b[le], -b[ge]])
@@ -100,7 +101,8 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
         status = "time_limit"
     iterations = int(res.nit or 0)
     if status != "optimal":
-        return LpSolution(status=status, iterations=iterations)
+        return LpSolution(status=status, x=None, objective=None, duals=None,
+                          iterations=iterations, engine="scipy")
 
     y = np.zeros(len(b))
     sign = 1.0 if problem.maximize else -1.0
@@ -108,8 +110,9 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     y[le] = sign * -res.ineqlin.marginals[:n_le]
     y[ge] = sign * res.ineqlin.marginals[n_le:]
     y[eq] = sign * -res.eqlin.marginals
-    return LpSolution(status="optimal", iterations=iterations, x=res.x.copy(),
-                      objective=float(problem.c @ res.x), duals=y)
+    return LpSolution(status="optimal", x=res.x.copy(),
+                      objective=float(problem.c @ res.x),
+                      duals=y, iterations=iterations, engine="scipy")
 
 
 # ---------------------------------------------------------- certificates

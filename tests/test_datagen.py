@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 
 import numpy as np
@@ -248,8 +249,9 @@ def test_save_writes_demand_as_the_per_value_writer(tmp_path):
 
 def test_load_parses_each_content_once(tmp_path, monkeypatch):
     """A second load of the same bytes parses nothing and returns the same
-    read-only Dataset; a rewritten file is parsed again, and the least
-    recently loaded content drops out after a few others."""
+    read-only Dataset, with the sha256 of the bytes; a rewritten file is
+    parsed again, and the least recently loaded content drops out after a
+    few others."""
     path = tmp_path / "ds.txt"
     save(generate(small_spec(seed=31)), path)
     first = load(path)
@@ -259,6 +261,8 @@ def test_load_parses_each_content_once(tmp_path, monkeypatch):
         raise AssertionError("parsed bytes seen before")
     monkeypatch.setattr(datagen, "_parse", no_parse)
     assert load(path) is first
+    assert datagen.load_with_digest(path) == (
+        first, hashlib.sha256(path.read_bytes()).hexdigest())
     shutil.copy(path, tmp_path / "copy.txt")
     assert load(tmp_path / "copy.txt") is first
 
@@ -269,7 +273,7 @@ def test_load_parses_each_content_once(tmp_path, monkeypatch):
     rewritten = load(path)
     assert len(parsed) == 1
     assert same_dataset(rewritten, generate(small_spec(seed=32)))
-    for seed in range(33, 33 + datagen._LOADED_MAX):
+    for seed in range(33, 37):
         save(generate(small_spec(seed=seed)), tmp_path / f"{seed}.txt")
         load(tmp_path / f"{seed}.txt")
     assert load(tmp_path / "copy.txt") is not first
