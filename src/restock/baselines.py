@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import RewardParams, Simulator, apply_demand_and_spoilage
+from .config import RewardMod
+from .env import Simulator, apply_demand_and_spoilage
 
 
 def heuristic_action(x: np.ndarray, forecast: np.ndarray,
@@ -87,20 +88,20 @@ class LpLayout:
         self.num_rows = int(width.sum())
 
 
-def _penalty_weights(catalog, demand: np.ndarray, reward: RewardParams):
+def _penalty_weights(catalog, demand: np.ndarray, mod: RewardMod):
     """Per-unit LP weights ``(lost, kappa)``, each term at most the reward
     term it stands for: a lost sale ``l <= w`` costs ``l * (1 + 1/w)`` <=
     empty + refused (``w = 0`` fixes ``l = 0``), a shortfall ``s`` costs
     ``s / kappa`` <= the critical flag, ``kappa`` the override if set."""
     lost = 1.0 + np.divide(1.0, demand, out=np.zeros_like(demand),
                            where=demand > 0.0)
-    kappa = catalog.critical_level if reward.critical_override is None \
-        else reward.critical_override
+    kappa = catalog.critical_level if mod.critical_override is None \
+        else mod.critical_override
     return lost, kappa
 
 
 def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
-                          reward: RewardParams = RewardParams()):
+                          mod: RewardMod = RewardMod()):
     """Assemble the hindsight LP over a realized demand window.
 
     Requires spoilage rates strictly below 1 (waste is then proportional to
@@ -122,14 +123,14 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
     delta = catalog.spoilage_rate
     if np.any(delta >= 1.0):
         raise ValueError("perfect-information LP requires spoilage rates < 1")
-    lost, kappa = _penalty_weights(catalog, demand, reward)
+    lost, kappa = _penalty_weights(catalog, demand, mod)
     periods = demand.shape[0]
     lay = LpLayout(p, periods)
     keep = 1.0 - delta
 
     # objective: maximize sum_t of the per-period surrogate reward; its +1
     # cancels the -1/p of each product's shortfall cost (kappa - xb)/(p kappa)
-    waste = reward.wastage_weight * delta / (1.0 - delta) / p
+    waste = mod.wastage_weight * delta / (1.0 - delta) / p
     c = np.zeros(lay.num_vars)
     c[lay.l] = -lost / p
     c[lay.xb] = 1.0 / (p * kappa) - waste
@@ -176,7 +177,7 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
 
 def surrogate_scores(catalog, x0: np.ndarray, demand: np.ndarray,
                      executed: np.ndarray,
-                     reward: RewardParams = RewardParams()) -> np.ndarray:
+                     mod: RewardMod = RewardMod()) -> np.ndarray:
     """Per-period surrogate rewards of a concrete executed-action sequence.
 
     Uses the LP's linear penalty terms (lost sales, critical shortfall,
@@ -185,7 +186,7 @@ def surrogate_scores(catalog, x0: np.ndarray, demand: np.ndarray,
     """
     demand = np.asarray(demand, dtype=float)
     executed = np.asarray(executed, dtype=float)
-    lost_weight, kappa = _penalty_weights(catalog, demand, reward)
+    lost_weight, kappa = _penalty_weights(catalog, demand, mod)
     delta = catalog.spoilage_rate
     x = np.asarray(x0, dtype=float).copy()
     scores = np.empty(demand.shape[0])
@@ -196,7 +197,7 @@ def surrogate_scores(catalog, x0: np.ndarray, demand: np.ndarray,
         scores[t] = (1.0
                      - (lost_weight[t] * lost).mean()
                      - (shortfall / kappa).mean()
-                     - reward.wastage_weight * waste.mean())
+                     - mod.wastage_weight * waste.mean())
     return scores
 
 
@@ -211,7 +212,7 @@ class LpBoundResult:
 
 def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
                    time_limit: float | None = None,
-                   reward: RewardParams = RewardParams()) -> LpBoundResult:
+                   mod: RewardMod = RewardMod()) -> LpBoundResult:
     """Hindsight LP bound on the mean business reward over a window.
 
     HiGHS solves the perfect-information LP within ``time_limit``; a run
@@ -220,11 +221,10 @@ def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
     complementary-slackness residuals.
     """
     from . import simplex
-    problem, lay = build_perfect_info_lp(catalog, x0, demand, reward)
+    problem, lay = build_perfect_info_lp(catalog, x0, demand, mod)
     sol = simplex.solve_lp(problem, time_limit=time_limit)
     if sol.status != "optimal":
-        status = "dnf" if sol.status in ("iteration_limit", "time_limit") \
-            else sol.status
+        status = "dnf" if sol.status == "time_limit" else sol.status
         return LpBoundResult(status=status, mean_surrogate=None,
                              solver_status=sol.status,
                              iterations=sol.iterations, kkt_residual=None)

@@ -33,6 +33,12 @@ def _add_train(sub):
                    help="comma-separated override of config seeds")
 
 
+def _add_replay(sub):
+    p = sub.add_parser("replay", help="re-run a run from its manifest")
+    p.add_argument("--run", required=True, help="run directory to replay")
+    p.add_argument("--out", required=True, help="new run directory")
+
+
 def _add_eval(sub):
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
@@ -75,8 +81,8 @@ def _add_lp_bound(sub):
     p.add_argument("--dataset", default=None,
                    help="dataset file (default: the --run's dataset)")
     p.add_argument("--run", default=None,
-                   help="run directory whose env and reward mod to score "
-                        "with (default: EnvParams() and RewardMod())")
+                   help="run directory whose reward mod to score with "
+                        "(default: RewardMod())")
     p.add_argument("--window", choices=("train", "test"), default="test")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--time-limit", type=float, default=None)
@@ -94,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="restock",
         description="inventory replenishment RL lab")
     sub = parser.add_subparsers(dest="command", required=True)
-    for add in (_add_datagen, _add_train, _add_eval, _add_transfer,
-                _add_heatmap, _add_finetune, _add_lp_bound, _add_summarize):
+    for add in (_add_datagen, _add_train, _add_replay, _add_eval,
+                _add_transfer, _add_heatmap, _add_finetune, _add_lp_bound,
+                _add_summarize):
         add(sub)
     return parser
 
@@ -126,6 +133,11 @@ def main(argv=None) -> int:
         out = harness.run_experiment(cfg, args.out)
         for row in harness.summarize([out]):
             print(row)
+        return 0
+
+    if args.command == "replay":
+        out = harness.replay_manifest(args.run, args.out)
+        print(f"replayed {args.run} into {out}")
         return 0
 
     if args.command == "eval":
@@ -172,11 +184,10 @@ def main(argv=None) -> int:
     if args.command == "lp-bound":
         if args.run is None and args.dataset is None:
             parser.error("lp-bound needs --dataset or --run")
-        cfg = (harness.run_config(args.run) if args.run else
-               ExperimentConfig(dataset=args.dataset, algorithm="lp_bound"))
+        cfg = harness.run_config(args.run) if args.run else None
         row = harness.lp_bound_row(
             datagen.load(args.dataset or cfg.dataset), args.window, args.seed,
-            harness.reward_params(cfg.env, cfg.reward_mod), args.time_limit)
+            cfg.reward_mod if cfg else RewardMod(), args.time_limit)
         print(json.dumps(dict(zip(harness.LP_COLUMNS, row)), indent=2))
         if args.out:
             harness.write_csv(args.out, harness.LP_COLUMNS, [row])

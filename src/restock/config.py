@@ -30,7 +30,8 @@ class EnvParams:
 
 @dataclass(frozen=True)
 class RewardMod:
-    """Reward modifications used by the fine-tuning studies."""
+    """The env's reward knobs besides ``EnvParams.alpha``; a run sets them
+    under ``reward_mod``, and a fine-tuning study changes them."""
 
     wastage_weight: float = 1.0
     critical_override: float | None = None  # in (0, 1), as critical levels

@@ -5,7 +5,8 @@ and demand ``w_i`` are fractions of product i's shelf capacity, so every
 state component lives in [0, 1]. One period runs as: clip the requested
 order to [0, free shelf space], scale the whole order down if it exceeds the
 shared transport capacity, receive stock, serve demand, spoil the unsold
-residue, then score the outcome.
+residue, then score the outcome under the config's own validated reward
+knobs, ``EnvParams.alpha`` and a ``RewardMod``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .config import EnvParams, RewardMod
 
 #: Discrete replenishment fractions available to the learning agents.
 ACTION_SET = np.array([
@@ -70,21 +73,6 @@ class ProductCatalog:
     @property
     def num_products(self) -> int:
         return self.unit_volume.shape[0]
-
-
-@dataclass(frozen=True)
-class RewardParams:
-    """Reward shaping knobs.
-
-    ``alpha`` scales the capacity-overuse penalty in the per-product reward.
-    ``wastage_weight`` multiplies the wastage term in both reward forms;
-    ``critical_override``, when set, replaces every product's critical level
-    in the penalty comparison (the environment dynamics are untouched).
-    """
-
-    alpha: float = 1.0
-    wastage_weight: float = 1.0
-    critical_override: float | None = None
 
 
 @dataclass(frozen=True)
@@ -170,11 +158,11 @@ def percentile_spread(x: np.ndarray) -> float:
 
 
 def empty_critical_flags(x_next: np.ndarray, catalog: ProductCatalog,
-                         reward: RewardParams,
+                         mod: RewardMod,
                          out: np.ndarray | None = None) -> np.ndarray:
     """Stockout and below-critical flags (0/1) as the rows of a (2, p)
     array, written into ``out`` when given."""
-    kappa = (reward.critical_override if reward.critical_override is not None
+    kappa = (mod.critical_override if mod.critical_override is not None
              else catalog.critical_level)
     flags = np.empty((2, x_next.shape[0])) if out is None else out
     np.equal(x_next, 0.0, out=flags[0])
@@ -184,33 +172,34 @@ def empty_critical_flags(x_next: np.ndarray, catalog: ProductCatalog,
 
 def business_reward(empty: float, critical: float, wastage: float,
                     spread: float, refused: float,
-                    reward: RewardParams = RewardParams()) -> float:
+                    mod: RewardMod) -> float:
     """Store-level reward: 1 minus the five penalty components, each given
     as its mean over products (``spread`` is store-level already)."""
-    return 1.0 - empty - critical - reward.wastage_weight * wastage \
+    return 1.0 - empty - critical - mod.wastage_weight * wastage \
         - spread - refused
 
 
 def per_product_rewards(b_empty: np.ndarray, b_critical: np.ndarray,
                         q_waste: np.ndarray, spread: float,
-                        refused: np.ndarray, rho: float,
-                        reward: RewardParams = RewardParams()) -> np.ndarray:
+                        refused: np.ndarray, rho: float, alpha: float = 1.0,
+                        mod: RewardMod = RewardMod()) -> np.ndarray:
     """Per-product reward handed to each agent clone.
 
     Shares the business-reward components evaluated product-wise and adds
     the capacity-overuse penalty; its mean over products equals the
     business reward whenever rho <= 1.
     """
-    penalty = reward.alpha * max(rho - 1.0, 0.0)
-    return (1.0 - b_empty - b_critical - reward.wastage_weight * q_waste
+    penalty = alpha * max(rho - 1.0, 0.0)
+    return (1.0 - b_empty - b_critical - mod.wastage_weight * q_waste
             - spread - refused - penalty)
 
 
 def step(catalog: ProductCatalog, x: np.ndarray, raw_action: np.ndarray,
-         demand: np.ndarray,
-         reward: RewardParams = RewardParams()) -> StepOutcome:
+         demand: np.ndarray, alpha: float = 1.0,
+         mod: RewardMod = RewardMod()) -> StepOutcome:
     """Advance one period from the inventory ``x``. Pure function of its
-    inputs.
+    inputs; ``alpha`` weighs the capacity penalty of the per-product
+    rewards.
 
     The catalog, the inventory and the demand are validated where they are
     built (``Simulator.reset`` checks ``x0``); per period only the shapes
@@ -235,11 +224,11 @@ def step(catalog: ProductCatalog, x: np.ndarray, raw_action: np.ndarray,
 
     spread = percentile_spread(x_next)
     components = np.empty((4, p))   # empty, critical, wastage, refused
-    empty_critical_flags(x_next, catalog, reward, out=components[:2])
+    empty_critical_flags(x_next, catalog, mod, out=components[:2])
     components[2], components[3] = q_waste, refused
     empty, critical, wastage, lost = (components.sum(axis=1) / p).tolist()
-    r_global = business_reward(empty, critical, wastage, spread, lost, reward)
-    penalty = reward.alpha * max(rho - 1.0, 0.0)
+    r_global = business_reward(empty, critical, wastage, spread, lost, mod)
+    penalty = alpha * max(rho - 1.0, 0.0)
     b_empty, b_critical, q_waste, refused = components
     return StepOutcome(
         x=x_next,
@@ -253,7 +242,7 @@ def step(catalog: ProductCatalog, x: np.ndarray, raw_action: np.ndarray,
         capacity_penalty=penalty,
         business_reward=r_global,
         per_product_rewards=per_product_rewards(
-            b_empty, b_critical, q_waste, spread, refused, rho, reward),
+            b_empty, b_critical, q_waste, spread, refused, rho, alpha, mod),
         component_means=np.array([r_global, empty, critical, wastage,
                                   spread, lost, penalty]),
     )
@@ -266,7 +255,8 @@ def shelf_life(catalog: ProductCatalog) -> np.ndarray:
 
 
 class Simulator:
-    """Stateful wrapper that walks a demand matrix through the dynamics.
+    """Stateful wrapper that walks a demand matrix through the dynamics,
+    with the forecast window and ``alpha`` of ``env`` and the reward ``mod``.
 
     It owns the store state: the period ``t`` and the pre-replenishment
     inventory ``x``, both set by ``reset``. One instance is
@@ -274,19 +264,16 @@ class Simulator:
     """
 
     def __init__(self, catalog: ProductCatalog, demand: np.ndarray,
-                 reward: RewardParams = RewardParams(),
-                 forecast_window: int = 8):
+                 env: EnvParams = EnvParams(), mod: RewardMod = RewardMod()):
         demand = np.asarray(demand, dtype=float)
         if demand.ndim != 2 or demand.shape[1] != catalog.num_products:
             raise ValueError("demand must be a (horizon, products) matrix")
         if not np.all((demand >= 0.0) & (demand <= 1.0)):
             raise ValueError("demand must be finite and lie in [0, 1]")
-        if forecast_window < 1:
-            raise ValueError("forecast window must be positive")
         self.catalog = catalog
         self.demand = demand
-        self.reward = reward
-        self.forecast_window = forecast_window
+        self.env = env
+        self.mod = mod
         self.t: int | None = None
         self.x: np.ndarray | None = None
         # static feature columns never change within a catalog
@@ -309,7 +296,7 @@ class Simulator:
         if not np.all((x >= -1e-12) & (x <= 1 + 1e-12)):
             raise ValueError("x0 must be finite and lie in [0, 1]")
         self.t, self.x = start, x
-        w = self.forecast_window
+        w = self.env.forecast_window
         first = max(0, start - w)
         # each period's w previous demands, ordered as in a ring buffer
         # filled from period ``first`` on (period s in slot (s - first) mod
@@ -326,8 +313,8 @@ class Simulator:
 
     @property
     def forecast(self) -> np.ndarray:
-        """Mean demand of the ``forecast_window`` periods before the current
-        one, periods before 0 counting as zero demand."""
+        """Mean demand of the ``env.forecast_window`` periods before the
+        current one, periods before 0 counting as zero demand."""
         return self._forecasts[self.t - self._start]
 
     def features(self) -> np.ndarray:
@@ -345,6 +332,6 @@ class Simulator:
         if t >= self.horizon:
             raise IndexError(f"period {t} is past the end of the demand data")
         out = step(self.catalog, self.x, raw_action, self.demand[t],
-                   self.reward)
+                   self.env.alpha, self.mod)
         self.t, self.x = t + 1, out.x
         return out

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, agents, baselines, datagen
 from .agents import DecisionLog, EpisodeMetrics
 from .config import EnvParams, ExperimentConfig, RewardMod, config_hash
-from .env import RewardParams, Simulator
+from .env import Simulator
 
 MANIFEST_NAME = "manifest.json"
 
@@ -41,18 +41,6 @@ def episode_inventories(p: int, seed: int, purpose: int, episode: int) -> np.nda
     """Initial inventories for (seed, episode), identical for every algorithm."""
     return datagen.initial_inventories(
         p, np.random.SeedSequence([seed, purpose, episode]))
-
-
-def reward_params(env: EnvParams, mod: RewardMod) -> RewardParams:
-    """The env's reward knobs: its penalty weight plus a reward mod."""
-    return RewardParams(alpha=env.alpha, wastage_weight=mod.wastage_weight,
-                        critical_override=mod.critical_override)
-
-
-def make_simulator(ds: datagen.Dataset, env: EnvParams,
-                   mod: RewardMod) -> Simulator:
-    return Simulator(ds.catalog, ds.demand, reward_params(env, mod),
-                     forecast_window=env.forecast_window)
 
 
 def read_manifest(run_dir) -> dict:
@@ -144,7 +132,7 @@ LP_COLUMNS = ("window", "window_start", "window_len", "status",
 
 
 def lp_bound_row(ds: datagen.Dataset, window: str, seed: int,
-                 reward: RewardParams, time_limit: float | None) -> list:
+                 mod: RewardMod, time_limit: float | None) -> list:
     """Solve the hindsight LP on the ``"train"`` or ``"test"`` window from
     the seed's eval inventories; returns its ``lp_bound.csv`` row (see
     ``LP_COLUMNS``), with blanks for a dnf."""
@@ -152,7 +140,7 @@ def lp_bound_row(ds: datagen.Dataset, window: str, seed: int,
     x0 = episode_inventories(ds.spec.products, seed, _PURPOSE_EVAL, 0)
     res = baselines.lp_upper_bound(
         ds.catalog, x0, ds.demand[start:start + length],
-        time_limit=time_limit, reward=reward)
+        time_limit=time_limit, mod=mod)
 
     row = [window, start, length, res.status, res.solver_status,
            res.mean_surrogate, res.iterations, res.kkt_residual]
@@ -299,18 +287,17 @@ def _timed_seed(task) -> tuple[int, dict]:
 def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> dict:
     """Runs one seed; an agent's returns the seconds of each layer."""
     p = ds.spec.products
-    sim = make_simulator(ds, cfg.env, cfg.reward_mod)
     train_start, train_len = ds.train_window
     test_start, test_len = ds.test_window
     x0_eval = episode_inventories(p, seed, _PURPOSE_EVAL, 0)
 
     if cfg.algorithm == "lp_bound":
-        write_csv(seed_dir / "lp_bound.csv", LP_COLUMNS,
-                  [lp_bound_row(ds, window, seed, sim.reward,
-                                cfg.lp_time_limit)
-                   for window in ("train", "test")])
+        write_csv(seed_dir / "lp_bound.csv", LP_COLUMNS, [
+            lp_bound_row(ds, window, seed, cfg.reward_mod, cfg.lp_time_limit)
+            for window in ("train", "test")])
         return {}
 
+    sim = Simulator(ds.catalog, ds.demand, cfg.env, cfg.reward_mod)
     if cfg.algorithm == "heuristic":
         def heuristic_row(start, length, x0):
             rewards, means, _ = baselines.run_heuristic_episode(
@@ -380,8 +367,8 @@ def evaluate_checkpoint(checkpoint_path, dataset, seed: int,
     p = ds.spec.products
     bundle = agents.load_agent(checkpoint_path, seed=seed)
     meta = bundle.checkpoint_meta
-    sim = make_simulator(ds, EnvParams(**meta["env"]),
-                         RewardMod(**meta["reward_mod"]))
+    sim = Simulator(ds.catalog, ds.demand, EnvParams(**meta["env"]),
+                    RewardMod(**meta["reward_mod"]))
     test_start, test_len = ds.test_window
     x0 = episode_inventories(p, seed, _PURPOSE_EVAL, 0)
     log = DecisionLog() if collect_decisions else None
@@ -504,7 +491,7 @@ def run_finetune_suite(run_dirs: dict[str, Path], dataset_path,
             ckpt = run_dir / f"seed_{seed}" / "checkpoint.npz"
             bundle = agents.load_agent(ckpt, seed=seed, agent=replace(
                 cfg.agent, eps_start=epsilon, eps_end=epsilon))
-            sim = make_simulator(ds, cfg.env, reward_mod)
+            sim = Simulator(ds.catalog, ds.demand, cfg.env, reward_mod)
             history = agents.train_agent(
                 bundle, sim, episodes, train_start, train_len,
                 x0_provider=lambda ep: episode_inventories(
@@ -517,8 +504,8 @@ def run_finetune_suite(run_dirs: dict[str, Path], dataset_path,
 
 # ------------------------------------------------------------------ summary
 
-SUMMARY_COLUMNS = ("dataset", "algorithm", "split", "mean", "ci95_halfwidth",
-                   "seeds")
+SUMMARY_COLUMNS = ("run", "dataset", "algorithm", "split", "mean",
+                   "ci95_halfwidth", "seeds")
 
 
 def t_interval_halfwidth(values) -> float:
@@ -560,8 +547,8 @@ def summarize(run_dirs, out_path=None):
                     float(np.mean([float(r[k]) for r in rows[-last:]])))
         for split, vals in per_window.items():
             if vals:
-                summary.append([cfg.dataset, cfg.algorithm, split,
-                                float(np.mean(vals)),
+                summary.append([str(run_dir), cfg.dataset, cfg.algorithm,
+                                split, float(np.mean(vals)),
                                 t_interval_halfwidth(vals), len(vals)])
     if out_path is not None:
         write_csv(out_path, SUMMARY_COLUMNS, summary)

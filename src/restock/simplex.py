@@ -62,47 +62,41 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str     # optimal | infeasible | unbounded | iteration_limit | time_limit
-    x: np.ndarray | None
-    objective: float | None
-    duals: np.ndarray | None
-    iterations: int  # simplex pivots
-    engine: str
+    status: str     # optimal | infeasible | unbounded | time_limit
+    x: np.ndarray | None = None
+    objective: float | None = None
+    duals: np.ndarray | None = None
+    iterations: int = 0  # simplex pivots
+    engine: str = "scipy"
 
 
-def solve_lp(problem: LpProblem, max_iters: int | None = None,
+def solve_lp(problem: LpProblem,
              time_limit: float | None = None) -> LpSolution:
-    """Solve an LP with HiGHS's dual simplex within ``max_iters`` pivots
-    (None: no cap) and ``time_limit`` seconds; a zero ``time_limit`` is spent
-    already, so the solve stops with status ``time_limit`` at once."""
-    if (max_iters is not None and max_iters < 1
-            or not 0.0 <= (time_limit or 0.0) < np.inf):
-        raise ValueError(f"need max_iters >= 1 and a finite time_limit >= 0, "
-                         f"got {max_iters} and {time_limit}")
+    """Solve an LP with HiGHS's dual simplex within ``time_limit`` seconds
+    (None: no limit); a zero ``time_limit`` is spent already, so the solve
+    stops with status ``time_limit`` at once."""
+    if not 0.0 <= (time_limit or 0.0) < np.inf:
+        raise ValueError(f"need a finite time_limit >= 0, got {time_limit}")
     if time_limit == 0.0:
-        return LpSolution(status="time_limit", x=None, objective=None,
-                          duals=None, iterations=0, engine="scipy")
+        return LpSolution(status="time_limit")
     A, b = problem.A, problem.b
     le, ge, eq = (problem.senses == s for s in "<>=")
     A_ub, b_ub = sp.vstack([A[le], -A[ge]]), np.concatenate([b[le], -b[ge]])
 
     c = -problem.c if problem.maximize else problem.c
-    options = {"maxiter": max_iters, "presolve": True,
-               "time_limit": time_limit}
+    options = {"presolve": True, "time_limit": time_limit}
     res = scipy.optimize.linprog(
         c, A_ub=A_ub, b_ub=b_ub, A_eq=A[eq], b_eq=b[eq],
         bounds=np.column_stack([problem.lo, problem.hi]),
         method="highs-ds", options=options)
 
-    status_map = {0: "optimal", 1: "iteration_limit", 2: "infeasible",
+    # with no pivot cap, HiGHS stops early (status 1) only on the time limit
+    status_map = {0: "optimal", 1: "time_limit", 2: "infeasible",
                   3: "unbounded", 4: "numerical_error"}
     status = status_map.get(res.status, "numerical_error")
-    if status == "iteration_limit" and "time" in (res.message or "").lower():
-        status = "time_limit"
     iterations = int(res.nit or 0)
     if status != "optimal":
-        return LpSolution(status=status, x=None, objective=None, duals=None,
-                          iterations=iterations, engine="scipy")
+        return LpSolution(status=status, iterations=iterations)
 
     y = np.zeros(len(b))
     sign = 1.0 if problem.maximize else -1.0
@@ -112,7 +106,7 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     y[eq] = sign * -res.eqlin.marginals
     return LpSolution(status="optimal", x=res.x.copy(),
                       objective=float(problem.c @ res.x),
-                      duals=y, iterations=iterations, engine="scipy")
+                      duals=y, iterations=iterations)
 
 
 # ---------------------------------------------------------- certificates

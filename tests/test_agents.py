@@ -10,10 +10,9 @@ from restock.agents import (DecisionLog, ReplayBuffer, exploration_mode,
                             load_agent, make_bundle, run_episode, save_agent,
                             select_actions, td_targets, train_agent,
                             train_step)
-from restock.config import AgentParams
+from restock.config import AgentParams, EnvParams, RewardMod
 from restock.datagen import DatasetSpec, generate, initial_inventories
-from restock.env import (ACTION_SET, NUM_ACTIONS, NUM_FEATURES, RewardParams,
-                         Simulator)
+from restock.env import ACTION_SET, NUM_ACTIONS, NUM_FEATURES, Simulator
 from conftest import make_catalog
 import oracles
 
@@ -299,7 +298,7 @@ def test_three_state_chain_matches_value_iteration():
 def small_world(p=4, seed=13, horizon=80, train_len=60):
     ds = generate(DatasetSpec(products=p, horizon=horizon, train_len=train_len,
                               seed=seed))
-    sim = Simulator(ds.catalog, ds.demand, forecast_window=4)
+    sim = Simulator(ds.catalog, ds.demand, EnvParams(forecast_window=4))
     return ds, sim
 
 
@@ -324,7 +323,7 @@ def test_stored_rewards_are_consistent_with_env_identity():
     # every stored per-product reward batch matches the business reward
     # minus the capacity penalty when averaged per period
     r = bundle.buffer.r[:len(bundle.buffer)].reshape(30, 4)
-    sim2 = Simulator(ds.catalog, ds.demand, forecast_window=4)
+    sim2 = Simulator(ds.catalog, ds.demand, EnvParams(forecast_window=4))
     sim2.reset(x0, 0)
     # replay with the stored actions to recompute the env-side quantities
     a = bundle.buffer.a[:len(bundle.buffer)].reshape(30, 4)
@@ -408,9 +407,10 @@ def test_fine_tune_zero_episodes_is_identity():
 
 def test_fine_tune_sees_modified_rewards():
     ds, _ = small_world()
-    base = Simulator(ds.catalog, ds.demand, RewardParams(), forecast_window=4)
-    heavy = Simulator(ds.catalog, ds.demand,
-                      RewardParams(wastage_weight=4.0), forecast_window=4)
+    env = EnvParams(forecast_window=4)
+    base = Simulator(ds.catalog, ds.demand, env)
+    heavy = Simulator(ds.catalog, ds.demand, env,
+                      RewardMod(wastage_weight=4.0))
     x0 = np.full(4, 0.9)
     base.reset(x0, 0)
     heavy.reset(x0, 0)

@@ -10,8 +10,9 @@ from restock import baselines, simplex
 from restock.baselines import (LpBoundResult, build_perfect_info_lp,
                                heuristic_action, lp_upper_bound,
                                run_heuristic_episode, surrogate_scores)
+from restock.config import EnvParams, RewardMod
 from restock.datagen import DatasetSpec, generate, initial_inventories
-from restock.env import RewardParams, Simulator, step
+from restock.env import Simulator, step
 from restock.simplex import certify_optimal, kkt_residuals, solve_lp
 from conftest import make_catalog
 
@@ -41,7 +42,7 @@ def test_heuristic_respects_shelf_bounds(x, forecast, target):
 
 def test_heuristic_episode_reports_components():
     ds = generate(DatasetSpec(products=4, horizon=50, train_len=30, seed=2))
-    sim = Simulator(ds.catalog, ds.demand, forecast_window=4)
+    sim = Simulator(ds.catalog, ds.demand, EnvParams(forecast_window=4))
     rewards, means, executed = run_heuristic_episode(
         sim, 0, 30, initial_inventories(4, 0), target_level=0.5)
     assert rewards.shape == (30,)
@@ -55,7 +56,7 @@ def test_heuristic_episode_reports_components():
 
 # ------------------------------------------------------------- LP building
 
-def looped_perfect_info_lp(catalog, x0, demand, reward=RewardParams()):
+def looped_perfect_info_lp(catalog, x0, demand, reward=RewardMod()):
     """The hindsight LP built one coefficient and one row at a time, with
     its own index arithmetic: the oracle that ``build_perfect_info_lp``
     must equal bit for bit."""
@@ -134,7 +135,7 @@ def looped_perfect_info_lp(catalog, x0, demand, reward=RewardParams()):
         lo=lo, hi=hi, maximize=True)
 
 
-def critical_row_lp(catalog, x0, demand, reward=RewardParams()):
+def critical_row_lp(catalog, x0, demand, reward=RewardMod()):
     """The hindsight LP as the package built it with a shortfall block
     ``m`` and a critical row ``m + x >= kappa`` per product-period: the
     reference whose optimum plus 1 per period the split-inventory LP must
@@ -201,10 +202,10 @@ def reward_id(case):
         "" if kappa is None else f"-kappa{kappa}")
 
 
-ORACLE_CASES = [(False, RewardParams()),
-                (True, RewardParams(wastage_weight=0.5)),
-                (False, RewardParams(wastage_weight=2.0)),
-                (False, RewardParams(critical_override=0.5))]
+ORACLE_CASES = [(False, RewardMod()),
+                (True, RewardMod(wastage_weight=0.5)),
+                (False, RewardMod(wastage_weight=2.0)),
+                (False, RewardMod(critical_override=0.5))]
 
 
 @pytest.mark.parametrize("p, periods", [(1, 1), (1, 2), (3, 5), (5, 20),
@@ -229,9 +230,9 @@ def test_array_assembly_matches_looped_oracle(p, periods, full_shelf, reward):
     assert problem.maximize and oracle.maximize
 
 
-@pytest.mark.parametrize("reward", [RewardParams(),
-                                    RewardParams(critical_override=0.5),
-                                    RewardParams(wastage_weight=2.0)],
+@pytest.mark.parametrize("reward", [RewardMod(),
+                                    RewardMod(critical_override=0.5),
+                                    RewardMod(wastage_weight=2.0)],
                          ids=["default", "kappa0.5", "waste2"])
 def test_split_inventory_lp_matches_the_critical_row_lp(reward):
     """Splitting the inventory at the critical level leaves the optimum of
@@ -326,7 +327,7 @@ def test_lp_matches_tuned_heuristic_on_constructed_instance():
     periods = 6
     demand = np.zeros((periods, 1))
     x0 = np.array([target])
-    sim = Simulator(cat, demand, forecast_window=4)
+    sim = Simulator(cat, demand, EnvParams(forecast_window=4))
     _, _, executed = run_heuristic_episode(sim, 0, periods, x0, target)
     heuristic_score = surrogate_scores(cat, x0, demand, executed).sum()
 
@@ -342,7 +343,7 @@ def test_upper_bound_property_on_small_instance():
     start, length = ds.test_window
     window = ds.demand[start:start + length]
 
-    sim = Simulator(ds.catalog, ds.demand, forecast_window=8)
+    sim = Simulator(ds.catalog, ds.demand, EnvParams(forecast_window=8))
     _, _, executed = run_heuristic_episode(sim, start, length, x0, 0.5)
     heuristic_score = surrogate_scores(ds.catalog, x0, window, executed).sum()
 
@@ -491,9 +492,12 @@ def test_lp_rejects_x0_outside_unit_interval(bad, monkeypatch):
 
 # ---------------------------------------------- a bound on the business reward
 
-REWARDS = [RewardParams(), RewardParams(critical_override=0.5),
-           RewardParams(wastage_weight=2.0)]
+REWARDS = [RewardMod(), RewardMod(critical_override=0.5),
+           RewardMod(wastage_weight=2.0)]
 REWARD_IDS = ["default", "kappa0.5", "waste2"]
+# the edges of the knobs' ranges
+EDGES = [RewardMod(critical_override=0.999), RewardMod(wastage_weight=0.0)]
+EDGE_IDS = ["kappa0.999", "waste0"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -513,29 +517,30 @@ def test_surrogate_is_at_least_the_business_reward(p, periods, seed, reward):
     x, executed, rewards = x0, np.empty((periods, p)), np.empty(periods)
     for t in range(periods):
         out = step(ds.catalog, x, rng.random(p) ** rng.integers(1, 4),
-                   demand[t], reward)
+                   demand[t], mod=reward)
         x, executed[t], rewards[t] = out.x, out.executed, out.business_reward
     scores = surrogate_scores(ds.catalog, x0, demand, executed, reward)
     assert np.all(scores >= rewards - 1e-12)
 
 
-@pytest.mark.parametrize("reward", REWARDS, ids=REWARD_IDS)
+@pytest.mark.parametrize("reward", REWARDS + EDGES,
+                         ids=REWARD_IDS + EDGE_IDS)
 def test_bound_tops_the_heuristic_business_reward(reward):
     """The certified bound sits above the heuristic's mean business reward
     under the same reward, and a wastage weight or an override moves it."""
     ds = generate(DatasetSpec(products=5, horizon=80, train_len=40, seed=3))
     start, length = ds.test_window
     x0 = initial_inventories(5, 9)
-    sim = Simulator(ds.catalog, ds.demand, reward, forecast_window=8)
+    sim = Simulator(ds.catalog, ds.demand, mod=reward)
     rewards, _, _ = run_heuristic_episode(sim, start, length, x0, 0.5)
     res = lp_upper_bound(ds.catalog, x0, ds.demand[start:start + length],
-                         reward=reward)
+                         mod=reward)
     assert res.status == "optimal" and res.kkt_residual < 1e-7
     assert res.mean_surrogate >= rewards.mean()
     default = lp_upper_bound(ds.catalog, x0,
                              ds.demand[start:start + length])
     assert (res.mean_surrogate == default.mean_surrogate) == (
-        reward == RewardParams())
+        reward == RewardMod())
 
 
 @pytest.mark.parametrize("level", [0.0, 1e-9])
@@ -545,6 +550,6 @@ def test_bound_is_certified_on_vanishing_demand(level, reward):
     weight of about 1/demand; both windows solve with a certificate."""
     ds = generate(DatasetSpec(products=4, horizon=30, train_len=10, seed=5))
     res = lp_upper_bound(ds.catalog, initial_inventories(4, 1),
-                         np.full((20, 4), level), reward=reward)
+                         np.full((20, 4), level), mod=reward)
     assert res.status == "optimal" and res.kkt_residual < 1e-7
     assert res.mean_surrogate <= 1.0

@@ -8,6 +8,7 @@ from restock import datagen
 from restock.datagen import (Dataset, DatasetFormatError, DatasetSpec,
                              generate, initial_inventories, load, save)
 from restock.baselines import heuristic_action
+from restock.config import EnvParams
 from restock.env import Simulator
 
 
@@ -207,7 +208,7 @@ def test_initial_inventories_accepts_seed_sequence():
 def test_capacity_constraint_stays_active_for_heuristic():
     """At theta=0.9 an order-up-to policy must hit the transport cap."""
     ds = generate(small_spec(products=10, seed=5))
-    sim = Simulator(ds.catalog, ds.demand, forecast_window=8)
+    sim = Simulator(ds.catalog, ds.demand, EnvParams(forecast_window=8))
     x = initial_inventories(10, 0)
     sim.reset(x, start=0)
     violations = 0

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from restock import env
 from restock.agents import make_bundle, run_episode
+from restock.config import EnvParams, RewardMod
 from restock.env import (
-    ACTION_SET, NUM_FEATURES, ProductCatalog, RewardParams, Simulator,
+    ACTION_SET, NUM_FEATURES, ProductCatalog, Simulator,
     apply_demand_and_spoilage, apply_replenishment,
     business_reward, capacity_ratio, clip_action, enforce_capacity,
     per_product_rewards, percentile_spread, shelf_life, step,
@@ -45,7 +46,8 @@ def simulator_features(catalog: ProductCatalog, x: np.ndarray,
                        forecast: np.ndarray) -> np.ndarray:
     """``Simulator.features`` at inventory ``x`` after one period of demand
     ``forecast`` (window 1, so that is the forecast)."""
-    sim = Simulator(catalog, np.tile(forecast, (2, 1)), forecast_window=1)
+    sim = Simulator(catalog, np.tile(forecast, (2, 1)),
+                    EnvParams(forecast_window=1))
     sim.reset(x, start=1)
     return sim.features()
 
@@ -148,13 +150,15 @@ def test_percentile_spread_matches_oracle_on_random_vectors():
 
 def test_business_reward_examples():
     """Arguments are the per-product means of each component."""
-    assert business_reward(0.0, 0.0, 0.0, 0.0, 0.0) == pytest.approx(1.0)
+    mod = RewardMod()
+    assert business_reward(0.0, 0.0, 0.0, 0.0, 0.0, mod) == pytest.approx(1.0)
 
     b_e = np.array([1.0, 0.0])
-    assert business_reward(b_e.mean(), b_e.mean(), 0.0, 0.0, 0.0) == \
+    assert business_reward(b_e.mean(), b_e.mean(), 0.0, 0.0, 0.0, mod) == \
         pytest.approx(0.0)
 
-    assert business_reward(1.0, 1.0, 1.0, 0.0, 1.0) == pytest.approx(-3.0)
+    assert business_reward(1.0, 1.0, 1.0, 0.0, 1.0, mod) == \
+        pytest.approx(-3.0)
 
 
 def test_per_product_reward_examples():
@@ -162,7 +166,7 @@ def test_per_product_reward_examples():
     clean = per_product_rewards(zeros, zeros, zeros, 0.0, zeros, rho=0.9)
     np.testing.assert_allclose(clean, 1.0)
     penalized = per_product_rewards(zeros, zeros, zeros, 0.0, zeros, rho=1.5,
-                                    reward=RewardParams(alpha=1.0))
+                                    alpha=1.0)
     np.testing.assert_allclose(penalized, 0.5)
 
 
@@ -176,23 +180,23 @@ def test_mean_per_product_matches_business_reward_when_feasible():
         refused = rng.random(p) * 0.3
         spread = float(rng.random() * 0.5)
         r = business_reward(b_e.mean(), b_c.mean(), q.mean(), spread,
-                            refused.mean())
+                            refused.mean(), RewardMod())
         ri = per_product_rewards(b_e, b_c, q, spread, refused, rho=0.7)
         assert ri.mean() == pytest.approx(r, abs=1e-12)
 
 
 def test_reward_modifications():
     one, zero = np.ones(1), np.zeros(1)
-    base = business_reward(0.0, 0.0, 0.1, 0.0, 0.0)
+    base = business_reward(0.0, 0.0, 0.1, 0.0, 0.0, RewardMod())
     heavy = business_reward(0.0, 0.0, 0.1, 0.0, 0.0,
-                            RewardParams(wastage_weight=4.0))
+                            RewardMod(wastage_weight=4.0))
     assert base - heavy == pytest.approx(3 * 0.1)
 
     cat = make_catalog(p=1, critical=[0.05])
     x = np.array([0.07])
-    _, b_c = env.empty_critical_flags(x, cat, RewardParams())
+    _, b_c = env.empty_critical_flags(x, cat, RewardMod())
     assert b_c[0] == 0.0
-    _, b_c = env.empty_critical_flags(x, cat, RewardParams(critical_override=0.1))
+    _, b_c = env.empty_critical_flags(x, cat, RewardMod(critical_override=0.1))
     assert b_c[0] == 1.0
 
 
@@ -219,7 +223,7 @@ class RingForecast:
 def forecasts_after(demand: np.ndarray, start: int, window: int):
     """``Simulator.forecast`` at every period from ``start`` to the end."""
     sim = Simulator(make_catalog(p=demand.shape[1]), demand,
-                    forecast_window=window)
+                    EnvParams(forecast_window=window))
     sim.reset(np.zeros(demand.shape[1]), start)
     out = []
     for _ in range(start, len(demand)):
@@ -342,7 +346,7 @@ def test_consecutive_outcomes_do_not_alias():
     cat = make_catalog(p=3, spoilage=[0.1, 0.2, 0.3])
     rng = np.random.default_rng(12)
     demand = rng.random((5, 3)) * 0.3
-    sim = Simulator(cat, demand, forecast_window=2)
+    sim = Simulator(cat, demand, EnvParams(forecast_window=2))
     sim.reset(np.full(3, 0.5))
     first = sim.step(np.full(3, 0.2))
     saved = {k: np.copy(v) for k, v in vars(first).items()
@@ -369,8 +373,8 @@ def test_simulator_validates_at_the_boundary():
                np.array([-np.inf, 0.5])):
         with pytest.raises(ValueError):
             sim.reset(x0)
-    with pytest.raises(ValueError, match="forecast window"):
-        Simulator(cat, np.full((4, 2), 0.2), forecast_window=0)
+    with pytest.raises(ValueError, match="forecast_window >= 1"):
+        Simulator(cat, np.full((4, 2), 0.2), EnvParams(forecast_window=0))
 
 
 def test_step_dimension_mismatch():
@@ -517,7 +521,7 @@ def test_step_is_deterministic(catalog2):
 def test_simulator_walks_demand_and_warms_forecast():
     cat = make_catalog(p=2, spoilage=[0.1, 0.1])
     demand = np.tile(np.array([[0.1, 0.2]]), (10, 1))
-    sim = Simulator(cat, demand, forecast_window=4)
+    sim = Simulator(cat, demand, EnvParams(forecast_window=4))
     sim.reset(np.array([0.5, 0.5]), start=6)
     np.testing.assert_allclose(sim.forecast, [0.1, 0.2])
     feats = sim.features()
@@ -530,7 +534,7 @@ def test_simulator_walks_demand_and_warms_forecast():
 
 def test_simulator_cold_start_has_zero_forecast():
     cat = make_catalog(p=1)
-    sim = Simulator(cat, np.full((5, 1), 0.3), forecast_window=4)
+    sim = Simulator(cat, np.full((5, 1), 0.3), EnvParams(forecast_window=4))
     sim.reset(np.array([0.2]), start=0)
     assert sim.forecast[0] == 0.0
 

@@ -143,6 +143,31 @@ def test_replay_refuses_a_changed_dataset(smoke_dataset, tmp_path):
     assert (replayed / "seed_0" / "eval_metrics.csv").exists()
 
 
+def test_cli_replay_reproduces_a_run_and_refuses_a_changed_dataset(
+        smoke_dataset, tmp_path):
+    data = tmp_path / "ds.txt"
+    data.write_bytes(smoke_dataset.read_bytes())
+    run = run_experiment(smoke_config(data, seeds=(0,), episodes=2),
+                         tmp_path / "run")
+    assert cli.main(["replay", "--run", str(run),
+                     "--out", str(tmp_path / "replay")]) == 0
+    names = sorted(p.name for p in (run / "seed_0").glob("*.csv"))
+    assert names == ["decisions.csv", "eval_metrics.csv", "train_metrics.csv"]
+    for name in names:
+        assert (tmp_path / "replay" / "seed_0" / name).read_bytes() == \
+            (run / "seed_0" / name).read_bytes(), name
+
+    # edit one demand value: the last line of the file is a demand row
+    lines = data.read_text().splitlines()
+    values = lines[-1].split()
+    values[0] = "0.5" if values[0] != "0.5" else "0.25"
+    data.write_text("\n".join(lines[:-1] + [" ".join(values)]) + "\n")
+    with pytest.raises(ValueError, match="sha256"):
+        cli.main(["replay", "--run", str(run),
+                  "--out", str(tmp_path / "replay2")])
+    assert not (tmp_path / "replay2").exists()
+
+
 def test_heuristic_run_is_seed_dependent_only_via_inventories(smoke_dataset,
                                                               tmp_path):
     cfg = smoke_config(smoke_dataset, algorithm="heuristic", seeds=(0, 1))
@@ -671,11 +696,30 @@ def test_summarize_hand_statistics(tmp_path, smoke_dataset):
             rows[0][i] = repr(float(k + 1))
             harness.write_csv(path, cols, rows)
     summary = summarize([out], out_path=tmp_path / "summary.csv")
-    test_row = [r for r in summary if r[2] == "test"][0]
-    assert test_row[3] == pytest.approx(3.0)
+    col = harness.SUMMARY_COLUMNS.index
+    test_row = [r for r in summary if r[col("split")] == "test"][0]
+    assert test_row[col("mean")] == pytest.approx(3.0)
     sd = np.std([1, 2, 3, 4, 5], ddof=1)
     expect = 2.7764451051977987 * sd / np.sqrt(5)
-    assert test_row[4] == pytest.approx(expect, rel=1e-9)
+    assert test_row[col("ci95_halfwidth")] == pytest.approx(expect, rel=1e-9)
+
+
+def test_summarize_names_each_row_by_its_run(smoke_dataset, tmp_path):
+    """Two runs of one algorithm under different env settings give rows
+    that the run column tells apart; the other naming columns do not."""
+    runs = [run_experiment(smoke_config(smoke_dataset, algorithm="heuristic",
+                                        env=EnvParams(forecast_window=w)),
+                           tmp_path / f"heuristic_w{w}")
+            for w in (4, 8)]
+    summary = summarize(runs, out_path=tmp_path / "summary.csv")
+    columns, _ = harness.read_csv(tmp_path / "summary.csv")
+    assert tuple(columns) == harness.SUMMARY_COLUMNS
+    col = harness.SUMMARY_COLUMNS.index
+    assert [r[col("run")] for r in summary] == [str(runs[0])] * 2 + \
+        [str(runs[1])] * 2
+    names = [(r[col("dataset")], r[col("algorithm")], r[col("split")])
+             for r in summary]
+    assert len(set(names)) == 2 and len(summary) == 4
 
 
 def test_ci_width_zero_for_identical_seeds():
