@@ -42,7 +42,7 @@ def run_heuristic_episode(sim: Simulator, start: int, length: int,
     for k in range(length):
         u = heuristic_action(sim.x, sim.forecast, target_level)
         out = sim.step(u)
-        rewards[k] = out.business_reward
+        rewards[k] = out.component_means[0]
         executed[k] = out.executed
         totals += out.component_means
     return rewards, totals / length, executed

@@ -16,6 +16,11 @@ ALGORITHMS = ("heuristic", "dqn", "dqn_gvf", "dez_dqn_gvf", "lp_bound")
 _RETIRED_KEYS = ("lp_engine", "lp_max_iters")
 
 
+def _is_int(n) -> bool:
+    # isinstance counts a bool as an int; a float would act truncated
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class EnvParams:
     alpha: float = 1.0            # capacity-overuse penalty weight
@@ -23,7 +28,7 @@ class EnvParams:
 
     def __post_init__(self):
         w = self.forecast_window
-        if not (0.0 <= self.alpha < math.inf and isinstance(w, int) and w >= 1):
+        if not (0.0 <= self.alpha < math.inf and _is_int(w) and w >= 1):
             raise ValueError(f"need a finite alpha >= 0 and an integer "
                              f"forecast_window >= 1, got {self}")
 
@@ -63,8 +68,12 @@ class AgentParams:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         for name in ("train_every", "target_sync", "batch_size",
                      "buffer_capacity"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            n = getattr(self, name)
+            if not (_is_int(n) and n >= 1):
+                raise ValueError(f"{name} must be an integer >= 1")
+        if not all(_is_int(n) and n >= 1 for n in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be integers >= 1, "
+                             f"got {self.hidden_dims}")
         if self.buffer_capacity < self.batch_size:
             raise ValueError("buffer_capacity must be >= batch_size")
         if not self.lr > 0:
@@ -109,8 +118,7 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
-        # int() would truncate 1.5, and bad values would fail only later
-        if not (all(isinstance(n, int) for n in (*self.seeds, self.episodes))
+        if not (all(map(_is_int, (*self.seeds, self.episodes)))
                 and self.episodes >= 1 and 0 <= self.heuristic_target <= 1):
             raise ValueError(f"need integer seeds, an integer episodes >= 1 "
                              f"and a heuristic_target in [0, 1], got {self}")

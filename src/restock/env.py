@@ -2,11 +2,13 @@
 
 All quantities are normalized per product: inventory ``x_i``, order ``u_i``
 and demand ``w_i`` are fractions of product i's shelf capacity, so every
-state component lives in [0, 1]. One period runs as: clip the requested
-order to [0, free shelf space], scale the whole order down if it exceeds the
-shared transport capacity, receive stock, serve demand, spoil the unsold
-residue, then score the outcome under the config's own validated reward
-knobs, ``EnvParams.alpha`` and a ``RewardMod``.
+state component lives in [0, 1]. ``step`` computes one period in one body:
+clip the requested order to [0, free shelf space], scale the whole order
+down if it exceeds the shared transport capacity, receive stock, serve
+demand, spoil the unsold residue, then score the outcome under the config's
+own validated reward knobs, ``EnvParams.alpha`` and a ``RewardMod``. Its
+``StepOutcome`` holds the per-product arrays, the capacity ratio, the
+per-product rewards and the seven store-level means.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class ProductCatalog:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Everything observable about one completed period."""
+    """Everything observable about one completed period, each fact once."""
 
     x: np.ndarray               # end-of-period inventory: the next x
     executed: np.ndarray        # physically received order
@@ -85,42 +87,12 @@ class StepOutcome:
     b_critical: np.ndarray      # end-of-period below-critical flags (0/1)
     q_waste: np.ndarray         # spoiled quantity per product
     refused: np.ndarray         # demand lost to insufficient stock
-    spread: float               # 95th minus 5th percentile of inventories
     rho: float                  # requested-order capacity ratio
-    capacity_penalty: float     # alpha * max(rho - 1, 0)
-    business_reward: float
     per_product_rewards: np.ndarray
-    #: (7,) business reward, empty, critical, wastage, spread, refused and
-    #: capacity penalty, each the period's mean over products
+    #: (7,) business reward, empty, critical, wastage, spread (95th minus
+    #: 5th percentile of the inventories), refused and capacity penalty
+    #: alpha * max(rho - 1, 0), each the period's mean over products
     component_means: np.ndarray
-
-
-def clip_action(x: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Clip each requested order to [0, 1 - x_i]: no negative order (which
-    would dispose of stock for free) and no order beyond the free shelf."""
-    return np.minimum(np.maximum(raw, 0.0), 1.0 - x)
-
-
-def capacity_ratio(catalog: ProductCatalog, u: np.ndarray) -> float:
-    """Requested volume/weight relative to the transport budget."""
-    return float(max(catalog.unit_volume @ u / catalog.v_max,
-                     catalog.unit_weight @ u / catalog.c_max))
-
-
-def enforce_capacity(u: np.ndarray, rho: float) -> np.ndarray:
-    """Scale the whole order down so the executed ratio is exactly 1."""
-    if rho <= 1.0:
-        return u
-    return u / rho
-
-
-def apply_replenishment(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Post-replenishment inventory x+ = x- + u."""
-    x_plus = x + u
-    if (x_plus > 1.0 + 1e-9).any():
-        raise ValueError("replenished inventory exceeds shelf capacity; "
-                         "action was not clipped")
-    return np.minimum(x_plus, 1.0)
 
 
 def apply_demand_and_spoilage(x_plus: np.ndarray, demand: np.ndarray,
@@ -151,55 +123,16 @@ def _percentile(ranked: list[float], q: float) -> float:
 
 def percentile_spread(x: np.ndarray) -> float:
     """95th minus 5th percentile, linear interpolation between ranks."""
-    if x.shape[0] == 1:
-        return 0.0
     ranked = np.sort(x).tolist()
     return _percentile(ranked, 95.0) - _percentile(ranked, 5.0)
-
-
-def empty_critical_flags(x_next: np.ndarray, catalog: ProductCatalog,
-                         mod: RewardMod,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """Stockout and below-critical flags (0/1) as the rows of a (2, p)
-    array, written into ``out`` when given."""
-    kappa = (mod.critical_override if mod.critical_override is not None
-             else catalog.critical_level)
-    flags = np.empty((2, x_next.shape[0])) if out is None else out
-    np.equal(x_next, 0.0, out=flags[0])
-    np.less(x_next, kappa, out=flags[1])
-    return flags
-
-
-def business_reward(empty: float, critical: float, wastage: float,
-                    spread: float, refused: float,
-                    mod: RewardMod) -> float:
-    """Store-level reward: 1 minus the five penalty components, each given
-    as its mean over products (``spread`` is store-level already)."""
-    return 1.0 - empty - critical - mod.wastage_weight * wastage \
-        - spread - refused
-
-
-def per_product_rewards(b_empty: np.ndarray, b_critical: np.ndarray,
-                        q_waste: np.ndarray, spread: float,
-                        refused: np.ndarray, rho: float, alpha: float = 1.0,
-                        mod: RewardMod = RewardMod()) -> np.ndarray:
-    """Per-product reward handed to each agent clone.
-
-    Shares the business-reward components evaluated product-wise and adds
-    the capacity-overuse penalty; its mean over products equals the
-    business reward whenever rho <= 1.
-    """
-    penalty = alpha * max(rho - 1.0, 0.0)
-    return (1.0 - b_empty - b_critical - mod.wastage_weight * q_waste
-            - spread - refused - penalty)
 
 
 def step(catalog: ProductCatalog, x: np.ndarray, raw_action: np.ndarray,
          demand: np.ndarray, alpha: float = 1.0,
          mod: RewardMod = RewardMod()) -> StepOutcome:
-    """Advance one period from the inventory ``x``. Pure function of its
-    inputs; ``alpha`` weighs the capacity penalty of the per-product
-    rewards.
+    """Advance one period from the inventory ``x``: the one place a period
+    is computed. Pure function of its inputs; ``alpha`` weighs the capacity
+    penalty of the per-product rewards.
 
     The catalog, the inventory and the demand are validated where they are
     built (``Simulator.reset`` checks ``x0``); per period only the shapes
@@ -215,36 +148,40 @@ def step(catalog: ProductCatalog, x: np.ndarray, raw_action: np.ndarray,
     if not np.isfinite(raw).all():
         raise ValueError("action must be finite")
 
-    requested = clip_action(x, raw)
-    rho = capacity_ratio(catalog, requested)
-    executed = enforce_capacity(requested, rho)
-    x_plus = apply_replenishment(x, executed)
+    # no negative order (free disposal of stock), none past the free shelf
+    requested = np.minimum(np.maximum(raw, 0.0), 1.0 - x)
+    # requested volume and weight against the transport budget; an order
+    # over it is scaled down as a whole to a ratio of exactly 1
+    rho = float(max(catalog.unit_volume @ requested / catalog.v_max,
+                    catalog.unit_weight @ requested / catalog.c_max))
+    executed = requested if rho <= 1.0 else requested / rho
+    # executed <= 1 - x, so the receipt fits the shelf; the clamp guards it
     x_next, q_waste, refused = apply_demand_and_spoilage(
-        x_plus, w, catalog.spoilage_rate)
+        np.minimum(x + executed, 1.0), w, catalog.spoilage_rate)
 
     spread = percentile_spread(x_next)
-    components = np.empty((4, p))   # empty, critical, wastage, refused
-    empty_critical_flags(x_next, catalog, mod, out=components[:2])
-    components[2], components[3] = q_waste, refused
-    empty, critical, wastage, lost = (components.sum(axis=1) / p).tolist()
-    r_global = business_reward(empty, critical, wastage, spread, lost, mod)
+    kappa = (mod.critical_override if mod.critical_override is not None
+             else catalog.critical_level)
+    terms = np.empty((4, p))    # per product: empty, critical, waste, refused
+    np.equal(x_next, 0.0, out=terms[0])
+    np.less(x_next, kappa, out=terms[1])
+    terms[2], terms[3] = q_waste, refused
+    empty, critical, wastage, lost = (terms.sum(axis=1) / p).tolist()
+    b_empty, b_critical, q_waste, refused = terms
     penalty = alpha * max(rho - 1.0, 0.0)
-    b_empty, b_critical, q_waste, refused = components
+    # the store's reward is 1 minus the five mean penalty terms; a product's
+    # shares them product-wise and adds the capacity penalty, so the mean of
+    # the products' rewards is the store's whenever rho <= 1
+    reward = (1.0 - empty - critical - mod.wastage_weight * wastage
+              - spread - lost)
     return StepOutcome(
-        x=x_next,
-        executed=executed,
-        b_empty=b_empty,
-        b_critical=b_critical,
-        q_waste=q_waste,
-        refused=refused,
-        spread=spread,
-        rho=rho,
-        capacity_penalty=penalty,
-        business_reward=r_global,
-        per_product_rewards=per_product_rewards(
-            b_empty, b_critical, q_waste, spread, refused, rho, alpha, mod),
-        component_means=np.array([r_global, empty, critical, wastage,
-                                  spread, lost, penalty]),
+        x=x_next, executed=executed, b_empty=b_empty, b_critical=b_critical,
+        q_waste=q_waste, refused=refused, rho=rho,
+        per_product_rewards=(1.0 - b_empty - b_critical
+                             - mod.wastage_weight * q_waste - spread
+                             - refused - penalty),
+        component_means=np.array([reward, empty, critical, wastage, spread,
+                                  lost, penalty]),
     )
 
 

@@ -1,11 +1,14 @@
 """Reference implementations of the learner's hot path, as the package had
-them before they were rewritten to work in place: the oracles the
-rewritten code must match bit for bit, Generator state included."""
+them before they were rewritten to work in place, and of the env step, as
+the package composed it from helpers before it became one body: the
+oracles the rewritten code must match bit for bit, Generator state
+included."""
 
 import numpy as np
 
-from restock import nn
-from restock.env import NUM_ACTIONS, NUM_FEATURES
+from restock import env, nn
+from restock.config import RewardMod
+from restock.env import NUM_ACTIONS, NUM_FEATURES, apply_demand_and_spoilage
 
 NUM_GVFS = 3
 TAG_MAIN, TAG_RANDOM = 0, 1
@@ -141,3 +144,88 @@ class ReplayBuffer:
         idx = rng.integers(0, self._size, size=batch)
         return (self.s[idx], self.a[idx], self.r[idx], self.c[idx],
                 self.s_next[idx], self.terminal[idx])
+
+
+# ------------------------------------------------------------- env step
+
+def clip_action(x, raw):
+    return np.minimum(np.maximum(raw, 0.0), 1.0 - x)
+
+
+def capacity_ratio(catalog, u):
+    return float(max(catalog.unit_volume @ u / catalog.v_max,
+                     catalog.unit_weight @ u / catalog.c_max))
+
+
+def enforce_capacity(u, rho):
+    if rho <= 1.0:
+        return u
+    return u / rho
+
+
+def apply_replenishment(x, u):
+    x_plus = x + u
+    if (x_plus > 1.0 + 1e-9).any():
+        raise ValueError("replenished inventory exceeds shelf capacity; "
+                         "action was not clipped")
+    return np.minimum(x_plus, 1.0)
+
+
+def percentile_spread(x):
+    if x.shape[0] == 1:
+        return 0.0
+    return env.percentile_spread(x)
+
+
+def empty_critical_flags(x_next, catalog, mod, out=None):
+    kappa = (mod.critical_override if mod.critical_override is not None
+             else catalog.critical_level)
+    flags = np.empty((2, x_next.shape[0])) if out is None else out
+    np.equal(x_next, 0.0, out=flags[0])
+    np.less(x_next, kappa, out=flags[1])
+    return flags
+
+
+def business_reward(empty, critical, wastage, spread, refused, mod):
+    return 1.0 - empty - critical - mod.wastage_weight * wastage \
+        - spread - refused
+
+
+def per_product_rewards(b_empty, b_critical, q_waste, spread, refused, rho,
+                        alpha=1.0, mod=RewardMod()):
+    penalty = alpha * max(rho - 1.0, 0.0)
+    return (1.0 - b_empty - b_critical - mod.wastage_weight * q_waste
+            - spread - refused - penalty)
+
+
+def reference_step(catalog, x, raw_action, demand, alpha=1.0,
+                   mod=RewardMod()) -> dict:
+    """One period composed from the helpers above; the fields of the
+    outcome as a dict, the store-level ones under their own names too."""
+    raw = np.asarray(raw_action, dtype=float)
+    w = np.asarray(demand, dtype=float)
+    p = catalog.num_products
+    requested = clip_action(x, raw)
+    rho = capacity_ratio(catalog, requested)
+    executed = enforce_capacity(requested, rho)
+    x_plus = apply_replenishment(x, executed)
+    x_next, q_waste, refused = apply_demand_and_spoilage(
+        x_plus, w, catalog.spoilage_rate)
+
+    spread = percentile_spread(x_next)
+    components = np.empty((4, p))   # empty, critical, wastage, refused
+    empty_critical_flags(x_next, catalog, mod, out=components[:2])
+    components[2], components[3] = q_waste, refused
+    empty, critical, wastage, lost = (components.sum(axis=1) / p).tolist()
+    r_global = business_reward(empty, critical, wastage, spread, lost, mod)
+    penalty = alpha * max(rho - 1.0, 0.0)
+    b_empty, b_critical, q_waste, refused = components
+    return dict(
+        x=x_next, executed=executed, b_empty=b_empty, b_critical=b_critical,
+        q_waste=q_waste, refused=refused, spread=spread, rho=rho,
+        capacity_penalty=penalty, business_reward=r_global,
+        per_product_rewards=per_product_rewards(
+            b_empty, b_critical, q_waste, spread, refused, rho, alpha, mod),
+        component_means=np.array([r_global, empty, critical, wastage,
+                                  spread, lost, penalty]),
+    )

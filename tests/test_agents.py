@@ -330,8 +330,18 @@ def test_stored_rewards_are_consistent_with_env_identity():
     from restock.env import ACTION_SET
     for k in range(30):
         out = sim2.step(ACTION_SET[a[k]])
-        expect = out.business_reward - out.capacity_penalty
+        expect = out.component_means[0] - out.component_means[6]
         assert r[k].mean() == pytest.approx(expect, abs=1e-9)
+
+
+def test_run_episode_refuses_a_window_past_the_demand_data():
+    ds, sim = small_world()             # 80 periods of demand
+    bundle = tiny_bundle(seed=2)
+    run_episode(bundle, sim, 70, 10, x0=np.full(4, 0.5), mode="eval")
+    for start, length in ((70, 11), (80, 1), (0, 81)):
+        with pytest.raises(ValueError, match="past the demand data"):
+            run_episode(bundle, sim, start, length, x0=np.full(4, 0.5),
+                        mode="eval")
 
 
 def test_training_episode_deterministic_trajectories():
@@ -416,8 +426,8 @@ def test_fine_tune_sees_modified_rewards():
     heavy.reset(x0, 0)
     zero = np.zeros(4)
     ob, oh = base.step(zero), heavy.step(zero)
-    assert oh.business_reward == pytest.approx(
-        ob.business_reward - 3.0 * ob.q_waste.mean())
+    assert oh.component_means[0] == pytest.approx(
+        ob.component_means[0] - 3.0 * ob.q_waste.mean())
     np.testing.assert_allclose(
         oh.per_product_rewards, ob.per_product_rewards - 3.0 * ob.q_waste)
 

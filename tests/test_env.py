@@ -9,10 +9,9 @@ from restock.agents import make_bundle, run_episode
 from restock.config import EnvParams, RewardMod
 from restock.env import (
     ACTION_SET, NUM_FEATURES, ProductCatalog, Simulator,
-    apply_demand_and_spoilage, apply_replenishment,
-    business_reward, capacity_ratio, clip_action, enforce_capacity,
-    per_product_rewards, percentile_spread, shelf_life, step,
+    apply_demand_and_spoilage, percentile_spread, shelf_life, step,
 )
+import oracles
 from conftest import make_catalog
 
 
@@ -54,53 +53,73 @@ def simulator_features(catalog: ProductCatalog, x: np.ndarray,
 
 # ---------------------------------------------------------------- clipping
 
+SLACK = dict(v_max=100.0, c_max=100.0)   # a transport budget that never binds
+
+
+def order(catalog: ProductCatalog, u, x=None, **kw):
+    """``step`` on the order ``u`` from inventory ``x`` (empty shelves by
+    default), with no demand."""
+    p = catalog.num_products
+    x = np.zeros(p) if x is None else np.asarray(x, dtype=float)
+    return step(catalog, x, np.asarray(u, dtype=float), np.zeros(p), **kw)
+
+
 def test_clip_action_examples():
-    assert clip_action(np.array([0.9]), np.array([0.5])) == pytest.approx(0.1)
-    assert clip_action(np.array([0.0]), np.array([1.0])) == pytest.approx(1.0)
-    assert clip_action(np.array([0.5]), np.array([0.2])) == pytest.approx(0.2)
+    """``step`` clips each requested order to [0, 1 - x_i] first."""
+    cat = make_catalog(p=1, **SLACK)
+    for x, raw, expect in ((0.9, 0.5, 0.1), (0.0, 1.0, 1.0), (0.5, 0.2, 0.2)):
+        assert order(cat, [raw], x=[x]).executed == pytest.approx(expect)
 
 
 def test_capacity_ratio_examples():
+    """``rho`` is the requested volume or weight, whichever is larger,
+    relative to the transport budget."""
     cat = make_catalog(p=1, volume=[2.0], weight=[1.0], v_max=1.0, c_max=1.0)
-    assert capacity_ratio(cat, np.array([0.0])) == 0.0
-    assert capacity_ratio(cat, np.array([0.5])) == pytest.approx(1.0)
+    assert order(cat, [0.0]).rho == 0.0
+    assert order(cat, [0.5]).rho == pytest.approx(1.0)
     cat = make_catalog(p=2, v_max=1.0, c_max=2.0)
-    assert capacity_ratio(cat, np.array([1.0, 1.0])) == pytest.approx(2.0)
+    assert order(cat, [1.0, 1.0]).rho == pytest.approx(2.0)
 
 
 def test_enforce_capacity_examples():
+    """An order within the budget is received whole; one over it is scaled
+    down by ``rho``."""
     u = np.array([0.2, 0.2])
-    assert np.array_equal(enforce_capacity(u, 0.8), u)
-    np.testing.assert_allclose(enforce_capacity(np.array([0.4, 0.4]), 2.0),
-                               [0.2, 0.2])
-    np.testing.assert_allclose(enforce_capacity(np.array([0.5]), 1.0), [0.5])
+    out = order(make_catalog(p=2, v_max=0.5, c_max=0.5), u)
+    assert out.rho == pytest.approx(0.8)
+    assert np.array_equal(out.executed, u)
+    out = order(make_catalog(p=2, v_max=0.4, c_max=0.4), [0.4, 0.4])
+    assert out.rho == pytest.approx(2.0)
+    np.testing.assert_allclose(out.executed, [0.2, 0.2])
+    out = order(make_catalog(p=1, v_max=0.5, c_max=0.5), [0.5])
+    assert out.rho == pytest.approx(1.0)
+    np.testing.assert_allclose(out.executed, [0.5])
 
 
 def test_enforced_action_hits_ratio_one():
     cat = make_catalog(p=3, volume=[1, 2, 3], weight=[3, 1, 1],
                        v_max=0.5, c_max=0.7)
-    u = np.array([0.3, 0.3, 0.3])
-    rho = capacity_ratio(cat, u)
-    assert rho > 1
-    scaled = enforce_capacity(u, rho)
-    assert capacity_ratio(cat, scaled) == pytest.approx(1.0, abs=1e-12)
+    out = order(cat, [0.3, 0.3, 0.3])
+    assert out.rho > 1
+    u = out.executed
+    ratio = max(cat.unit_volume @ u / cat.v_max, cat.unit_weight @ u / cat.c_max)
+    assert ratio == pytest.approx(1.0, abs=1e-12)
 
 
 # ----------------------------------------------------------- replenishment
 
 def test_apply_replenishment_examples():
-    x = np.array([0.5])
-    assert apply_replenishment(x, np.array([0.3])) == pytest.approx(0.8)
-    x = np.array([0.0])
-    assert apply_replenishment(x, np.array([0.0])) == pytest.approx(0.0)
-    x = np.array([0.1, 0.9])
-    np.testing.assert_allclose(apply_replenishment(x, np.array([0.2, 0.1])),
-                               [0.3, 1.0])
+    """With no demand and a spoilage rate of 1, the whole receipt
+    x + executed spoils, so the waste shows it."""
+    def received(x, u):
+        cat = make_catalog(p=len(x), spoilage=np.ones(len(x)), **SLACK)
+        return order(cat, u, x=x).q_waste
 
-
-def test_apply_replenishment_rejects_overflow():
-    with pytest.raises(ValueError):
-        apply_replenishment(np.array([0.9]), np.array([0.5]))
+    assert received([0.5], [0.3]) == pytest.approx(0.8)
+    assert received([0.0], [0.0]) == pytest.approx(0.0)
+    np.testing.assert_allclose(received([0.1, 0.9], [0.2, 0.1]), [0.3, 1.0])
+    # an order past the free shelf fills it
+    assert received([0.9], [0.5]) == pytest.approx(1.0)
 
 
 def test_apply_demand_and_spoilage_examples():
@@ -149,55 +168,103 @@ def test_percentile_spread_matches_oracle_on_random_vectors():
 # ------------------------------------------------------------------ rewards
 
 def test_business_reward_examples():
-    """Arguments are the per-product means of each component."""
-    mod = RewardMod()
-    assert business_reward(0.0, 0.0, 0.0, 0.0, 0.0, mod) == pytest.approx(1.0)
-
-    b_e = np.array([1.0, 0.0])
-    assert business_reward(b_e.mean(), b_e.mean(), 0.0, 0.0, 0.0, mod) == \
-        pytest.approx(0.0)
-
-    assert business_reward(1.0, 1.0, 1.0, 0.0, 1.0, mod) == \
-        pytest.approx(-3.0)
+    """``component_means[0]`` is 1 minus the mean empty, critical,
+    weighted-waste, spread and refused terms."""
+    cat = make_catalog(p=2, **SLACK)
+    # a healthy store, its waste weighed at 0
+    out = step(cat, np.full(2, 0.5), np.zeros(2), np.full(2, 0.1),
+               mod=RewardMod(wastage_weight=0.0))
+    assert out.component_means[0] == 1.0
+    # both products sell out exactly
+    out = step(cat, np.full(2, 0.3), np.zeros(2), np.full(2, 0.3))
+    np.testing.assert_array_equal(out.component_means, [-1, 1, 1, 0, 0, 0, 0])
+    # both refuse all of a full shelf's demand
+    out = step(cat, np.zeros(2), np.zeros(2), np.ones(2))
+    np.testing.assert_array_equal(out.component_means, [-2, 1, 1, 0, 0, 1, 0])
+    # both spoil a full shelf
+    cat = make_catalog(p=2, spoilage=[1.0, 1.0], **SLACK)
+    out = step(cat, np.ones(2), np.zeros(2), np.zeros(2))
+    np.testing.assert_array_equal(out.component_means, [-2, 1, 1, 1, 0, 0, 0])
 
 
 def test_per_product_reward_examples():
-    zeros = np.zeros(2)
-    clean = per_product_rewards(zeros, zeros, zeros, 0.0, zeros, rho=0.9)
-    np.testing.assert_allclose(clean, 1.0)
-    penalized = per_product_rewards(zeros, zeros, zeros, 0.0, zeros, rho=1.5,
-                                    alpha=1.0)
-    np.testing.assert_allclose(penalized, 0.5)
+    cat = make_catalog(p=2, v_max=1.0, c_max=10.0)
+    mod = RewardMod(wastage_weight=0.0)
+    x, demand = np.full(2, 0.2), np.full(2, 0.1)
+    clean = step(cat, x, np.full(2, 0.45), demand, mod=mod)
+    assert clean.rho == pytest.approx(0.9)
+    np.testing.assert_allclose(clean.per_product_rewards, 1.0)
+    penalized = step(cat, x, np.full(2, 0.75), demand, alpha=1.0, mod=mod)
+    assert penalized.rho == 1.5
+    np.testing.assert_allclose(penalized.per_product_rewards, 0.5)
+    assert penalized.component_means[[0, 6]].tolist() == [1.0, 0.5]
 
 
 def test_mean_per_product_matches_business_reward_when_feasible():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        p = rng.integers(1, 9)
-        b_e = (rng.random(p) < 0.2).astype(float)
-        b_c = np.maximum(b_e, (rng.random(p) < 0.3).astype(float))
-        q = rng.random(p) * 0.2
-        refused = rng.random(p) * 0.3
-        spread = float(rng.random() * 0.5)
-        r = business_reward(b_e.mean(), b_c.mean(), q.mean(), spread,
-                            refused.mean(), RewardMod())
-        ri = per_product_rewards(b_e, b_c, q, spread, refused, rho=0.7)
-        assert ri.mean() == pytest.approx(r, abs=1e-12)
+        p = int(rng.integers(1, 9))
+        cat = make_catalog(p=p, spoilage=rng.uniform(0.05, 1.0, p),
+                           critical=rng.uniform(0.01, 0.5, p), **SLACK)
+        out = step(cat, rng.random(p) * rng.integers(0, 2, p), rng.random(p),
+                   rng.random(p) * 0.5)
+        assert out.rho <= 1.0
+        assert out.per_product_rewards.mean() == pytest.approx(
+            out.component_means[0], abs=1e-12)
 
 
 def test_reward_modifications():
-    one, zero = np.ones(1), np.zeros(1)
-    base = business_reward(0.0, 0.0, 0.1, 0.0, 0.0, RewardMod())
-    heavy = business_reward(0.0, 0.0, 0.1, 0.0, 0.0,
-                            RewardMod(wastage_weight=4.0))
-    assert base - heavy == pytest.approx(3 * 0.1)
+    cat = make_catalog(p=1, critical=[0.05], spoilage=[0.5])
+    x = np.array([0.14])    # spoils 0.07 and keeps 0.07 with no demand
+    base = order(cat, [0.0], x=x)
+    heavy = order(cat, [0.0], x=x, mod=RewardMod(wastage_weight=4.0))
+    assert base.component_means[0] - heavy.component_means[0] == \
+        pytest.approx(3 * 0.07)
+    np.testing.assert_allclose(
+        heavy.per_product_rewards, base.per_product_rewards - 3 * 0.07)
 
-    cat = make_catalog(p=1, critical=[0.05])
-    x = np.array([0.07])
-    _, b_c = env.empty_critical_flags(x, cat, RewardMod())
-    assert b_c[0] == 0.0
-    _, b_c = env.empty_critical_flags(x, cat, RewardMod(critical_override=0.1))
-    assert b_c[0] == 1.0
+    assert base.b_critical[0] == 0.0
+    out = order(cat, [0.0], x=x, mod=RewardMod(critical_override=0.1))
+    assert out.b_critical[0] == 1.0 and out.component_means[2] == 1.0
+
+
+@pytest.mark.parametrize("override", [None, 0.3])
+@pytest.mark.parametrize("weight", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0])
+def test_step_matches_the_helper_composed_reference(alpha, weight, override):
+    """``step`` has the bits of the step the package once composed from
+    helpers, field by field, on random catalogs of 1 to 8 products under
+    binding and slack capacity."""
+    mod = RewardMod(wastage_weight=weight, critical_override=override)
+    rng = np.random.default_rng([int(2 * alpha), int(weight),
+                                 int(override is None)])
+    fields = ("x", "executed", "b_empty", "b_critical", "q_waste", "refused",
+              "per_product_rewards", "component_means")
+    binding = 0
+    for p in range(1, 9):
+        for budget in (0.2, 50.0):     # per product: binds, never binds
+            for _ in range(20):
+                cat = make_catalog(
+                    p=p, volume=rng.uniform(0.1, 3.0, p),
+                    weight=rng.uniform(0.1, 3.0, p),
+                    spoilage=rng.uniform(0.01, 1.0, p),
+                    critical=rng.uniform(0.01, 0.99, p),
+                    v_max=budget * p * rng.uniform(0.5, 1.5),
+                    c_max=budget * p * rng.uniform(0.5, 1.5))
+                x = rng.random(p) * rng.integers(0, 2, p)   # empty shelves too
+                raw = rng.uniform(-0.2, 1.2, p)
+                w = rng.random(p) * rng.choice([0.0, 0.3, 1.0], p)
+                out = step(cat, x, raw, w, alpha, mod)
+                ref = oracles.reference_step(cat, x, raw, w, alpha, mod)
+                for name in fields:
+                    assert getattr(out, name).tobytes() == \
+                        ref[name].tobytes(), name
+                assert out.rho == ref["rho"]
+                assert out.component_means[[0, 4, 6]].tolist() == [
+                    ref["business_reward"], ref["spread"],
+                    ref["capacity_penalty"]]
+                binding += out.rho > 1.0
+    assert 0 < binding < 8 * 2 * 20
 
 
 # ----------------------------------------------------------------- forecast
@@ -331,13 +398,15 @@ def test_step_reward_reconstruction():
                        v_max=0.4, c_max=0.5, spoilage=[0.1, 0.2, 0.3])
     rng = np.random.default_rng(11)
     out = step(cat, rng.random(3), rng.random(3), rng.random(3) * 0.5)
+    reward, spread, penalty = out.component_means[[0, 4, 6]]
     rebuilt = (1.0 - out.b_empty.mean() - out.b_critical.mean()
-               - out.q_waste.mean() - out.spread - out.refused.mean())
-    assert rebuilt == pytest.approx(out.business_reward, abs=1e-12)
-    np.testing.assert_array_equal(out.component_means, [
-        out.business_reward, out.b_empty.mean(), out.b_critical.mean(),
-        out.q_waste.mean(), out.spread, out.refused.mean(),
-        out.capacity_penalty])
+               - out.q_waste.mean() - spread - out.refused.mean())
+    assert rebuilt == pytest.approx(reward, abs=1e-12)
+    np.testing.assert_array_equal(out.component_means[[1, 2, 3, 5]], [
+        out.b_empty.mean(), out.b_critical.mean(), out.q_waste.mean(),
+        out.refused.mean()])
+    assert spread == percentile_spread(out.x)
+    assert penalty == max(out.rho - 1.0, 0.0)
 
 
 def test_consecutive_outcomes_do_not_alias():
@@ -375,6 +444,10 @@ def test_simulator_validates_at_the_boundary():
             sim.reset(x0)
     with pytest.raises(ValueError, match="forecast_window >= 1"):
         Simulator(cat, np.full((4, 2), 0.2), EnvParams(forecast_window=0))
+    sim.reset(np.full(2, 0.5), start=3)
+    sim.step(np.zeros(2))       # the last period of demand
+    with pytest.raises(IndexError, match="past the end"):
+        sim.step(np.zeros(2))
 
 
 def test_step_dimension_mismatch():
@@ -398,7 +471,7 @@ def test_step_clips_negative_order_to_zero():
     np.testing.assert_array_equal(out.x, ref.x)
     assert out.x[0] == pytest.approx(0.72)
     assert out.q_waste[0] == pytest.approx(0.08)
-    assert out.business_reward == ref.business_reward
+    assert out.component_means[0] == ref.component_means[0]
 
 
 def test_step_rejects_nonfinite_action():
@@ -409,9 +482,12 @@ def test_step_rejects_nonfinite_action():
 
 
 def scalar_trace(x0, actions, demands, volume, weight, v_max, c_max,
-                 spoilage, kappa, alpha=1.0):
+                 spoilage, kappa, alpha=1.0, wastage_weight=1.0,
+                 critical_override=None):
     """Hand-computation oracle: pure-Python scalar replay of an episode."""
     p = len(x0)
+    if critical_override is not None:
+        kappa = [critical_override] * p
     x = list(x0)
     records = []
     for a_row, w_row in zip(actions, demands):
@@ -428,16 +504,19 @@ def scalar_trace(x0, actions, demands, volume, weight, v_max, c_max,
         spread = sort_and_interpolate(x, 95) - sort_and_interpolate(x, 5)
         b_e = [1.0 if x[i] == 0.0 else 0.0 for i in range(p)]
         b_c = [1.0 if x[i] < kappa[i] else 0.0 for i in range(p)]
-        r = (1.0 - sum(b_e) / p - sum(b_c) / p - sum(waste) / p - spread
-             - sum(refused) / p)
-        r_i = [1.0 - b_e[i] - b_c[i] - waste[i] - spread - refused[i]
-               - alpha * max(rho - 1.0, 0.0) for i in range(p)]
+        penalty = alpha * max(rho - 1.0, 0.0)
+        r = (1.0 - sum(b_e) / p - sum(b_c) / p
+             - wastage_weight * sum(waste) / p - spread - sum(refused) / p)
+        r_i = [1.0 - b_e[i] - b_c[i] - wastage_weight * waste[i] - spread
+               - refused[i] - penalty for i in range(p)]
         records.append(dict(x=list(x), waste=waste, refused=refused, rho=rho,
-                            spread=spread, r=r, r_i=r_i))
+                            spread=spread, penalty=penalty, r=r, r_i=r_i))
     return records
 
 
-def test_step_matches_scalar_trace():
+@pytest.mark.parametrize("alpha, wastage_weight, override", [
+    (1.0, 1.0, None), (0.5, 2.0, 0.3), (3.0, 0.0, 0.25), (0.0, 1.5, 0.4)])
+def test_step_matches_scalar_trace(alpha, wastage_weight, override):
     volume, weight = [1.0, 2.0], [2.0, 1.0]
     v_max, c_max = 1.0, 1.5
     spoilage, kappa = [0.1, 0.5], [0.2, 0.3]
@@ -448,18 +527,22 @@ def test_step_matches_scalar_trace():
     actions = [[0.6, 0.3], [0.0, 0.2], [0.05, 0.5]]
     demands = [[0.2, 0.4], [0.3, 0.05], [0.0, 0.1]]
     expect = scalar_trace(x0, actions, demands, volume, weight, v_max, c_max,
-                          spoilage, kappa)
+                          spoilage, kappa, alpha, wastage_weight, override)
+    assert expect[0]["rho"] > 1.0      # the penalty is in play
 
+    mod = RewardMod(wastage_weight=wastage_weight, critical_override=override)
     x = np.array(x0)
     for k in range(3):
-        out = step(cat, x, np.array(actions[k]), np.array(demands[k]))
+        out = step(cat, x, np.array(actions[k]), np.array(demands[k]),
+                   alpha, mod)
         ref = expect[k]
         np.testing.assert_allclose(out.x, ref["x"], atol=1e-12)
         np.testing.assert_allclose(out.q_waste, ref["waste"], atol=1e-12)
         np.testing.assert_allclose(out.refused, ref["refused"], atol=1e-12)
         assert out.rho == pytest.approx(ref["rho"], abs=1e-12)
-        assert out.spread == pytest.approx(ref["spread"], abs=1e-12)
-        assert out.business_reward == pytest.approx(ref["r"], abs=1e-12)
+        np.testing.assert_allclose(out.component_means[[0, 4, 6]],
+                                   [ref["r"], ref["spread"], ref["penalty"]],
+                                   atol=1e-12)
         np.testing.assert_allclose(out.per_product_rewards, ref["r_i"],
                                    atol=1e-12)
         x = out.x
@@ -499,12 +582,12 @@ def test_step_invariants(args):
                                atol=1e-9)
     assert cat.unit_volume @ out.executed <= cat.v_max + 1e-9
     assert cat.unit_weight @ out.executed <= cat.c_max + 1e-9
-    penalty = max(out.rho - 1.0, 0.0)
+    reward, penalty = out.component_means[[0, 6]]
+    assert penalty == max(out.rho - 1.0, 0.0)
     assert out.per_product_rewards.mean() == pytest.approx(
-        out.business_reward - penalty, abs=1e-9)
+        reward - penalty, abs=1e-9)
     assert np.all(out.b_empty <= out.b_critical)
-    assert out.business_reward <= 1.0 + 1e-12
-    assert out.business_reward >= -4.0 - 1e-12
+    assert -4.0 - 1e-12 <= reward <= 1.0 + 1e-12
 
 
 def test_step_is_deterministic(catalog2):
@@ -513,7 +596,7 @@ def test_step_is_deterministic(catalog2):
     a = step(catalog2, x0, raw, w)
     b = step(catalog2, x0, raw, w)
     np.testing.assert_array_equal(a.x, b.x)
-    assert a.business_reward == b.business_reward
+    np.testing.assert_array_equal(a.component_means, b.component_means)
 
 
 # ---------------------------------------------------------------- simulator

@@ -903,6 +903,7 @@ def test_config_validation(smoke_dataset, tmp_path):
         ExperimentConfig(dataset="x", algorithm="dqn", seeds=(1, 2, 1))
     # int() would have truncated these to (1, 2), (1,) and 2 in silence
     for bad in ({"seeds": (1.5, 2.9)}, {"seeds": [1.5]}, {"episodes": 2.5},
+                {"seeds": (True, 2)}, {"episodes": True},
                 {"episodes": 0}, {"heuristic_target": float("nan")},
                 {"heuristic_target": -0.1}, {"heuristic_target": 1.5},
                 {"heuristic_target": float("inf")}):
@@ -932,6 +933,15 @@ def test_config_validation(smoke_dataset, tmp_path):
             AgentParams(anneal_frac=bad)
     for good in (0.0, 1.0):
         AgentParams(anneal_frac=good)
+    # train_every 2.5 would train at periods 0, 5 and 10 of every 12 (k % 2.5)
+    # and batch_size 64.5 would sample 65-row batches, in silence
+    for bad in ({"train_every": 2.5}, {"batch_size": 64.5},
+                {"buffer_capacity": 1000.5}, {"target_sync": 500.0},
+                {"train_every": True}, {"hidden_dims": [64.5, 64]},
+                {"hidden_dims": (64, True)}, {"hidden_dims": (64, 0)}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ExperimentConfig.from_dict({"dataset": "x", "algorithm": "dqn",
+                                        "agent": bad})
 
 
 @pytest.mark.parametrize("section, bad", [
@@ -945,7 +955,8 @@ def test_config_validation(smoke_dataset, tmp_path):
     ("reward_mod", {"critical_override": 1.5}),
     ("reward_mod", {"critical_override": 0.0}),
     ("reward_mod", {"critical_override": 1.0}),
-    ("reward_mod", {"critical_override": float("nan")})])
+    ("reward_mod", {"critical_override": float("nan")}),
+    ("env", {"forecast_window": True}), ("env", {"forecast_window": 8.0})])
 def test_config_refuses_bad_env_and_reward_mod(section, bad):
     """Bad env and reward-mod values fail when the config is read, before
     a run writes anything."""
