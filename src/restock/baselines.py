@@ -60,10 +60,14 @@ class LpLayout:
     [0, 1 - kappa], so the shortfall ``kappa - xb`` needs no row. Inside a
     block, ``t * p + i`` is the index.
 
-    Rows go period by period: product by product, its dynamics (=) and
-    shelf (<, not in period 0, where the bound on ``u`` does its work) rows,
-    then the period's volume (<) and weight (<) rows. So ``shelf`` is
-    (periods - 1, p) and covers periods 1 onward.
+    The rows form two blocks, numbered apart: the ``<=`` rows (``num_le``)
+    go period by period, the shelf rows product by product (from period 1
+    on, where the order placed at the start of the period must fit the free
+    shelf; in period 0 the bound on ``u`` does that work), then the volume
+    and weight rows. So ``shelf`` is (periods - 1, p). The ``=`` rows
+    (``num_eq``) are the dynamics, row ``t * p + i`` for product i in period
+    t. HiGHS sees the ``<=`` block first, then the ``=`` block, and reports
+    the duals in that order.
 
     This order is a contract: the optimal face is degenerate, so moving a
     row or a column can change the vertex that the simplex ends on, and with
@@ -77,15 +81,14 @@ class LpLayout:
             4 * periods * p).reshape(4, periods, p)
         self.num_vars = 4 * periods * p
 
-        later = np.arange(periods) > 0       # periods that carry shelf rows
-        per_product = 1 + later              # rows per product in a period
-        width = per_product * p + 2          # rows per period
-        start = np.cumsum(width) - width     # first row of each period
-        self.dynamics = start[:, None] + np.arange(p) * per_product[:, None]
-        self.shelf = self.dynamics[1:] + 1
+        self.num_eq = periods * p
+        self.dynamics = np.arange(self.num_eq).reshape(periods, p)
+        width = p * (np.arange(periods) > 0) + 2    # <= rows per period
+        start = np.cumsum(width) - width             # first of each period
+        self.shelf = start[1:, None] + np.arange(p)
         self.volume = start + width - 2
         self.weight = self.volume + 1
-        self.num_rows = int(width.sum())
+        self.num_le = int(width.sum())
 
 
 def _penalty_weights(catalog, demand: np.ndarray, mod: RewardMod):
@@ -106,8 +109,8 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
 
     Requires spoilage rates strictly below 1 (waste is then proportional to
     the carried inventory) and a starting inventory ``x0`` in [0, 1].
-    Returns (LpProblem, LpLayout); the problem is a maximization whose
-    objective is the window's summed surrogate reward.
+    Returns (LpProblem, LpLayout); the problem's objective is the window's
+    summed surrogate reward.
     """
     import scipy.sparse as sp
     from . import simplex
@@ -142,36 +145,39 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
     hi[lay.xb] = kappa
     hi[lay.xa] = 1.0 - kappa
 
-    senses = np.full(lay.num_rows, "<")
-    b = np.zeros(lay.num_rows)
     # inventory recursion: x_end = (1-delta) * (x_begin + u - w + l)
-    senses[lay.dynamics] = "="
-    b[lay.dynamics[0]] = keep * (x0 - demand[0])
-    b[lay.dynamics[1:]] = -keep * demand[1:]
+    b_eq = np.zeros(lay.num_eq)
+    b_eq[lay.dynamics[0]] = keep * (x0 - demand[0])
+    b_eq[lay.dynamics[1:]] = -keep * demand[1:]
     # shelf limit on the order placed at the START of periods 1 onward,
     # and the shared transport capacity on the requested orders
-    b[lay.shelf] = 1.0
-    b[lay.volume] = catalog.v_max
-    b[lay.weight] = catalog.c_max
+    b_ub = np.zeros(lay.num_le)
+    b_ub[lay.shelf] = 1.0
+    b_ub[lay.volume] = catalog.v_max
+    b_ub[lay.weight] = catalog.c_max
 
     # one (row, column, coefficient) triple per nonzero, broadcast per
     # term; the inventory is xb + xa wherever it appears
     x = np.stack([lay.xb, lay.xa])
-    terms = [np.broadcast_arrays(*term) for term in (
-        (lay.dynamics, x, 1.0),
-        (lay.dynamics, lay.u, -keep),
-        (lay.dynamics, lay.l, -keep),
-        (lay.dynamics[1:], x[:, :-1], -keep),
-        (lay.shelf, lay.u[1:], 1.0),
-        (lay.shelf, x[:, :-1], 1.0),
-        (lay.volume[:, None], lay.u, catalog.unit_volume),
-        (lay.weight[:, None], lay.u, catalog.unit_weight),
-    )]
-    rows, cols, vals = (np.concatenate([term[k].ravel() for term in terms])
-                        for k in range(3))
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(lay.num_rows, lay.num_vars))
-    problem = simplex.LpProblem(
-        c=c, A=A, senses=senses, b=b, lo=lo, hi=hi, maximize=True)
+
+    def block(num_rows, *terms):
+        terms = [np.broadcast_arrays(*term) for term in terms]
+        rows, cols, vals = (np.concatenate([term[k].ravel() for term in terms])
+                            for k in range(3))
+        return sp.csr_matrix((vals, (rows, cols)),
+                             shape=(num_rows, lay.num_vars))
+    A_eq = block(lay.num_eq,
+                 (lay.dynamics, x, 1.0),
+                 (lay.dynamics, lay.u, -keep),
+                 (lay.dynamics, lay.l, -keep),
+                 (lay.dynamics[1:], x[:, :-1], -keep))
+    A_ub = block(lay.num_le,
+                 (lay.shelf, lay.u[1:], 1.0),
+                 (lay.shelf, x[:, :-1], 1.0),
+                 (lay.volume[:, None], lay.u, catalog.unit_volume),
+                 (lay.weight[:, None], lay.u, catalog.unit_weight))
+    problem = simplex.LpProblem(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                                b_eq=b_eq, lo=lo, hi=hi)
     return problem, lay
 
 

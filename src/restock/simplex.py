@@ -1,11 +1,13 @@
 """Linear programming: a HiGHS bridge plus KKT certificates.
 
-``solve_lp`` hands an ``LpProblem`` to scipy's HiGHS and maps its status,
-solution and row duals back onto ``LpSolution``. HiGHS solves it with its
-dual simplex method (Huangfu & Hall, Math. Prog. Comp. 2018), which ends on
-a basic solution: a vertex, with the duals of its basis. Row duals are
-reported for the stated problem: the dual of a row is the objective change
-per unit of extra right-hand side.
+An ``LpProblem`` is the program the lab solves: maximize ``c @ x`` subject
+to ``A_ub x <= b_ub``, ``A_eq x = b_eq`` and ``lo <= x <= hi``.
+``solve_lp`` hands its two row blocks to scipy's HiGHS as they are, and maps
+its status, solution and row duals back onto ``LpSolution``. HiGHS solves it
+with its dual simplex method (Huangfu & Hall, Math. Prog. Comp. 2018), which
+ends on a basic solution: a vertex, with the duals of its basis. The duals
+come in HiGHS's own row order, ``A_ub``'s rows then ``A_eq``'s, and the dual
+of a row is the objective change per unit of extra right-hand side.
 
 ``kkt_residuals`` measures how far a solution is from satisfying the
 optimality conditions (primal feasibility, dual feasibility and
@@ -21,40 +23,38 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
 
-SENSES = ("<", "=", ">")
-
 _AT_BOUND_TOL = 1e-7  # a variable this close to a bound counts as at it
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max (or min) c @ x subject to A x {<,=,>} b and lo <= x <= hi."""
+    """max c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, lo <= x <= hi."""
 
     c: np.ndarray
-    A: sp.csr_matrix
-    senses: np.ndarray
-    b: np.ndarray
+    A_ub: sp.csr_matrix
+    b_ub: np.ndarray
+    A_eq: sp.csr_matrix
+    b_eq: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    maximize: bool = True
 
     def __post_init__(self):
-        A = self.A if sp.issparse(self.A) else sp.csr_matrix(np.atleast_2d(self.A))
-        object.__setattr__(self, "A", A.tocsr())
-        for name in ("c", "b", "lo", "hi"):
+        for name in ("A_ub", "A_eq"):
+            A = getattr(self, name)
+            A = A if sp.issparse(A) else sp.csr_matrix(np.atleast_2d(A))
+            object.__setattr__(self, name, A.tocsr())
+        for name in ("c", "b_ub", "b_eq", "lo", "hi"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "senses", np.asarray(self.senses, dtype="<U1"))
-        m, n = self.A.shape
-        if self.c.shape != (n,) or self.lo.shape != (n,) or self.hi.shape != (n,):
+        n = self.c.size
+        if not self.c.shape == self.lo.shape == self.hi.shape == (n,):
             raise ValueError("objective/bounds do not match the variable count")
-        if self.b.shape != (m,) or self.senses.shape != (m,):
-            raise ValueError("rhs/senses do not match the row count")
-        if not set(self.senses) <= set(SENSES):
-            raise ValueError(f"row senses must be one of {SENSES}")
+        for A, b in ((self.A_ub, self.b_ub), (self.A_eq, self.b_eq)):
+            if b.ndim != 1 or A.shape != (b.size, n):
+                raise ValueError("a row block does not match its rhs or c")
         if np.any(self.lo > self.hi):
             raise ValueError("inconsistent bounds: lo > hi")
-        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.b))):
+        if not np.all(np.isfinite(np.r_[self.c, self.b_ub, self.b_eq])):
             raise ValueError("objective and rhs must be finite")
         if np.any(~np.isfinite(self.lo)):
             raise ValueError("lower bounds must be finite")
@@ -65,7 +65,7 @@ class LpSolution:
     status: str     # optimal | infeasible | unbounded | time_limit
     x: np.ndarray | None = None
     objective: float | None = None
-    duals: np.ndarray | None = None
+    duals: np.ndarray | None = None  # A_ub's rows, then A_eq's
     iterations: int = 0  # simplex pivots
     engine: str = "scipy"
 
@@ -79,14 +79,10 @@ def solve_lp(problem: LpProblem,
         raise ValueError(f"need a finite time_limit >= 0, got {time_limit}")
     if time_limit == 0.0:
         return LpSolution(status="time_limit")
-    A, b = problem.A, problem.b
-    le, ge, eq = (problem.senses == s for s in "<>=")
-    A_ub, b_ub = sp.vstack([A[le], -A[ge]]), np.concatenate([b[le], -b[ge]])
-
-    c = -problem.c if problem.maximize else problem.c
     options = {"presolve": True, "time_limit": time_limit}
     res = scipy.optimize.linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A[eq], b_eq=b[eq],
+        -problem.c, A_ub=problem.A_ub, b_ub=problem.b_ub,
+        A_eq=problem.A_eq, b_eq=problem.b_eq,
         bounds=np.column_stack([problem.lo, problem.hi]),
         method="highs-ds", options=options)
 
@@ -97,45 +93,36 @@ def solve_lp(problem: LpProblem,
     iterations = int(res.nit or 0)
     if status != "optimal":
         return LpSolution(status=status, iterations=iterations)
-
-    y = np.zeros(len(b))
-    sign = 1.0 if problem.maximize else -1.0
-    n_le = int(le.sum())
-    y[le] = sign * -res.ineqlin.marginals[:n_le]
-    y[ge] = sign * res.ineqlin.marginals[n_le:]
-    y[eq] = sign * -res.eqlin.marginals
+    # HiGHS minimizes -c, so its marginals are the negated duals
+    duals = -np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
     return LpSolution(status="optimal", x=res.x.copy(),
                       objective=float(problem.c @ res.x),
-                      duals=y, iterations=iterations)
+                      duals=duals, iterations=iterations)
 
 
 # ---------------------------------------------------------- certificates
 
 def kkt_residuals(problem: LpProblem, solution: LpSolution) -> dict[str, float]:
     """Max primal/dual/complementary-slackness violations of a solution."""
-    x, y = solution.x, solution.duals
-    le = problem.senses == "<"
-    ge = problem.senses == ">"
-    slack = problem.b - problem.A @ x
-    sign = 1.0 if problem.maximize else -1.0
-
-    row_viol = np.where(le, -slack, np.where(ge, slack, np.abs(slack)))
-    primal = max(float(np.max(row_viol, initial=0.0)),
+    x = solution.x
+    y_ub, y_eq = np.split(solution.duals, [problem.A_ub.shape[0]])
+    slack = problem.b_ub - problem.A_ub @ x
+    primal = max(float(np.max(-slack, initial=0.0)),
+                 float(np.max(np.abs(problem.b_eq - problem.A_eq @ x),
+                              initial=0.0)),
                  float(np.max(problem.lo - x, initial=0.0)),
                  float(np.max(x - problem.hi, initial=0.0)))
-
-    # an inequality's dual must have the sign that relaxing it helps
-    wrong_sign = np.where(le, -sign * y, np.where(ge, sign * y, 0.0))
-    comp = float(np.max(np.abs(y * slack)[le | ge], initial=0.0))
+    comp = float(np.max(np.abs(y_ub * slack), initial=0.0))
 
     # reduced costs: raising x_j at its lower bound (or lowering it at its
     # upper bound) must not help, and a free-floating x_j needs zero cost
-    z = sign * (problem.c - problem.A.T @ y)
+    z = problem.c - problem.A_ub.T @ y_ub - problem.A_eq.T @ y_eq
     at_lo = x <= problem.lo + _AT_BOUND_TOL
     at_hi = np.isfinite(problem.hi) & (x >= problem.hi - _AT_BOUND_TOL)
     col_viol = np.where(at_lo & at_hi, 0.0,
                         np.where(at_lo, z, np.where(at_hi, -z, np.abs(z))))
-    dual = max(float(np.max(wrong_sign, initial=0.0)),
+    # a <= row's dual must not be negative: relaxing the row cannot hurt
+    dual = max(float(np.max(-y_ub, initial=0.0)),
                float(np.max(col_viol, initial=0.0)))
     return {"primal": primal, "dual": dual, "complementary": comp}
 

@@ -14,7 +14,7 @@ from restock.config import EnvParams, RewardMod
 from restock.datagen import DatasetSpec, generate, initial_inventories
 from restock.env import Simulator, step
 from restock.simplex import certify_optimal, kkt_residuals, solve_lp
-from conftest import make_catalog
+from conftest import general_lp, make_catalog
 
 
 # ---------------------------------------------------------------- heuristic
@@ -96,16 +96,16 @@ def looped_perfect_info_lp(catalog, x0, demand, reward=RewardMod()):
             hi[xb(i, t)] = kappa[i]
             hi[xa(i, t)] = 1.0 - kappa[i]
 
-    rows_i, cols_j, vals = [], [], []
-    senses, b = [], []
+    # each row block numbers its own rows: (row, column, value) and rhs
+    blocks = {"<": ([], [], [], []), "=": ([], [], [], [])}
 
     def add(coefs, sense, rhs):
+        rows_i, cols_j, vals, b = blocks[sense]
         r = len(b)
         for j, v in coefs:
             rows_i.append(r)
             cols_j.append(j)
             vals.append(v)
-        senses.append(sense)
         b.append(rhs)
 
     keep = 1.0 - delta
@@ -129,10 +129,12 @@ def looped_perfect_info_lp(catalog, x0, demand, reward=RewardMod()):
         add([(u(i, t), catalog.unit_weight[i]) for i in range(p)],
             "<", catalog.c_max)
 
-    A = sp.csr_matrix((vals, (rows_i, cols_j)), shape=(len(b), n))
-    return simplex.LpProblem(
-        c=c, A=A, senses=np.array(senses), b=np.array(b, dtype=float),
-        lo=lo, hi=hi, maximize=True)
+    (A_ub, b_ub), (A_eq, b_eq) = (
+        (sp.csr_matrix((vals, (rows_i, cols_j)), shape=(len(b), n)),
+         np.array(b, dtype=float))
+        for rows_i, cols_j, vals, b in (blocks["<"], blocks["="]))
+    return simplex.LpProblem(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                             lo=lo, hi=hi)
 
 
 def critical_row_lp(catalog, x0, demand, reward=RewardMod()):
@@ -185,8 +187,7 @@ def critical_row_lp(catalog, x0, demand, reward=RewardMod()):
     rows, cols, vals = (np.concatenate([term[k].ravel() for term in terms])
                         for k in range(3))
     A = sp.csr_matrix((vals, (rows, cols)), shape=(num_rows, num_vars))
-    return simplex.LpProblem(c=c, A=A, senses=senses, b=b,
-                             lo=np.zeros(num_vars), hi=hi, maximize=True)
+    return general_lp(c, A, senses, b, lo=np.zeros(num_vars), hi=hi)
 
 
 def assert_same_bits(a, b):
@@ -222,12 +223,13 @@ def test_array_assembly_matches_looped_oracle(p, periods, full_shelf, reward):
     demand[1::2, -1] = 0.0       # a zero demand fixes its lost sale at 0
     problem, lay = build_perfect_info_lp(ds.catalog, x0, demand, reward)
     oracle = looped_perfect_info_lp(ds.catalog, x0, demand, reward)
-    for name in ("c", "b", "lo", "hi", "senses"):
+    for name in ("c", "b_ub", "b_eq", "lo", "hi"):
         assert_same_bits(getattr(problem, name), getattr(oracle, name))
-    assert problem.A.shape == oracle.A.shape == (lay.num_rows, lay.num_vars)
-    for name in ("indptr", "indices", "data"):
-        assert_same_bits(getattr(problem.A, name), getattr(oracle.A, name))
-    assert problem.maximize and oracle.maximize
+    for block, rows in (("A_ub", lay.num_le), ("A_eq", lay.num_eq)):
+        A, expect = getattr(problem, block), getattr(oracle, block)
+        assert A.shape == expect.shape == (rows, lay.num_vars)
+        for name in ("indptr", "indices", "data"):
+            assert_same_bits(getattr(A, name), getattr(expect, name))
 
 
 @pytest.mark.parametrize("reward", [RewardMod(),
@@ -401,8 +403,9 @@ def test_scipy_engine_agrees_on_structured_lp():
     assert all(v < 1e-7 for v in kkt_residuals(problem, sol).values())
 
     assert np.all(np.isfinite(problem.hi))
-    z = problem.c - problem.A.T @ sol.duals
-    dual_value = (problem.b @ sol.duals
+    A = sp.vstack([problem.A_ub, problem.A_eq])     # the duals' row order
+    z = problem.c - A.T @ sol.duals
+    dual_value = (np.concatenate([problem.b_ub, problem.b_eq]) @ sol.duals
                   + np.where(z > 0.0, z * problem.hi, z * problem.lo).sum())
     assert dual_value == pytest.approx(sol.objective, abs=1e-7)
 
@@ -414,11 +417,9 @@ def test_scipy_engine_agrees_on_structured_lp():
 def dual_simplex_optimum(problem) -> float:
     """The optimum of an ``LpProblem`` from HiGHS's dual simplex, called
     here, apart from ``solve_lp``."""
-    le, ge, eq = (problem.senses == s for s in "<>=")
     res = scipy.optimize.linprog(
-        -problem.c, A_ub=sp.vstack([problem.A[le], -problem.A[ge]]),
-        b_ub=np.concatenate([problem.b[le], -problem.b[ge]]),
-        A_eq=problem.A[eq], b_eq=problem.b[eq],
+        -problem.c, A_ub=problem.A_ub, b_ub=problem.b_ub,
+        A_eq=problem.A_eq, b_eq=problem.b_eq,
         bounds=np.column_stack([problem.lo, problem.hi]), method="highs-ds")
     assert res.status == 0, res.message
     return -res.fun
@@ -445,32 +446,30 @@ def test_layout_row_bookkeeping():
     ds = generate(DatasetSpec(products=3, horizon=20, train_len=10, seed=6))
     problem, lay = build_perfect_info_lp(ds.catalog, np.full(3, 0.5),
                                          ds.demand[:5])
-    assert (lay.num_rows, lay.num_vars) == problem.A.shape
+    assert (lay.num_le, lay.num_vars) == problem.A_ub.shape
+    assert (lay.num_eq, lay.num_vars) == problem.A_eq.shape
     # the variable blocks and the row families each cover their range once
     blocks = (lay.u, lay.l, lay.xb, lay.xa)
     assert np.array_equal(np.concatenate([v.ravel() for v in blocks]),
                           np.arange(lay.num_vars))
-    families = {"=": (lay.dynamics,),
-                "<": (lay.shelf, lay.volume, lay.weight)}
-    rows = np.concatenate([r.ravel() for fam in families.values()
-                           for r in fam])
-    assert np.array_equal(np.sort(rows), np.arange(lay.num_rows))
-    for sense, fam in families.items():
-        for r in fam:
-            assert np.all(problem.senses[r] == sense)
-    # two rows per product-period, one in period 0, which has no shelf row
-    assert lay.shelf.shape == (4, 3)
-    assert lay.num_rows == 2 * 3 * 5 - 3 + 2 * 5
-    # rows go period by period: period t's rows end with volume, weight
+    le = np.concatenate([r.ravel() for r in (lay.shelf, lay.volume,
+                                             lay.weight)])
+    assert np.array_equal(np.sort(le), np.arange(lay.num_le))
+    assert np.array_equal(lay.dynamics.ravel(), np.arange(lay.num_eq))
+    # one shelf row per product from period 1 on, one dynamics row per
+    # product-period
+    assert lay.shelf.shape == (4, 3) and lay.dynamics.shape == (5, 3)
+    assert (lay.num_le, lay.num_eq) == (3 * 4 + 2 * 5, 3 * 5)
+    # <= rows go period by period: period t's rows end with volume, weight
     assert np.array_equal(lay.weight, lay.volume + 1)
-    assert np.all(lay.dynamics[1:, 0] == lay.weight[:-1] + 1)
-    assert lay.weight[-1] == lay.num_rows - 1
+    assert np.all(lay.shelf[:, 0] == lay.weight[:-1] + 1)
+    assert lay.weight[-1] == lay.num_le - 1
     for t in range(5):
-        row = problem.A[lay.volume[t]].toarray().ravel()
+        row = problem.A_ub[lay.volume[t]].toarray().ravel()
         assert np.array_equal(np.flatnonzero(row), lay.u[t])
         assert row[lay.u[t]] == pytest.approx(ds.catalog.unit_volume)
-        assert problem.b[lay.volume[t]] == pytest.approx(ds.catalog.v_max)
-        assert problem.b[lay.weight[t]] == pytest.approx(ds.catalog.c_max)
+        assert problem.b_ub[lay.volume[t]] == pytest.approx(ds.catalog.v_max)
+        assert problem.b_ub[lay.weight[t]] == pytest.approx(ds.catalog.c_max)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.2, np.nan, np.inf])

@@ -9,17 +9,15 @@ from restock.baselines import build_perfect_info_lp
 from restock.datagen import DatasetSpec, generate, initial_inventories
 from restock.simplex import (LpProblem, certify_optimal, kkt_residuals,
                              solve_lp)
+from conftest import general_lp
 
 
 def make_problem(c, A, senses, b, lo=None, hi=None, maximize=True):
-    c = np.asarray(c, dtype=float)
     n = len(c)
-    return LpProblem(
-        c=c, A=np.asarray(A, dtype=float), senses=np.asarray(senses),
-        b=np.asarray(b, dtype=float),
-        lo=np.zeros(n) if lo is None else np.asarray(lo, dtype=float),
-        hi=np.full(n, np.inf) if hi is None else np.asarray(hi, dtype=float),
-        maximize=maximize)
+    return general_lp(c, A, senses, b,
+                      lo=np.zeros(n) if lo is None else lo,
+                      hi=np.full(n, np.inf) if hi is None else hi,
+                      maximize=maximize)
 
 
 # ------------------------------------------------------------ tiny cases
@@ -125,7 +123,8 @@ def test_degenerate_cycling_guard():
                         maximize=False)
     sol = solve_lp(prob)
     assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(-0.05, abs=1e-9)
+    # the minimum of c @ x is -0.05, so the maximum of -c @ x is 0.05
+    assert sol.objective == pytest.approx(0.05, abs=1e-9)
     assert certify_optimal(prob, sol)
 
 
@@ -144,14 +143,10 @@ def test_determinism():
 
 def oracle_solve(prob: LpProblem):
     """Enumerate candidate vertices of the (bounded) feasible box-polytope."""
-    A = prob.A.toarray()
-    n = prob.A.shape[1]
-    eq, cand = [], []
-    for r in range(prob.A.shape[0]):
-        if prob.senses[r] == "=":
-            eq.append((A[r], prob.b[r]))
-        else:
-            cand.append((A[r], prob.b[r]))
+    A_ub, A_eq = prob.A_ub.toarray(), prob.A_eq.toarray()
+    n = prob.c.size
+    eq = list(zip(A_eq, prob.b_eq))
+    cand = list(zip(A_ub, prob.b_ub))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
@@ -162,13 +157,11 @@ def oracle_solve(prob: LpProblem):
     def feasible(x):
         if np.any(x < prob.lo - 1e-7) or np.any(x > prob.hi + 1e-7):
             return False
-        ax = A @ x
-        for r in range(prob.A.shape[0]):
-            if prob.senses[r] == "<" and ax[r] > prob.b[r] + 1e-7:
+        for row, rhs in zip(A_ub, prob.b_ub):
+            if row @ x > rhs + 1e-7:
                 return False
-            if prob.senses[r] == ">" and ax[r] < prob.b[r] - 1e-7:
-                return False
-            if prob.senses[r] == "=" and abs(ax[r] - prob.b[r]) > 1e-7:
+        for row, rhs in eq:
+            if abs(row @ x - rhs) > 1e-7:
                 return False
         return True
 
@@ -184,10 +177,7 @@ def oracle_solve(prob: LpProblem):
         if not np.all(np.isfinite(x)) or not feasible(x):
             continue
         val = float(prob.c @ x)
-        if best is None:
-            best = val
-        else:
-            best = max(best, val) if prob.maximize else min(best, val)
+        best = val if best is None else max(best, val)
     return best
 
 
@@ -210,45 +200,36 @@ def random_problem(rng):
 def looped_kkt_residuals(problem: LpProblem, solution) -> dict[str, float]:
     """Row-by-row and column-by-column reference for ``kkt_residuals``."""
     x, y = solution.x, solution.duals
-    slack = problem.b - problem.A @ x
+    m = problem.A_ub.shape[0]
+    slack = problem.b_ub - problem.A_ub @ x
+    eq_slack = problem.b_eq - problem.A_eq @ x
 
     primal = 0.0
-    for r in range(problem.A.shape[0]):
-        s = problem.senses[r]
-        if s == "<":
-            primal = max(primal, -slack[r])
-        elif s == ">":
-            primal = max(primal, slack[r])
-        else:
-            primal = max(primal, abs(slack[r]))
+    for r in range(m):
+        primal = max(primal, -slack[r])
+    for r in range(problem.A_eq.shape[0]):
+        primal = max(primal, abs(eq_slack[r]))
     primal = max(primal,
                  float(np.max(problem.lo - x, initial=0.0)),
                  float(np.max(x - problem.hi, initial=0.0)))
 
-    sign = 1.0 if problem.maximize else -1.0
     dual = comp = 0.0
-    for r in range(problem.A.shape[0]):
-        s = problem.senses[r]
-        if s == "<":
-            dual = max(dual, -sign * y[r])
-            comp = max(comp, abs(y[r] * slack[r]))
-        elif s == ">":
-            dual = max(dual, sign * y[r])
-            comp = max(comp, abs(y[r] * slack[r]))
+    for r in range(m):
+        dual = max(dual, -y[r])
+        comp = max(comp, abs(y[r] * slack[r]))
 
-    z = problem.c - problem.A.T @ y
-    for j in range(problem.A.shape[1]):
+    z = problem.c - problem.A_ub.T @ y[:m] - problem.A_eq.T @ y[m:]
+    for j in range(problem.c.size):
         at_lo = x[j] <= problem.lo[j] + 1e-7
         at_hi = np.isfinite(problem.hi[j]) and x[j] >= problem.hi[j] - 1e-7
-        zj = sign * z[j]
         if at_lo and at_hi:
             continue
         if at_lo:
-            dual = max(dual, zj)   # raising x_j must not help
+            dual = max(dual, z[j])   # raising x_j must not help
         elif at_hi:
-            dual = max(dual, -zj)  # lowering x_j must not help
+            dual = max(dual, -z[j])  # lowering x_j must not help
         else:
-            dual = max(dual, abs(zj))
+            dual = max(dual, abs(z[j]))
     return {"primal": float(primal), "dual": float(dual),
             "complementary": float(comp)}
 
@@ -305,8 +286,11 @@ def test_scipy_engine_statuses():
 def test_problem_validation():
     with pytest.raises(ValueError):
         make_problem([1.0], [[1.0]], ["<"], [1.0], lo=[2.0], hi=[1.0])
-    with pytest.raises(ValueError):
-        make_problem([1.0], [[1.0]], ["?"], [1.0])
+    prob = make_problem([1.0], [[1.0]], ["<"], [1.0])
+    for block in ({"b_ub": [1.0, 2.0]}, {"A_eq": [[1.0, 1.0]], "b_eq": [1.0]},
+                  {"b_eq": [[1.0]], "A_eq": [[1.0]]}):
+        with pytest.raises(ValueError, match="row block"):
+            dataclasses.replace(prob, **block)
     with pytest.raises(ValueError):
         make_problem([np.inf], [[1.0]], ["<"], [1.0])
     with pytest.raises(ValueError):
