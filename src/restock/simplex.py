@@ -79,7 +79,8 @@ def solve_lp(problem: LpProblem,
         raise ValueError(f"need a finite time_limit >= 0, got {time_limit}")
     if time_limit == 0.0:
         return LpSolution(status="time_limit")
-    options = {"presolve": True, "time_limit": time_limit}
+    # linprog presolves by default; on the hindsight LP that only costs memory
+    options = {"presolve": False, "time_limit": time_limit}
     res = scipy.optimize.linprog(
         -problem.c, A_ub=problem.A_ub, b_ub=problem.b_ub,
         A_eq=problem.A_eq, b_eq=problem.b_eq,

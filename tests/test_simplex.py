@@ -83,8 +83,8 @@ def test_budgets(monkeypatch):
 
 
 def test_iterations_count_simplex_pivots(monkeypatch):
-    """``solve_lp`` runs dual simplex with no pivot cap, and reports
-    HiGHS's pivot count."""
+    """``solve_lp`` runs dual simplex with no presolve and no pivot cap,
+    and reports HiGHS's pivot count."""
     ds = generate(DatasetSpec(products=3, horizon=30, train_len=20, seed=4))
     problem, _ = build_perfect_info_lp(ds.catalog, initial_inventories(3, 2),
                                        ds.demand[20:30])
@@ -92,15 +92,18 @@ def test_iterations_count_simplex_pivots(monkeypatch):
     linprog = scipy.optimize.linprog
 
     def observed(*args, **kwargs):
-        seen.append((kwargs["method"], "maxiter" in kwargs["options"],
+        seen.append((kwargs["method"], kwargs["options"],
                      linprog(*args, **kwargs)))
         return seen[-1][2]
     monkeypatch.setattr(scipy.optimize, "linprog", observed)
-    sol = solve_lp(problem)
-    ((method, capped, res),) = seen
-    assert (method, capped) == ("highs-ds", False)
-    assert sol.status == "optimal" and res.nit > 0
-    assert sol.iterations == res.nit
+    for time_limit in (None, 5.0):
+        sol = solve_lp(problem, time_limit=time_limit)
+        method, options, res = seen[-1]
+        assert (method, options) == (
+            "highs-ds", {"presolve": False, "time_limit": time_limit})
+        assert sol.status == "optimal" and res.nit > 0
+        assert sol.iterations == res.nit
+    assert len(seen) == 2
 
 
 def test_equality_row_and_bound_flip():
