@@ -155,9 +155,10 @@ def step(catalog: ProductCatalog, x: np.ndarray, raw_action: np.ndarray,
     rho = float(max(catalog.unit_volume @ requested / catalog.v_max,
                     catalog.unit_weight @ requested / catalog.c_max))
     executed = requested if rho <= 1.0 else requested / rho
-    # executed <= 1 - x, so the receipt fits the shelf; the clamp guards it
+    # for x in [0, 1], executed <= fl(1 - x) and fl(x + fl(1 - x)) <= 1 under
+    # round-to-nearest, so the receipt fits the shelf with no clamp
     x_next, q_waste, refused = apply_demand_and_spoilage(
-        np.minimum(x + executed, 1.0), w, catalog.spoilage_rate)
+        x + executed, w, catalog.spoilage_rate)
 
     spread = percentile_spread(x_next)
     kappa = (mod.critical_override if mod.critical_override is not None
@@ -230,7 +231,7 @@ class Simulator:
         p = self.catalog.num_products
         x = _as_vector(x0, p, "x0").copy()
         # written as a range to accept, so that NaN fails
-        if not np.all((x >= -1e-12) & (x <= 1 + 1e-12)):
+        if not np.all((x >= 0.0) & (x <= 1.0)):
             raise ValueError("x0 must be finite and lie in [0, 1]")
         self.t, self.x = start, x
         w = self.env.forecast_window

@@ -439,7 +439,8 @@ def test_simulator_validates_at_the_boundary():
     sim = Simulator(cat, np.full((4, 2), 0.2))
     for x0 in (np.array([0.5]), np.array([0.5, 1.2]), np.array([-0.3, 0.1]),
                np.array([np.nan, 0.5]), np.array([0.5, np.inf]),
-               np.array([-np.inf, 0.5])):
+               np.array([-np.inf, 0.5]), np.array([1 + 1e-12, 0.5]),
+               np.array([0.5, -1e-12])):
         with pytest.raises(ValueError):
             sim.reset(x0)
     with pytest.raises(ValueError, match="forecast_window >= 1"):
