@@ -172,8 +172,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
     at most one per CPU this process may use. With one seed or one CPU the
     seeds run here, one after another. Outputs do not depend on the worker
     count; ``timings.json`` records it next to the wall time of the run
-    and, split per layer, of each seed.
+    and, split per layer, of each seed. The manifest records the dataset's
+    absolute path, so a replay opens the same file from any directory.
     """
+    cfg = replace(cfg, dataset=os.path.abspath(cfg.dataset))
     workers = min(len(cfg.seeds), _usable_cpus())
     t0 = time.monotonic()
     out = Path(out_dir)
