@@ -30,13 +30,13 @@ TAG_MAIN, TAG_RANDOM, TAG_GVF1, TAG_GVF2, TAG_GVF3 = range(5)
 class ReplayBuffer:
     """Uniform-sampling ring buffer of per-product transitions."""
 
-    def __init__(self, capacity: int, feature_dim: int = NUM_FEATURES):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.s = np.empty((capacity, feature_dim))
+        self.s = np.empty((capacity, NUM_FEATURES))
         self.a = np.empty(capacity, dtype=np.int64)
         self.r = np.empty(capacity)
         self.c = np.empty((capacity, NUM_GVFS))
-        self.s_next = np.empty((capacity, feature_dim))
+        self.s_next = np.empty((capacity, NUM_FEATURES))
         self.terminal = np.empty(capacity, dtype=bool)
         self._stores = (self.s, self.a, self.r, self.c, self.s_next,
                         self.terminal)
@@ -179,15 +179,14 @@ def td_targets(bundle: AgentBundle, batch) -> np.ndarray:
     return targets
 
 
-def train_step(bundle: AgentBundle, batch=None):
+def train_step(bundle: AgentBundle):
     """One gradient step on the masked heads; syncs the target periodically.
 
     Returns the loss record, or None when the buffer cannot fill a batch.
     """
-    if batch is None:
-        if len(bundle.buffer) < bundle.agent.batch_size:
-            return None
-        batch = bundle.buffer.sample(bundle.rng, bundle.agent.batch_size)
+    if len(bundle.buffer) < bundle.agent.batch_size:
+        return None
+    batch = bundle.buffer.sample(bundle.rng, bundle.agent.batch_size)
     s, a = batch[0], batch[1]
     targets = td_targets(bundle, batch)
     loss, grads = nn.backward(bundle.params, s, a, targets,

@@ -2,9 +2,9 @@
 
 Demand mixes a per-product base rate with multiplicative weekly seasonality
 (period 28: seven days at four replenishment slots per day), mean-one
-log-normal noise and rare spike periods. Transport capacities are set a
-configurable fraction below the average demanded volume/weight so the
-shared constraints stay active.
+log-normal noise and rare spike periods; ``generate`` states the fixed
+distributions. Transport capacities are set a fraction ``theta`` below the
+average demanded volume/weight so the shared constraints stay active.
 
 Datasets round-trip exactly through a plain-text format: a key/value
 header, a ``[catalog]`` table and a ``[demand]`` matrix. Floats are written
@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import _is_int
 from .env import ProductCatalog
 
 FORMAT_VERSION = 1
@@ -40,25 +41,13 @@ class DatasetSpec:
     train_len: int = 900
     seed: int = 0
     theta: float = 0.9                 # capacity tightness, in (0, 1)
-    demand_rate_lo: float = 0.02       # per-product base rate bounds
-    demand_rate_hi: float = 0.12
-    season_amplitude: float = 0.35
-    season_period: int = 28
-    noise_sigma: float = 0.2
-    spike_prob: float = 0.02
-    spike_mult: float = 3.0
-    volume_lo: float = 0.2
-    volume_hi: float = 2.0
-    weight_lo: float = 0.2
-    weight_hi: float = 2.0
-    shelf_lo: int = 50
-    shelf_hi: int = 500
-    spoilage_lo: float = 0.02
-    spoilage_hi: float = 0.25
-    critical_lo: float = 0.02
-    critical_hi: float = 0.10
 
     def __post_init__(self):
+        if not (all(map(_is_int, (self.products, self.horizon,
+                                  self.train_len, self.seed)))
+                and self.seed >= 0):
+            raise ValueError(f"need integer products, horizon, train_len and "
+                             f"seed, and a seed >= 0, got {self}")
         if self.products < 1:
             raise ValueError("products must be >= 1")
         if not 0.0 < self.theta < 1.0:
@@ -94,30 +83,38 @@ def _loguniform(rng, lo, hi, size):
 def generate(spec: DatasetSpec) -> Dataset:
     """Build a dataset deterministically from its spec.
 
+    Product i has a shelf size uniform on the integers 50..500, a unit
+    volume and a unit weight log-uniform on [0.2, 2], a spoilage rate
+    uniform on [0.02, 0.25], a critical level uniform on [0.02, 0.1] and a
+    base rate lam_i log-uniform on [0.02, 0.12]. Its demand in period t is
+    lam_i * (1 + 0.35 sin(2 pi t / 28 + phase_i)) * noise, with a phase
+    uniform on [0, 2 pi) and mean-one log-normal noise (sigma 0.2), tripled
+    in a spike period (probability 0.02) and clipped to [0, 1].
+
     Draw order is part of the format contract: catalog columns first, then
     demand parameters, then the noise and spike fields.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     p, horizon = spec.products, spec.horizon
 
-    max_shelf = rng.integers(spec.shelf_lo, spec.shelf_hi + 1, p).astype(float)
-    unit_volume = _loguniform(rng, spec.volume_lo, spec.volume_hi, p)
-    unit_weight = _loguniform(rng, spec.weight_lo, spec.weight_hi, p)
-    spoilage = rng.uniform(spec.spoilage_lo, spec.spoilage_hi, p)
-    critical = rng.uniform(spec.critical_lo, spec.critical_hi, p)
+    max_shelf = rng.integers(50, 501, p).astype(float)
+    unit_volume = _loguniform(rng, 0.2, 2.0, p)
+    unit_weight = _loguniform(rng, 0.2, 2.0, p)
+    spoilage = rng.uniform(0.02, 0.25, p)
+    critical = rng.uniform(0.02, 0.10, p)
 
-    lam = _loguniform(rng, spec.demand_rate_lo, spec.demand_rate_hi, p)
+    lam = _loguniform(rng, 0.02, 0.12, p)
     phase = rng.uniform(0.0, 2.0 * math.pi, p)
     # mean-one noise so realized demand tracks lam
-    noise = rng.lognormal(mean=-0.5 * spec.noise_sigma ** 2,
-                          sigma=spec.noise_sigma, size=(horizon, p))
-    spikes = rng.random((horizon, p)) < spec.spike_prob
+    sigma = 0.2
+    noise = rng.lognormal(mean=-0.5 * sigma ** 2, sigma=sigma,
+                          size=(horizon, p))
+    spikes = rng.random((horizon, p)) < 0.02
 
     t = np.arange(horizon)[:, None]
-    season = 1.0 + spec.season_amplitude * np.sin(
-        2.0 * math.pi * t / spec.season_period + phase[None, :])
+    season = 1.0 + 0.35 * np.sin(2.0 * math.pi * t / 28 + phase[None, :])
     base = lam[None, :] * season * noise
-    demand = np.clip(base * (1.0 + (spec.spike_mult - 1.0) * spikes), 0.0, 1.0)
+    demand = np.clip(base * (1.0 + 2.0 * spikes), 0.0, 1.0)
 
     # capacities sit below mean demanded volume/weight so they bind
     v_max = spec.theta * float((demand @ unit_volume).mean())

@@ -43,14 +43,23 @@ def episode_inventories(p: int, seed: int, purpose: int, episode: int) -> np.nda
         p, np.random.SeedSequence([seed, purpose, episode]))
 
 
-def read_manifest(run_dir) -> dict:
+def read_manifest(run_dir) -> tuple[ExperimentConfig, str | None]:
+    """A run's config and the dataset sha256 its manifest pins, if any. The
+    config's dataset path is as seen from the current directory: a format-2
+    manifest stores it relative to the run directory, a format-1 one as
+    it was given."""
     with open(Path(run_dir) / MANIFEST_NAME) as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    cfg = ExperimentConfig.from_dict(manifest["config"])
+    if manifest["format"] == 2:
+        cfg = replace(cfg, dataset=os.path.normpath(
+            os.path.join(run_dir, cfg.dataset)))
+    return cfg, manifest.get("dataset_sha256")
 
 
 def run_config(run_dir) -> ExperimentConfig:
     """The config a run directory's manifest was written from."""
-    return ExperimentConfig.from_dict(read_manifest(run_dir)["config"])
+    return read_manifest(run_dir)[0]
 
 
 def _fmt(v) -> str:
@@ -173,24 +182,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
     seeds run here, one after another. Outputs do not depend on the worker
     count; ``timings.json`` records it next to the wall time of the run
     and, split per layer, of each seed. The manifest records the dataset's
-    absolute path, so a replay opens the same file from any directory.
+    path relative to the run directory, so a replay opens the same file
+    from any directory, and so does one of a study moved as a whole.
     """
-    cfg = replace(cfg, dataset=os.path.abspath(cfg.dataset))
     workers = min(len(cfg.seeds), _usable_cpus())
     t0 = time.monotonic()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds, digest = datagen.load_with_digest(cfg.dataset)
-    p = ds.spec.products
+    stored = replace(cfg, dataset=os.path.relpath(cfg.dataset, out))
 
     manifest = {
-        "format": 1,
-        "config": cfg.to_dict(),
-        "config_hash": config_hash(cfg),
+        "format": 2,
+        "config": stored.to_dict(),
+        "config_hash": config_hash(stored),
         "package_version": __version__,
-        "dataset_header": {"products": p, "horizon": ds.spec.horizon,
-                           "train_len": ds.spec.train_len,
-                           "seed": ds.spec.seed, "theta": ds.spec.theta},
+        "dataset_header": asdict(ds.spec),
         "dataset_sha256": digest,
     }
     with open(out / MANIFEST_NAME, "w") as fh:
@@ -344,9 +351,7 @@ def replay_manifest(run_dir, out_dir) -> Path:
     A manifest that pins its dataset's sha256 refuses a dataset file whose
     bytes have changed since the run.
     """
-    manifest = read_manifest(run_dir)
-    cfg = ExperimentConfig.from_dict(manifest["config"])
-    pinned = manifest.get("dataset_sha256")
+    cfg, pinned = read_manifest(run_dir)
     if pinned not in (None, datagen.load_with_digest(cfg.dataset)[1]):
         raise ValueError(f"{cfg.dataset}: dataset sha256 differs from the "
                          f"one pinned in {Path(run_dir) / MANIFEST_NAME}")
@@ -384,10 +389,8 @@ def transfer_rows(run_dir, dataset_path):
     the env and reward mod each checkpoint stores. Rows name datasets by
     file sha256, the run's own as its manifest pins it."""
     run_dir = Path(run_dir)
-    manifest = read_manifest(run_dir)
-    cfg = ExperimentConfig.from_dict(manifest["config"])
-    trained_on = (manifest.get("dataset_sha256")
-                  or datagen.load_with_digest(cfg.dataset)[1])
+    cfg, pinned = read_manifest(run_dir)
+    trained_on = pinned or datagen.load_with_digest(cfg.dataset)[1]
     ds, evaluated_on = datagen.load_with_digest(dataset_path)
     rows = []
     for seed in cfg.seeds:

@@ -1,14 +1,20 @@
 """Reference implementations of the learner's hot path, as the package had
 them before they were rewritten to work in place, and of the env step, as
-the package composed it from helpers before it became one body: the
+the package composed it from helpers before it became one body, and of the
+dataset generator, as it was when its distributions were spec fields: the
 oracles the rewritten code must match bit for bit, Generator state
 included."""
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from restock import env, nn
 from restock.config import RewardMod
-from restock.env import NUM_ACTIONS, NUM_FEATURES, apply_demand_and_spoilage
+from restock.datagen import Dataset, DatasetSpec
+from restock.env import (NUM_ACTIONS, NUM_FEATURES, ProductCatalog,
+                         apply_demand_and_spoilage)
 
 NUM_GVFS = 3
 TAG_MAIN, TAG_RANDOM = 0, 1
@@ -229,3 +235,65 @@ def reference_step(catalog, x, raw_action, demand, alpha=1.0,
         component_means=np.array([r_global, empty, critical, wastage,
                                   spread, lost, penalty]),
     )
+
+
+@dataclass(frozen=True)
+class GeneratorParams:
+    """The generator's parameters that were once ``DatasetSpec`` fields,
+    with the values every dataset used, in the order files wrote them."""
+
+    demand_rate_lo: float = 0.02       # per-product base rate bounds
+    demand_rate_hi: float = 0.12
+    season_amplitude: float = 0.35
+    season_period: int = 28
+    noise_sigma: float = 0.2
+    spike_prob: float = 0.02
+    spike_mult: float = 3.0
+    volume_lo: float = 0.2
+    volume_hi: float = 2.0
+    weight_lo: float = 0.2
+    weight_hi: float = 2.0
+    shelf_lo: int = 50
+    shelf_hi: int = 500
+    spoilage_lo: float = 0.02
+    spoilage_hi: float = 0.25
+    critical_lo: float = 0.02
+    critical_hi: float = 0.10
+
+
+def _loguniform(rng, lo, hi, size):
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+
+def reference_generate(spec: DatasetSpec,
+                       g: GeneratorParams = GeneratorParams()) -> Dataset:
+    """The dataset of ``spec`` under the generator parameters ``g``."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    p, horizon = spec.products, spec.horizon
+
+    max_shelf = rng.integers(g.shelf_lo, g.shelf_hi + 1, p).astype(float)
+    unit_volume = _loguniform(rng, g.volume_lo, g.volume_hi, p)
+    unit_weight = _loguniform(rng, g.weight_lo, g.weight_hi, p)
+    spoilage = rng.uniform(g.spoilage_lo, g.spoilage_hi, p)
+    critical = rng.uniform(g.critical_lo, g.critical_hi, p)
+
+    lam = _loguniform(rng, g.demand_rate_lo, g.demand_rate_hi, p)
+    phase = rng.uniform(0.0, 2.0 * math.pi, p)
+    noise = rng.lognormal(mean=-0.5 * g.noise_sigma ** 2,
+                          sigma=g.noise_sigma, size=(horizon, p))
+    spikes = rng.random((horizon, p)) < g.spike_prob
+
+    t = np.arange(horizon)[:, None]
+    season = 1.0 + g.season_amplitude * np.sin(
+        2.0 * math.pi * t / g.season_period + phase[None, :])
+    base = lam[None, :] * season * noise
+    demand = np.clip(base * (1.0 + (g.spike_mult - 1.0) * spikes), 0.0, 1.0)
+
+    v_max = spec.theta * float((demand @ unit_volume).mean())
+    c_max = spec.theta * float((demand @ unit_weight).mean())
+
+    catalog = ProductCatalog(
+        unit_volume=unit_volume, unit_weight=unit_weight, max_shelf=max_shelf,
+        spoilage_rate=spoilage, critical_level=critical,
+        v_max=v_max, c_max=c_max)
+    return Dataset(spec=spec, catalog=catalog, demand=demand)

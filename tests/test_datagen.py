@@ -1,5 +1,6 @@
 import hashlib
 import shutil
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from restock.datagen import (Dataset, DatasetFormatError, DatasetSpec,
 from restock.baselines import heuristic_action
 from restock.config import EnvParams
 from restock.env import Simulator
+
+import oracles
 
 
 def same_dataset(a: Dataset, b: Dataset) -> bool:
@@ -88,6 +91,61 @@ def test_spec_validation():
         DatasetSpec(products=3, theta=1.0)
     with pytest.raises(ValueError):
         DatasetSpec(products=3, horizon=10, train_len=10)
+    # a non-integer would generate a file that ``load`` refuses
+    for bad in (dict(train_len=40.5), dict(products=3.0), dict(horizon=60.0),
+                dict(seed=1.5), dict(products=True), dict(seed=True),
+                dict(horizon="60"), dict(seed=-1)):
+        with pytest.raises(ValueError):
+            DatasetSpec(**{**dict(products=3, horizon=60, train_len=40), **bad})
+
+
+@pytest.mark.parametrize("spec", [
+    DatasetSpec(products=1, horizon=30, train_len=20, seed=0, theta=0.5),
+    DatasetSpec(products=5, horizon=60, train_len=40, seed=11),
+    DatasetSpec(products=20, seed=7, theta=0.7),
+    DatasetSpec(products=100, horizon=400, train_len=300, seed=12345,
+                theta=0.95),
+], ids=lambda spec: f"p{spec.products}")
+def test_generate_matches_the_parameterised_reference(spec):
+    """``generate`` with its distributions as constants gives the bits the
+    generator gave when they were spec fields. The reference is computed on
+    this machine, not stored, since ``np.sin`` may round differently on
+    other CPUs."""
+    assert same_dataset(generate(spec), oracles.reference_generate(spec))
+
+
+def header_lines(path) -> list[str]:
+    text = path.read_text()
+    return [ln for ln in text.split("[catalog]")[0].splitlines()
+            if not ln.startswith("#")]
+
+
+def test_saved_header_holds_the_spec_and_capacities(tmp_path):
+    spec = small_spec(theta=0.5)
+    path = tmp_path / "ds.txt"
+    save(generate(spec), path)
+    header = dict(ln.split(" ", 1) for ln in header_lines(path))
+    assert list(header) == ["format_version", "prng", "products", "horizon",
+                            "train_len", "seed", "theta", "v_max", "c_max"]
+    assert [header[f.name] for f in fields(DatasetSpec)] == \
+        ["5", "60", "40", "11", "0.5"]
+
+
+def test_a_file_with_the_old_header_loads(tmp_path):
+    """A file whose header also lists the generator's distributions, as
+    files did when they were spec fields, loads to the same dataset."""
+    spec = small_spec(seed=23)
+    path = tmp_path / "ds.txt"
+    save(generate(spec), path)
+    lines = path.read_text().splitlines()
+    k = lines.index(f"theta {spec.theta!r}") + 1
+    old = [f"{f.name} {datagen.format_value(v)}" for f, v in zip(
+        fields(oracles.GeneratorParams), astuple(oracles.GeneratorParams()))]
+    assert len(old) == 17 and "season_period 28" in old
+    (tmp_path / "old.txt").write_text("\n".join(lines[:k] + old + lines[k:])
+                                      + "\n")
+    assert len(header_lines(tmp_path / "old.txt")) == 9 + 17
+    assert same_dataset(load(tmp_path / "old.txt"), generate(spec))
 
 
 def test_roundtrip_identity(tmp_path):

@@ -82,7 +82,8 @@ def test_run_directory_layout(smoke_run):
                      "decisions.csv", "checkpoint.npz"):
             assert (seed_dir / name).exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config_hash"] == config_hash(cfg)
+    assert manifest["config_hash"] == config_hash(
+        ExperimentConfig.from_dict(manifest["config"]))
 
 
 def test_metrics_reconstruction_identity(smoke_run):
@@ -170,15 +171,15 @@ def test_cli_replay_reproduces_a_run_and_refuses_a_changed_dataset(
 
 def test_replay_opens_the_dataset_from_any_directory(smoke_dataset, tmp_path,
                                                     monkeypatch):
-    """A run given a relative dataset path records it as absolute, so a
-    replay started from another directory reads the same file and writes
-    the same bytes."""
+    """A run given a dataset path relative to the current directory
+    records it relative to the run directory, so a replay started from
+    another directory reads the same file and writes the same bytes."""
     (tmp_path / "data").mkdir()
     shutil.copy(smoke_dataset, tmp_path / "data" / "ds.txt")
     monkeypatch.chdir(tmp_path)
     run = run_experiment(smoke_config("data/ds.txt", seeds=(0,), episodes=2),
                          "run")
-    assert run_config(run).dataset == os.path.abspath("data/ds.txt")
+    assert os.path.samefile(run_config(run).dataset, "data/ds.txt")
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path / "elsewhere")
     assert cli.main(["replay", "--run", str(tmp_path / "run"),
@@ -190,6 +191,36 @@ def test_replay_opens_the_dataset_from_any_directory(smoke_dataset, tmp_path,
         assert (tmp_path / "elsewhere" / "replay" / "seed_0" / name
                 ).read_bytes() == (tmp_path / "run" / "seed_0" / name
                                    ).read_bytes(), name
+
+
+def test_a_moved_study_replays_byte_identically(smoke_dataset, tmp_path,
+                                                monkeypatch):
+    """A study moved as a whole, dataset and runs, replays from another
+    directory into the same per-seed bytes: the manifest stores the
+    dataset path relative to the run directory."""
+    study = tmp_path / "study"
+    (study / "data").mkdir(parents=True)
+    shutil.copy(smoke_dataset, study / "data" / "ds.txt")
+    monkeypatch.chdir(study)
+    run_experiment(smoke_config("data/ds.txt", episodes=2), "runs/dez")
+    manifest = json.loads((study / "runs" / "dez" / "manifest.json")
+                          .read_text())
+    assert manifest["format"] == 2
+    assert manifest["config"]["dataset"] == os.path.join("..", "..", "data",
+                                                         "ds.txt")
+    moved = shutil.move(study, tmp_path / "moved")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert cli.main(["replay", "--run", str(Path(moved) / "runs" / "dez"),
+                     "--out", "replay"]) == 0
+    run = Path(moved) / "runs" / "dez"
+    for seed in (0, 1):
+        names = sorted(p.name for p in (run / f"seed_{seed}").iterdir())
+        assert names == ["checkpoint.npz", "decisions.csv",
+                         "eval_metrics.csv", "train_metrics.csv"]
+        for name in names:
+            assert (Path("replay") / f"seed_{seed}" / name).read_bytes() == \
+                (run / f"seed_{seed}" / name).read_bytes(), (seed, name)
 
 
 def test_heuristic_run_is_seed_dependent_only_via_inventories(smoke_dataset,
@@ -593,6 +624,9 @@ def test_transfer_csv_does_not_depend_on_where_the_files_are(
     manifest = json.loads((tmp_path / "b" / "run" / "manifest.json")
                           .read_text())
     digest = manifest.pop("dataset_sha256")
+    # a manifest from before the pin is format 1, with an absolute path
+    manifest["format"] = 1
+    manifest["config"]["dataset"] = os.path.abspath(smoke_dataset)
     (tmp_path / "b" / "run" / "manifest.json").write_text(
         json.dumps(manifest))
     rows = transfer_rows(tmp_path / "b" / "run", tmp_path / "b" / "data.txt")
