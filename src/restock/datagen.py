@@ -8,7 +8,8 @@ average demanded volume/weight so the shared constraints stay active.
 
 Datasets round-trip exactly through a plain-text format: a key/value
 header, a ``[catalog]`` table and a ``[demand]`` matrix. Floats are written
-with shortest round-trip repr, so save/load is byte-stable.
+with shortest round-trip repr, so save/load is byte-stable. Format 1 files,
+whose catalog rows also hold a shelf size, still load.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 from .config import _is_int
 from .env import ProductCatalog
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_CATALOG_WIDTH = {"1": 6, "2": 5}   # values per catalog row, by format
 PRNG_NAME = "pcg64"  # np.random.PCG64; stable across platforms
 
 
@@ -83,13 +85,13 @@ def _loguniform(rng, lo, hi, size):
 def generate(spec: DatasetSpec) -> Dataset:
     """Build a dataset deterministically from its spec.
 
-    Product i has a shelf size uniform on the integers 50..500, a unit
-    volume and a unit weight log-uniform on [0.2, 2], a spoilage rate
-    uniform on [0.02, 0.25], a critical level uniform on [0.02, 0.1] and a
-    base rate lam_i log-uniform on [0.02, 0.12]. Its demand in period t is
-    lam_i * (1 + 0.35 sin(2 pi t / 28 + phase_i)) * noise, with a phase
-    uniform on [0, 2 pi) and mean-one log-normal noise (sigma 0.2), tripled
-    in a spike period (probability 0.02) and clipped to [0, 1].
+    Product i has a unit volume and a unit weight log-uniform on [0.2, 2],
+    a spoilage rate uniform on [0.02, 0.25], a critical level uniform on
+    [0.02, 0.1] and a base rate lam_i log-uniform on [0.02, 0.12]. Its
+    demand in period t is lam_i * (1 + 0.35 sin(2 pi t / 28 + phase_i)) *
+    noise, with a phase uniform on [0, 2 pi) and mean-one log-normal noise
+    (sigma 0.2), tripled in a spike period (probability 0.02) and clipped
+    to [0, 1].
 
     Draw order is part of the format contract: catalog columns first, then
     demand parameters, then the noise and spike fields.
@@ -97,7 +99,7 @@ def generate(spec: DatasetSpec) -> Dataset:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     p, horizon = spec.products, spec.horizon
 
-    max_shelf = rng.integers(50, 501, p).astype(float)
+    rng.integers(50, 501, p)   # unread shelf sizes; keeps the later draws
     unit_volume = _loguniform(rng, 0.2, 2.0, p)
     unit_weight = _loguniform(rng, 0.2, 2.0, p)
     spoilage = rng.uniform(0.02, 0.25, p)
@@ -121,7 +123,7 @@ def generate(spec: DatasetSpec) -> Dataset:
     c_max = spec.theta * float((demand @ unit_weight).mean())
 
     catalog = ProductCatalog(
-        unit_volume=unit_volume, unit_weight=unit_weight, max_shelf=max_shelf,
+        unit_volume=unit_volume, unit_weight=unit_weight,
         spoilage_rate=spoilage, critical_level=critical,
         v_max=v_max, c_max=c_max)
     return Dataset(spec=spec, catalog=catalog, demand=demand)
@@ -149,10 +151,9 @@ def save(dataset: Dataset, path) -> None:
     lines.append(f"v_max {format_value(cat.v_max)}")
     lines.append(f"c_max {format_value(cat.c_max)}")
     lines.append("[catalog]")
-    lines.append("# product max_shelf unit_volume unit_weight"
-                 " spoilage_rate critical_level")
-    columns = (cat.max_shelf.astype(int), cat.unit_volume, cat.unit_weight,
-               cat.spoilage_rate, cat.critical_level)
+    lines.append("# product unit_volume unit_weight spoilage_rate critical_level")
+    columns = (cat.unit_volume, cat.unit_weight, cat.spoilage_rate,
+               cat.critical_level)
     for i, row in enumerate(zip(*columns)):
         lines.append(" ".join([str(i), *map(format_value, row)]))
     lines.append("[demand]")
@@ -218,7 +219,8 @@ def _parse(text: str) -> Dataset:
         raise DatasetFormatError("header", "missing [catalog] section")
 
     version = header.get("format_version")
-    if version != str(FORMAT_VERSION):
+    width = _CATALOG_WIDTH.get(version)
+    if width is None:
         raise DatasetFormatError("header", f"unsupported format_version {version}")
     try:
         kwargs = {}
@@ -236,7 +238,7 @@ def _parse(text: str) -> Dataset:
 
     idx += 1  # past [catalog]
     p = spec.products
-    table = _table("catalog", lines[idx:idx + p], (p, 6))
+    table = _table("catalog", lines[idx:idx + p], (p, width))
     if not np.array_equal(table[:, 0], np.arange(p)):
         raise DatasetFormatError("catalog", f"product indices must run 0..{p - 1}")
     idx += p
@@ -248,11 +250,8 @@ def _parse(text: str) -> Dataset:
         raise DatasetFormatError("demand", "demand values must be finite "
                                  "and lie in [0, 1]")
 
-    try:
-        catalog = ProductCatalog(
-            unit_volume=table[:, 2], unit_weight=table[:, 3],
-            max_shelf=table[:, 1], spoilage_rate=table[:, 4],
-            critical_level=table[:, 5], v_max=v_max, c_max=c_max)
+    try:   # the last four columns hold the catalog's vectors, in field order
+        catalog = ProductCatalog(*table[:, -4:].T, v_max=v_max, c_max=c_max)
     except ValueError as exc:
         raise DatasetFormatError("catalog", str(exc)) from exc
     for array in (demand, *vars(catalog).values()):

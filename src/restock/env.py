@@ -48,7 +48,6 @@ class ProductCatalog:
 
     unit_volume: np.ndarray
     unit_weight: np.ndarray
-    max_shelf: np.ndarray       # shelf size in item units; bookkeeping only
     spoilage_rate: np.ndarray   # fraction of unsold stock lost per period, (0, 1]
     critical_level: np.ndarray  # minimum presentation level, (0, 1)
     v_max: float
@@ -56,15 +55,13 @@ class ProductCatalog:
 
     def __post_init__(self):
         p = len(np.atleast_1d(self.unit_volume))
-        for name in ("unit_volume", "unit_weight", "max_shelf",
-                     "spoilage_rate", "critical_level"):
+        for name in ("unit_volume", "unit_weight", "spoilage_rate",
+                     "critical_level"):
             object.__setattr__(self, name, _as_vector(getattr(self, name), p, name))
         object.__setattr__(self, "v_max", float(self.v_max))
         object.__setattr__(self, "c_max", float(self.c_max))
         if not (np.all(self.unit_volume > 0) and np.all(self.unit_weight > 0)):
             raise ValueError("unit volumes and weights must be strictly positive")
-        if not (np.all(self.max_shelf > 0)):
-            raise ValueError("max_shelf must be strictly positive")
         if not (self.v_max > 0 and self.c_max > 0):
             raise ValueError("v_max and c_max must be strictly positive")
         if not np.all((self.spoilage_rate > 0) & (self.spoilage_rate <= 1)):

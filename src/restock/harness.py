@@ -298,7 +298,6 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> dict:
     p = ds.spec.products
     train_start, train_len = ds.train_window
     test_start, test_len = ds.test_window
-    x0_eval = episode_inventories(p, seed, _PURPOSE_EVAL, 0)
 
     if cfg.algorithm == "lp_bound":
         write_csv(seed_dir / "lp_bound.csv", LP_COLUMNS, [
@@ -315,6 +314,7 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> dict:
             means[0] = rewards.mean()
             return EpisodeMetrics.from_means(0, means, 0.0).as_row()
         x0_train = episode_inventories(p, seed, _PURPOSE_TRAIN, 0)
+        x0_eval = episode_inventories(p, seed, _PURPOSE_EVAL, 0)
         write_csv(seed_dir / "train_metrics.csv", EpisodeMetrics.COLUMNS,
                   [heuristic_row(train_start, train_len, x0_train)])
         write_csv(seed_dir / "eval_metrics.csv", EVAL_COLUMNS,
@@ -327,11 +327,14 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> dict:
     history = agents.train_agent(
         bundle, sim, cfg.episodes, train_start, train_len,
         x0_provider=lambda ep: episode_inventories(p, seed, _PURPOSE_TRAIN, ep))
-    log = DecisionLog() if cfg.collect_decisions else None
-    eval_m = agents.run_episode(bundle, sim, test_start, test_len, x0_eval,
-                                mode="eval", decision_log=log)
 
     t0 = time.perf_counter()
+    agents.save_agent(seed_dir / "checkpoint.npz", bundle,
+                      env=asdict(cfg.env), reward_mod=asdict(cfg.reward_mod))
+    t1 = time.perf_counter()
+    eval_m, log = evaluate_checkpoint(seed_dir / "checkpoint.npz", ds, seed,
+                                      cfg.collect_decisions)
+    t2 = time.perf_counter()
     write_csv(seed_dir / "train_metrics.csv", EpisodeMetrics.COLUMNS,
               [m.as_row() for m in history])
     write_csv(seed_dir / "eval_metrics.csv", EVAL_COLUMNS,
@@ -340,9 +343,8 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> dict:
         arrays = log.arrays()
         write_csv(seed_dir / "decisions.csv", DECISION_COLUMNS,
                   zip(*(arrays[c] for c in DECISION_COLUMNS)))
-    agents.save_agent(seed_dir / "checkpoint.npz", bundle,
-                      env=asdict(cfg.env), reward_mod=asdict(cfg.reward_mod))
-    return {**bundle.seconds, "write_s": time.perf_counter() - t0}
+    return {**bundle.seconds, "eval_s": t2 - t1,
+            "write_s": t1 - t0 + time.perf_counter() - t2}
 
 
 def replay_manifest(run_dir, out_dir) -> Path:
@@ -366,9 +368,9 @@ def evaluate_checkpoint(checkpoint_path, dataset, seed: int,
 
     Works unchanged across datasets because the observation is per-product
     and normalized. The policy is scored under the env and reward mod
-    stored in the checkpoint, so evaluating on the native dataset
-    reproduces the run's own eval row exactly. A checkpoint without them
-    is refused.
+    stored in the checkpoint; a checkpoint without them is refused. A run
+    scores each trained seed with this call, for its eval row and its
+    decision log.
     """
     ds = dataset if isinstance(dataset, datagen.Dataset) else datagen.load(dataset)
     p = ds.spec.products

@@ -11,7 +11,6 @@ def make_catalog(p=2, volume=None, weight=None, spoilage=None, critical=None,
     return ProductCatalog(
         unit_volume=np.full(p, 1.0) if volume is None else np.asarray(volume, float),
         unit_weight=np.full(p, 1.0) if weight is None else np.asarray(weight, float),
-        max_shelf=np.full(p, 100.0),
         spoilage_rate=np.full(p, 0.1) if spoilage is None else np.asarray(spoilage, float),
         critical_level=np.full(p, 0.05) if critical is None else np.asarray(critical, float),
         v_max=v_max,

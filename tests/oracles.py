@@ -1,18 +1,18 @@
 """Reference implementations of the learner's hot path, as the package had
 them before they were rewritten to work in place, and of the env step, as
 the package composed it from helpers before it became one body, and of the
-dataset generator, as it was when its distributions were spec fields: the
-oracles the rewritten code must match bit for bit, Generator state
-included."""
+dataset generator, as it was when its distributions were spec fields, and
+of the format 1 dataset writer: the oracles the rewritten code must match
+bit for bit, Generator state included."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from restock import env, nn
 from restock.config import RewardMod
-from restock.datagen import Dataset, DatasetSpec
+from restock.datagen import Dataset, DatasetSpec, format_value
 from restock.env import (NUM_ACTIONS, NUM_FEATURES, ProductCatalog,
                          apply_demand_and_spoilage)
 
@@ -271,7 +271,7 @@ def reference_generate(spec: DatasetSpec,
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     p, horizon = spec.products, spec.horizon
 
-    max_shelf = rng.integers(g.shelf_lo, g.shelf_hi + 1, p).astype(float)
+    rng.integers(g.shelf_lo, g.shelf_hi + 1, p)   # shelf sizes, unstored
     unit_volume = _loguniform(rng, g.volume_lo, g.volume_hi, p)
     unit_weight = _loguniform(rng, g.weight_lo, g.weight_hi, p)
     spoilage = rng.uniform(g.spoilage_lo, g.spoilage_hi, p)
@@ -293,7 +293,32 @@ def reference_generate(spec: DatasetSpec,
     c_max = spec.theta * float((demand @ unit_weight).mean())
 
     catalog = ProductCatalog(
-        unit_volume=unit_volume, unit_weight=unit_weight, max_shelf=max_shelf,
+        unit_volume=unit_volume, unit_weight=unit_weight,
         spoilage_rate=spoilage, critical_level=critical,
         v_max=v_max, c_max=c_max)
     return Dataset(spec=spec, catalog=catalog, demand=demand)
+
+
+def reference_save(dataset: Dataset, path) -> None:
+    """Writes ``dataset`` as a format 1 file, as ``datagen.save`` did when
+    each catalog row also held the product's shelf size. The shelf sizes
+    are redrawn from the spec's seed: they were ``generate``'s first draw."""
+    spec, cat = dataset.spec, dataset.catalog
+    max_shelf = np.random.Generator(np.random.PCG64(spec.seed)).integers(
+        50, 501, spec.products)
+    lines = ["# restock dataset", "format_version 1", "prng pcg64"]
+    for f in fields(DatasetSpec):
+        lines.append(f"{f.name} {format_value(getattr(spec, f.name))}")
+    lines.append(f"v_max {format_value(cat.v_max)}")
+    lines.append(f"c_max {format_value(cat.c_max)}")
+    lines.append("[catalog]")
+    lines.append("# product max_shelf unit_volume unit_weight"
+                 " spoilage_rate critical_level")
+    columns = (max_shelf, cat.unit_volume, cat.unit_weight,
+               cat.spoilage_rate, cat.critical_level)
+    for i, row in enumerate(zip(*columns)):
+        lines.append(" ".join([str(i), *map(format_value, row)]))
+    lines.append("[demand]")
+    lines.extend(" ".join(map(repr, row)) for row in dataset.demand.tolist())
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -22,8 +22,8 @@ def same_dataset(a: Dataset, b: Dataset) -> bool:
             and a.catalog.c_max == b.catalog.c_max
             and all(np.array_equal(getattr(a.catalog, f),
                                    getattr(b.catalog, f))
-                    for f in ("unit_volume", "unit_weight", "max_shelf",
-                              "spoilage_rate", "critical_level"))
+                    for f in ("unit_volume", "unit_weight", "spoilage_rate",
+                              "critical_level"))
             and np.array_equal(a.demand, b.demand))
 
 
@@ -148,6 +148,51 @@ def test_a_file_with_the_old_header_loads(tmp_path):
     assert same_dataset(load(tmp_path / "old.txt"), generate(spec))
 
 
+def test_a_format_1_file_loads(tmp_path):
+    """A file written by the format 1 writer, whose catalog rows also hold
+    shelf sizes, loads to the dataset it was written from."""
+    for spec in (small_spec(seed=29), small_spec(products=1, seed=0)):
+        ds = generate(spec)
+        path = tmp_path / f"v1_{spec.products}.txt"
+        oracles.reference_save(ds, path)
+        assert "format_version 1" in header_lines(path)
+        assert same_dataset(load(path), ds)
+
+
+def test_saved_catalog_rows_hold_five_values(tmp_path):
+    path = tmp_path / "ds.txt"
+    save(generate(small_spec()), path)
+    assert header_lines(path)[0] == "format_version 2"
+    lines = path.read_text().splitlines()
+    k = lines.index("[catalog]") + 2  # past the column comment
+    assert [len(ln.split()) for ln in lines[k:lines.index("[demand]")]] == \
+        [5] * 5
+
+
+@pytest.mark.parametrize("version", ["3", "2.0", "0"])
+def test_an_unknown_format_version_is_refused(tmp_path, version):
+    path = tmp_path / "ds.txt"
+    save(generate(small_spec()), path)
+    text = path.read_text().replace("format_version 2",
+                                    f"format_version {version}", 1)
+    (tmp_path / "bad.txt").write_text(text)
+    with pytest.raises(DatasetFormatError) as err:
+        load(tmp_path / "bad.txt")
+    assert err.value.section == "header"
+
+
+def test_a_format_2_file_with_format_1_catalog_rows_is_refused(tmp_path):
+    """Catalog rows of six values, shelf sizes included, are format 1's."""
+    path = tmp_path / "v1.txt"
+    oracles.reference_save(generate(small_spec()), path)
+    lines = path.read_text().splitlines()
+    lines[lines.index("format_version 1")] = "format_version 2"
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError) as err:
+        load(tmp_path / "bad.txt")
+    assert err.value.section == "catalog"
+
+
 def test_roundtrip_identity(tmp_path):
     ds = generate(small_spec(seed=21))
     path = tmp_path / "ds.txt"
@@ -218,7 +263,7 @@ def test_invariant_violation_on_load(tmp_path):
     lines = path.read_text().splitlines()
     k = lines.index("[catalog]") + 2  # past the column comment
     parts = lines[k].split()
-    parts[4] = "0.0"  # zero spoilage rate is invalid
+    parts[3] = "0.0"  # zero spoilage rate is invalid
     lines[k] = " ".join(parts)
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines) + "\n")
@@ -283,7 +328,7 @@ def test_loaded_catalog_vectors_are_contiguous(tmp_path):
     path = tmp_path / "ds.txt"
     save(generate(small_spec(products=20)), path)
     catalog = load(path).catalog
-    for name in ("unit_volume", "unit_weight", "max_shelf", "spoilage_rate",
+    for name in ("unit_volume", "unit_weight", "spoilage_rate",
                  "critical_level"):
         assert getattr(catalog, name).flags.c_contiguous, name
 
@@ -344,8 +389,7 @@ def test_loaded_arrays_are_read_only(tmp_path):
     save(generate(small_spec()), path)
     ds = load(path)
     for array in (ds.demand, ds.catalog.unit_volume, ds.catalog.unit_weight,
-                  ds.catalog.max_shelf, ds.catalog.spoilage_rate,
-                  ds.catalog.critical_level):
+                  ds.catalog.spoilage_rate, ds.catalog.critical_level):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.5
     assert same_dataset(ds, generate(small_spec()))

@@ -297,7 +297,7 @@ def test_pool_output_is_byte_identical_to_serial(smoke_dataset, tmp_path,
     assert (serial / "manifest.json").read_bytes() == \
         (pooled / "manifest.json").read_bytes()
     # an agent's seed splits its wall time into layers
-    layers = ({"act_s", "env_s", "learn_s", "write_s"}
+    layers = ({"act_s", "env_s", "learn_s", "eval_s", "write_s"}
               if algorithm == "dez_dqn_gvf" else set())
     for out, workers in ((serial, 1), (pooled, 2)):
         timings = json.loads((out / "timings.json").read_text())
