@@ -260,11 +260,9 @@ def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
     ``train_every`` periods; eval mode acts greedily and leaves the bundle
     untouched.
     """
-    if start + length > sim.horizon:
-        raise ValueError("window extends past the demand data")
     train = mode == "train"
     p = sim.catalog.num_products
-    sim.reset(x0, start)
+    sim.reset(x0, start, length)
     sel_mode = exploration_mode(bundle)
     eps = epsilon if train else 0.0
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import simplex
 from .config import RewardMod
 from .env import Simulator, apply_demand_and_spoilage
 
@@ -35,7 +36,7 @@ def run_heuristic_episode(sim: Simulator, start: int, length: int,
     ``StepOutcome.component_means``, executed action matrix) for scoring
     and surrogate comparisons.
     """
-    sim.reset(x0, start)
+    sim.reset(x0, start, length)
     rewards = np.empty(length)
     executed = np.empty((length, sim.catalog.num_products))
     totals = np.zeros(7)
@@ -113,7 +114,6 @@ def build_perfect_info_lp(catalog, x0: np.ndarray, demand: np.ndarray,
     summed surrogate reward.
     """
     import scipy.sparse as sp
-    from . import simplex
     demand = np.asarray(demand, dtype=float)
     if demand.ndim != 2 or demand.shape[0] == 0:
         raise ValueError("demand window must be a non-empty (periods, p) matrix")
@@ -226,7 +226,6 @@ def lp_upper_bound(catalog, x0: np.ndarray, demand: np.ndarray,
     certificate: ``kkt_residual`` is the largest of the primal, dual and
     complementary-slackness residuals.
     """
-    from . import simplex
     problem, lay = build_perfect_info_lp(catalog, x0, demand, mod)
     sol = simplex.solve_lp(problem, time_limit=time_limit)
     if sol.status != "optimal":

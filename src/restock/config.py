@@ -7,8 +7,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-import yaml
-
 ALGORITHMS = ("heuristic", "dqn", "dqn_gvf", "dez_dqn_gvf", "lp_bound")
 
 # keys of older manifests that chose or sized a second LP engine; they are
@@ -144,6 +142,7 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    import yaml
     with open(path) as fh:
         data = yaml.safe_load(fh)
     if not isinstance(data, dict):

@@ -222,9 +222,17 @@ class Simulator:
     def horizon(self) -> int:
         return self.demand.shape[0]
 
-    def reset(self, x0: np.ndarray, start: int = 0) -> None:
-        """Start a window at period ``start``; ``x0`` is validated here.
-        Tabulates the forecast of every period from ``start`` on."""
+    def reset(self, x0: np.ndarray, start: int = 0,
+              length: int | None = None) -> None:
+        """Start a window of ``length`` periods at period ``start``; ``x0``
+        and the window are validated here, an unset ``length`` running to
+        the end of the demand data. Tabulates the forecast of every period
+        from ``start`` on."""
+        if not 0 <= start <= self.horizon or (
+                length is not None
+                and not start < start + length <= self.horizon):
+            raise ValueError(f"window start={start}, length={length} is empty "
+                             "or runs before or past the demand data")
         p = self.catalog.num_products
         x = _as_vector(x0, p, "x0").copy()
         # written as a range to accept, so that NaN fails

@@ -8,6 +8,7 @@ with its dual simplex method (Huangfu & Hall, Math. Prog. Comp. 2018), which
 ends on a basic solution: a vertex, with the duals of its basis. The duals
 come in HiGHS's own row order, ``A_ub``'s rows then ``A_eq``'s, and the dual
 of a row is the objective change per unit of extra right-hand side.
+scipy loads on first use.
 
 ``kkt_residuals`` measures how far a solution is from satisfying the
 optimality conditions (primal feasibility, dual feasibility and
@@ -18,10 +19,12 @@ of trusting the solver's status alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _AT_BOUND_TOL = 1e-7  # a variable this close to a bound counts as at it
 
@@ -39,6 +42,7 @@ class LpProblem:
     hi: np.ndarray
 
     def __post_init__(self):
+        import scipy.sparse as sp
         for name in ("A_ub", "A_eq"):
             A = getattr(self, name)
             A = A if sp.issparse(A) else sp.csr_matrix(np.atleast_2d(A))
@@ -79,6 +83,7 @@ def solve_lp(problem: LpProblem,
         raise ValueError(f"need a finite time_limit >= 0, got {time_limit}")
     if time_limit == 0.0:
         return LpSolution(status="time_limit")
+    import scipy.optimize
     # linprog presolves by default; on the hindsight LP that only costs memory
     options = {"presolve": False, "time_limit": time_limit}
     res = scipy.optimize.linprog(

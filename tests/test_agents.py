@@ -10,6 +10,7 @@ from restock.agents import (DecisionLog, ReplayBuffer, exploration_mode,
                             load_agent, make_bundle, run_episode, save_agent,
                             select_actions, td_targets, train_agent,
                             train_step)
+from restock.baselines import run_heuristic_episode
 from restock.config import AgentParams, EnvParams, RewardMod
 from restock.datagen import DatasetSpec, generate, initial_inventories
 from restock.env import ACTION_SET, NUM_ACTIONS, NUM_FEATURES, Simulator
@@ -335,13 +336,19 @@ def test_stored_rewards_are_consistent_with_env_identity():
 
 
 def test_run_episode_refuses_a_window_past_the_demand_data():
+    """Both rollouts start their window through ``Simulator.reset``, which
+    refuses a negative start (it would read periods from the end of the
+    horizon) and an empty window (it would score NaN)."""
     ds, sim = small_world()             # 80 periods of demand
     bundle = tiny_bundle(seed=2)
-    run_episode(bundle, sim, 70, 10, x0=np.full(4, 0.5), mode="eval")
-    for start, length in ((70, 11), (80, 1), (0, 81)):
+    x0 = np.full(4, 0.5)
+    run_episode(bundle, sim, 70, 10, x0=x0, mode="eval")
+    for start, length in ((70, 11), (80, 1), (0, 81), (-5, 10), (0, 0),
+                          (10, -3)):
         with pytest.raises(ValueError, match="past the demand data"):
-            run_episode(bundle, sim, start, length, x0=np.full(4, 0.5),
-                        mode="eval")
+            run_episode(bundle, sim, start, length, x0=x0, mode="eval")
+        with pytest.raises(ValueError, match="past the demand data"):
+            run_heuristic_episode(sim, start, length, x0)
 
 
 def test_training_episode_deterministic_trajectories():

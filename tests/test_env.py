@@ -443,6 +443,9 @@ def test_simulator_validates_at_the_boundary():
                np.array([0.5, -1e-12])):
         with pytest.raises(ValueError):
             sim.reset(x0)
+    for start in (-1, 5):
+        with pytest.raises(ValueError, match="past the demand data"):
+            sim.reset(np.full(2, 0.5), start)
     with pytest.raises(ValueError, match="forecast_window >= 1"):
         Simulator(cat, np.full((4, 2), 0.2), EnvParams(forecast_window=0))
     sim.reset(np.full(2, 0.5), start=3)

@@ -884,6 +884,72 @@ def test_importing_the_cli_loads_no_lp_or_statistics_stack():
     assert out.strip() == "[]"
 
 
+def run_python(code: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports
+    ``restock`` from this checkout."""
+    import subprocess
+    import sys
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_importing_every_module_loads_no_scipy_or_yaml():
+    """Each module imports only numpy and the stdlib at top level; scipy
+    and yaml load inside the functions that use them."""
+    code = ("import sys\n"
+            "from restock import (agents, baselines, cli, config, datagen, "
+            "env, harness, nn, simplex)\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'yaml')))")
+    assert run_python(code).strip() == "[]"
+
+
+def test_training_and_scoring_load_scipy_only_for_an_lp(smoke_dataset,
+                                                        tmp_path):
+    """A forked training run, its evaluation, a transfer and a heuristic
+    rollout leave scipy unloaded in the process that ran them, though it
+    imports ``simplex``; the first LP solve loads it and the bound still
+    carries its certificate."""
+    code = f"""
+import sys
+from pathlib import Path
+import numpy as np
+from restock import baselines, datagen, harness, simplex
+from restock.config import AgentParams, EnvParams, ExperimentConfig
+from restock.env import Simulator
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+
+data, out = {str(smoke_dataset)!r}, Path({str(tmp_path / "run")!r})
+cfg = ExperimentConfig(
+    dataset=data, algorithm="dez_dqn_gvf", seeds=(0, 1), episodes=1,
+    agent=AgentParams(hidden_dims=(8,), buffer_capacity=500, batch_size=8,
+                      train_every=4, target_sync=50),
+    env=EnvParams(forecast_window=4))
+harness._usable_cpus = lambda: 2
+harness.run_experiment(cfg, out)
+ds = datagen.load(data)
+harness.evaluate_checkpoint(out / "seed_0" / "checkpoint.npz", ds, 0)
+harness.transfer_rows(out, data)
+start, length = ds.test_window
+x0 = np.full(ds.spec.products, 0.5)
+baselines.run_heuristic_episode(Simulator(ds.catalog, ds.demand), start,
+                                length, x0)
+print(scipy_modules())
+res = baselines.lp_upper_bound(ds.catalog, x0,
+                               ds.demand[start:start + 10])
+print(res.status, res.kkt_residual < 1e-7, "scipy.optimize" in sys.modules)
+"""
+    lines = run_python(code).strip().splitlines()
+    assert lines[-2:] == ["[]", "optimal True True"]
+    timings = json.loads((tmp_path / "run" / "timings.json").read_text())
+    assert timings["workers"] == 2
+
+
 def test_cli_seed_override(tmp_path):
     data = tmp_path / "ds.txt"
     cli.main(["datagen", "--products", "3", "--seed", "1", "--horizon", "40",
