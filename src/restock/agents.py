@@ -122,17 +122,21 @@ def make_bundle(variant: str, seed: int,
 # ------------------------------------------------------------- action choice
 
 def select_actions(params: nn.MlpParams, feats: np.ndarray, epsilon: float,
-                   mode: str, rng: np.random.Generator):
+                   mode: str, rng: np.random.Generator | None):
     """Pick one action per feature row.
 
     Returns (action indices, source tags, ``nn.head_values`` block). Greedy
     choices break ties toward the lowest action index. The exploration
-    decision is re-made every call (persistence one).
+    decision is re-made every call that gets a generator (persistence
+    one), with ``p`` draws even at zero ``epsilon``; a greedy call, with
+    ``rng`` None, draws nothing.
     """
     qs = nn.head_values(params, feats)
     p = qs.shape[0]
     actions = qs[:, 0].argmax(axis=1)
     tags = np.zeros(p, dtype=np.int64)   # TAG_MAIN
+    if rng is None:
+        return actions, tags, qs
     explore = (rng.random(p) < epsilon).nonzero()[0]
     if not explore.size:
         return actions, tags, qs
@@ -257,14 +261,15 @@ def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
     """One pass over a demand window with shared parameters across products.
 
     Train mode stores one transition per product per period and trains every
-    ``train_every`` periods; eval mode acts greedily and leaves the bundle
-    untouched.
+    ``train_every`` periods; eval mode acts greedily and draws nothing, so
+    it leaves the network, the learner state and ``bundle.rng`` untouched
+    (only ``bundle.seconds`` counts its time).
     """
     train = mode == "train"
     p = sim.catalog.num_products
     sim.reset(x0, start, length)
     sel_mode = exploration_mode(bundle)
-    eps = epsilon if train else 0.0
+    eps, rng = (epsilon, bundle.rng) if train else (0.0, None)
 
     log, products = decision_log, np.arange(p)
     if log is not None:
@@ -276,7 +281,7 @@ def run_episode(bundle: AgentBundle, sim: Simulator, start: int, length: int,
     for k in range(length):
         t0 = clock()
         actions, tags, qs = select_actions(bundle.params, feats, eps,
-                                           sel_mode, bundle.rng)
+                                           sel_mode, rng)
         t1 = clock()
         out = sim.step(ACTION_SET[actions])
         next_feats = sim.features()
@@ -338,12 +343,14 @@ def save_agent(path, bundle: AgentBundle, env: dict, reward_mod: dict) -> None:
 
 def load_agent(path, seed: int = 0,
                agent: AgentParams | None = None) -> AgentBundle:
-    """Restore a trained policy into a fresh bundle (optimizer reset).
+    """Restore a trained policy into the bundle ``make_bundle`` builds for
+    its variant, ``seed`` and ``agent`` (by default the stored one):
+    ``params`` and ``target`` take the stored weights, and the optimizer
+    and ``rng``, initial draw included, are a fresh bundle's.
 
-    ``agent`` defaults to the hyperparameters stored in the checkpoint. A
-    checkpoint that does not store its agent, env and reward mod cannot be
-    scored as it was produced and is refused. The checkpoint's metadata is
-    kept as ``bundle.checkpoint_meta``.
+    A checkpoint whose network config is not the bundle's is refused, and
+    so is one without its agent, env and reward mod, which could not be
+    scored as it was produced. Its metadata is ``bundle.checkpoint_meta``.
     """
     params, cfg, meta = nn.load_checkpoint(path)
     missing = [k for k in ("agent", "env", "reward_mod") if k not in meta]
@@ -351,13 +358,12 @@ def load_agent(path, seed: int = 0,
         raise ValueError(f"{path}: checkpoint metadata lacks {missing}")
     if agent is None:
         agent = AgentParams(**meta["agent"])
-    if agent.hidden_dims != cfg.hidden_dims:
-        raise ValueError(f"{path}: network {cfg.hidden_dims} does not match "
-                         f"hidden_dims {agent.hidden_dims}")
     bundle = make_bundle(meta["variant"], seed=seed, agent=agent)
-    bundle.params = params
-    bundle.target = params.copy()
-    bundle.opt = nn.AdamState(params, lr=agent.lr)
+    if cfg != bundle.config:
+        raise ValueError(f"{path}: network {cfg} does not match the "
+                         f"bundle's {bundle.config}")
+    np.copyto(bundle.params.flat, params.flat)
+    np.copyto(bundle.target.flat, params.flat)
     bundle.episodes_seen = meta["episodes_seen"]
     bundle.checkpoint_meta = meta
     return bundle

@@ -163,9 +163,16 @@ def save(dataset: Dataset, path) -> None:
 
 
 def format_value(v) -> str:
+    """A value as text in every file the lab writes: a bool as ``True`` or
+    ``False``, an integer in decimal, a float as its round-trip ``repr``,
+    anything else as ``str`` gives it."""
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return repr(float(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
 
 
 def _table(section: str, rows: list[str], shape: tuple) -> np.ndarray:

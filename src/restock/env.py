@@ -218,19 +218,12 @@ class Simulator:
             shelf_life(catalog),
         ])
 
-    @property
-    def horizon(self) -> int:
-        return self.demand.shape[0]
-
-    def reset(self, x0: np.ndarray, start: int = 0,
-              length: int | None = None) -> None:
-        """Start a window of ``length`` periods at period ``start``; ``x0``
-        and the window are validated here, an unset ``length`` running to
-        the end of the demand data. Tabulates the forecast of every period
-        from ``start`` on."""
-        if not 0 <= start <= self.horizon or (
-                length is not None
-                and not start < start + length <= self.horizon):
+    def reset(self, x0: np.ndarray, start: int, length: int) -> None:
+        """Start the window of ``length`` periods at period ``start`` from
+        the inventory ``x0``; both are validated here. Tabulates the
+        forecasts of the window's ``length + 1`` periods, its end included;
+        ``step`` refuses a period past the window."""
+        if not 0 <= start < start + length <= len(self.demand):
             raise ValueError(f"window start={start}, length={length} is empty "
                              "or runs before or past the demand data")
         p = self.catalog.num_products
@@ -244,7 +237,7 @@ class Simulator:
         # each period's w previous demands, ordered as in a ring buffer
         # filled from period ``first`` on (period s in slot (s - first) mod
         # w): a float sum depends on its order, and stored runs used this one
-        t = np.arange(start, self.horizon + 1)[:, None]
+        t = np.arange(start, start + length + 1)[:, None]
         slots = t - w + (np.arange(w) - t + first) % w
         self._forecasts = np.empty((len(t), p))     # row t - start: period t
         for k in range(0, len(t), 64):   # 64 periods at a time bound memory
@@ -252,7 +245,7 @@ class Simulator:
             block = self.demand[np.maximum(s, 0)]
             block[s < first] = 0.0
             block.mean(axis=1, out=self._forecasts[k:k + 64])
-        self._start = start
+        self._start, self._end = start, start + length
 
     @property
     def forecast(self) -> np.ndarray:
@@ -272,8 +265,8 @@ class Simulator:
 
     def step(self, raw_action: np.ndarray) -> StepOutcome:
         t = self.t
-        if t >= self.horizon:
-            raise IndexError(f"period {t} is past the end of the demand data")
+        if t >= self._end:
+            raise IndexError(f"period {t} is past the end of the window")
         out = step(self.catalog, self.x, raw_action, self.demand[t],
                    self.env.alpha, self.mod)
         self.t, self.x = t + 1, out.x

@@ -62,16 +62,6 @@ def run_config(run_dir) -> ExperimentConfig:
     return read_manifest(run_dir)[0]
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 # ints and floats; ``tolist`` turns numpy ones into Python ones
 _NUMBER_TYPES = frozenset([int, float, *(np.dtype(c).type
                                          for c in "bhilqBHILQefd")])
@@ -79,13 +69,14 @@ _CSV_BLOCK = 1024  # rows that write_csv turns into columns at a time
 
 
 def _csv_column(values: tuple) -> tuple[list[str], bool]:
-    """One column of a block as the strings ``_fmt`` gives, and whether
-    it holds numbers only. A column of one type in ``_NUMBER_TYPES`` takes
-    one ``tolist`` call and one ``repr`` per value."""
+    """One column of a block as the strings ``datagen.format_value`` gives,
+    and whether it holds numbers only. A column of one type in
+    ``_NUMBER_TYPES`` takes one ``tolist`` call and one ``repr`` per
+    value."""
     kinds = set(map(type, values))
     if len(kinds) == 1 and kinds <= _NUMBER_TYPES:
         return list(map(repr, np.array(values).tolist())), True
-    return [_fmt(v) for v in values], False
+    return list(map(datagen.format_value, values)), False
 
 
 def write_csv(path, columns, rows) -> None:

@@ -31,7 +31,8 @@ _AT_BOUND_TOL = 1e-7  # a variable this close to a bound counts as at it
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, lo <= x <= hi."""
+    """max c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, lo <= x <= hi,
+    with the row blocks given as scipy.sparse matrices."""
 
     c: np.ndarray
     A_ub: sp.csr_matrix
@@ -42,11 +43,8 @@ class LpProblem:
     hi: np.ndarray
 
     def __post_init__(self):
-        import scipy.sparse as sp
-        for name in ("A_ub", "A_eq"):
-            A = getattr(self, name)
-            A = A if sp.issparse(A) else sp.csr_matrix(np.atleast_2d(A))
-            object.__setattr__(self, name, A.tocsr())
+        for name in ("A_ub", "A_eq"):   # a dense block has no tocsr
+            object.__setattr__(self, name, getattr(self, name).tocsr())
         for name in ("c", "b_ub", "b_eq", "lo", "hi"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))

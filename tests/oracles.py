@@ -1,9 +1,10 @@
 """Reference implementations of the learner's hot path, as the package had
 them before they were rewritten to work in place, and of the env step, as
 the package composed it from helpers before it became one body, and of the
-dataset generator, as it was when its distributions were spec fields, and
-of the format 1 dataset writer: the oracles the rewritten code must match
-bit for bit, Generator state included."""
+dataset generator, as it was when its distributions were spec fields, of
+the format 1 dataset writer, and of the forecast table, as ``reset``
+tabulated it to the end of the demand data: the oracles the rewritten code
+must match bit for bit, Generator state included."""
 
 import math
 from dataclasses import dataclass, fields
@@ -322,3 +323,21 @@ def reference_save(dataset: Dataset, path) -> None:
     lines.extend(" ".join(map(repr, row)) for row in dataset.demand.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def reference_forecasts(demand: np.ndarray, start: int,
+                        window: int) -> np.ndarray:
+    """``Simulator.reset``'s forecast table as it was tabulated for every
+    period from ``start`` to the end of ``demand``, that end included: row
+    t - start is period t's mean of its ``window`` previous demands."""
+    horizon, p = demand.shape
+    first = max(0, start - window)
+    t = np.arange(start, horizon + 1)[:, None]
+    slots = t - window + (np.arange(window) - t + first) % window
+    table = np.empty((len(t), p))
+    for k in range(0, len(t), 64):
+        s = slots[k:k + 64]
+        block = demand[np.maximum(s, 0)]
+        block[s < first] = 0.0
+        block.mean(axis=1, out=table[k:k + 64])
+    return table

@@ -308,11 +308,14 @@ def test_eval_episode_is_repeatable_and_pure():
     bundle = tiny_bundle(seed=1)
     x0 = initial_inventories(4, 100)
     before = bundle.params.flat.copy()
+    rng_state = bundle.rng.bit_generator.state
     m1 = run_episode(bundle, sim, *ds.test_window, x0=x0, mode="eval")
     m2 = run_episode(bundle, sim, *ds.test_window, x0=x0, mode="eval")
     assert m1 == m2
     np.testing.assert_array_equal(before, bundle.params.flat)
     assert len(bundle.buffer) == 0
+    # a greedy period draws nothing
+    assert bundle.rng.bit_generator.state == rng_state
 
 
 def test_stored_rewards_are_consistent_with_env_identity():
@@ -325,7 +328,7 @@ def test_stored_rewards_are_consistent_with_env_identity():
     # minus the capacity penalty when averaged per period
     r = bundle.buffer.r[:len(bundle.buffer)].reshape(30, 4)
     sim2 = Simulator(ds.catalog, ds.demand, EnvParams(forecast_window=4))
-    sim2.reset(x0, 0)
+    sim2.reset(x0, 0, 30)
     # replay with the stored actions to recompute the env-side quantities
     a = bundle.buffer.a[:len(bundle.buffer)].reshape(30, 4)
     from restock.env import ACTION_SET
@@ -428,8 +431,8 @@ def test_fine_tune_sees_modified_rewards():
     heavy = Simulator(ds.catalog, ds.demand, env,
                       RewardMod(wastage_weight=4.0))
     x0 = np.full(4, 0.9)
-    base.reset(x0, 0)
-    heavy.reset(x0, 0)
+    base.reset(x0, 0, 1)
+    heavy.reset(x0, 0, 1)
     zero = np.zeros(4)
     ob, oh = base.step(zero), heavy.step(zero)
     assert oh.component_means[0] == pytest.approx(
@@ -456,19 +459,36 @@ def test_checkpoint_roundtrip_preserves_policy(tmp_path):
 
 
 def test_load_agent_restores_stored_hyperparameters(tmp_path):
+    """The stored weights land in ``params`` and ``target``; the optimizer
+    state and the random stream are a fresh ``make_bundle``'s. A checkpoint
+    whose network config is not the bundle's is refused."""
     bundle = tiny_bundle(seed=9, buffer_capacity=300, batch_size=8,
                          gamma=0.8, hidden_dims=(12, 10), lr=5e-4)
     path = tmp_path / "agent.npz"
     save_agent(path, bundle, env={}, reward_mod={})
     restored = load_agent(path, seed=3)
+    fresh = make_bundle(bundle.variant, seed=3, agent=bundle.agent)
     assert restored.agent == bundle.agent
     assert restored.buffer.capacity == 300
     assert restored.config == bundle.config
-    assert restored.opt.lr == 5e-4
     np.testing.assert_array_equal(restored.params.flat, bundle.params.flat)
+    np.testing.assert_array_equal(restored.target.flat, bundle.params.flat)
+    assert not np.shares_memory(restored.params.flat, restored.target.flat)
+    opt = nn.AdamState(fresh.params, lr=5e-4)
+    assert (restored.opt.t, restored.opt.lr) == (opt.t, opt.lr)
+    np.testing.assert_array_equal(restored.opt.m, opt.m)
+    np.testing.assert_array_equal(restored.opt.v, opt.v)
+    assert restored.rng.bit_generator.state == fresh.rng.bit_generator.state
     # an explicit agent must match the stored network shape
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match"):
         load_agent(path, seed=3, agent=AgentParams())
+    params, cfg, meta = nn.load_checkpoint(path)
+    for other in (replace(cfg, input_dim=5), replace(cfg, num_heads=2),
+                  replace(cfg, num_actions=9)):
+        nn.save_checkpoint(path, nn.init_params(other, np.random.default_rng(0)),
+                           meta)
+        with pytest.raises(ValueError, match="does not match"):
+            load_agent(path, seed=3)
 
 
 def test_load_agent_refuses_checkpoint_without_scoring_keys(tmp_path):

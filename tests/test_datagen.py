@@ -313,7 +313,7 @@ def test_capacity_constraint_stays_active_for_heuristic():
     ds = generate(small_spec(products=10, seed=5))
     sim = Simulator(ds.catalog, ds.demand, EnvParams(forecast_window=8))
     x = initial_inventories(10, 0)
-    sim.reset(x, start=0)
+    sim.reset(x, 0, 40)
     violations = 0
     for _ in range(40):
         u = heuristic_action(sim.x, sim.forecast, 0.5)
@@ -331,6 +331,18 @@ def test_loaded_catalog_vectors_are_contiguous(tmp_path):
     for name in ("unit_volume", "unit_weight", "spoilage_rate",
                  "critical_level"):
         assert getattr(catalog, name).flags.c_contiguous, name
+
+
+def test_format_value_examples():
+    """The one text form of a value in the lab's files: bools by name,
+    integers in decimal, floats by round-trip ``repr``, the rest by
+    ``str``."""
+    for value, text in ((True, "True"), (np.bool_(False), "False"),
+                        (7, "7"), (np.int64(-3), "-3"), (0.1, "0.1"),
+                        (np.float64(1e-5), "1e-05"), (np.float32(0.5), "0.5"),
+                        (float("nan"), "nan"), ("optimal", "optimal"),
+                        (None, "None")):
+        assert datagen.format_value(value) == text, value
 
 
 def test_save_writes_demand_as_the_per_value_writer(tmp_path):

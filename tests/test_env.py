@@ -47,7 +47,7 @@ def simulator_features(catalog: ProductCatalog, x: np.ndarray,
     ``forecast`` (window 1, so that is the forecast)."""
     sim = Simulator(catalog, np.tile(forecast, (2, 1)),
                     EnvParams(forecast_window=1))
-    sim.reset(x, start=1)
+    sim.reset(x, 1, 1)
     return sim.features()
 
 
@@ -288,10 +288,11 @@ class RingForecast:
 
 
 def forecasts_after(demand: np.ndarray, start: int, window: int):
-    """``Simulator.forecast`` at every period from ``start`` to the end."""
+    """``Simulator.forecast`` at every period of the window from ``start``
+    to the end of ``demand``, that end included."""
     sim = Simulator(make_catalog(p=demand.shape[1]), demand,
                     EnvParams(forecast_window=window))
-    sim.reset(np.zeros(demand.shape[1]), start)
+    sim.reset(np.zeros(demand.shape[1]), start, len(demand) - start)
     out = []
     for _ in range(start, len(demand)):
         out.append(sim.forecast.copy())
@@ -300,7 +301,7 @@ def forecasts_after(demand: np.ndarray, start: int, window: int):
 
 
 def test_forecast_examples():
-    assert forecasts_after(np.full((4, 1), 0.1), 4, 4)[0] == \
+    assert forecasts_after(np.full((5, 1), 0.1), 4, 4)[0] == \
         pytest.approx([0.1])
     assert forecasts_after(np.full((1, 1), 0.4), 0, 4)[1] == \
         pytest.approx([0.1])
@@ -321,7 +322,7 @@ def test_forecast_table_matches_the_ring_buffer_bit_for_bit(p, window):
     pushed once per step. 70 periods span two of ``reset``'s 64-period
     chunks."""
     demand = np.random.default_rng([p, window]).random((70, p))
-    for start in range(len(demand) + 1):
+    for start in range(len(demand)):
         ring = RingForecast(window, p)
         for row in demand[max(0, start - window):start]:
             ring.push(row)
@@ -331,6 +332,26 @@ def test_forecast_table_matches_the_ring_buffer_bit_for_bit(p, window):
                                           err_msg=f"start {start}, t {t}")
             if t < len(demand):
                 ring.push(demand[t])
+
+
+@pytest.mark.parametrize("p", [1, 3, 20])
+@pytest.mark.parametrize("window", [1, 4, 8])
+def test_window_forecast_table_matches_the_full_horizon_one(p, window):
+    """``reset`` tabulates only its window's ``length + 1`` periods, in
+    64-period blocks; each row has the bits of the table tabulated to the
+    end of the demand data, whose block at the same place holds more rows.
+    The window's last block holds 1, 2 or 64 rows."""
+    demand = np.random.default_rng([p, window, 1]).random((300, p))
+    sim = Simulator(make_catalog(p=p), demand,
+                    EnvParams(forecast_window=window))
+    for start in (0, 3, 37):
+        full = oracles.reference_forecasts(demand, start, window)
+        for length in (64, 65, 127):
+            sim.reset(np.zeros(p), start, length)
+            assert sim._forecasts.shape == (length + 1, p)
+            np.testing.assert_array_equal(
+                sim._forecasts, full[:length + 1],
+                err_msg=f"start {start}, length {length}")
 
 
 # ---------------------------------------------------------------- cumulants
@@ -416,7 +437,7 @@ def test_consecutive_outcomes_do_not_alias():
     rng = np.random.default_rng(12)
     demand = rng.random((5, 3)) * 0.3
     sim = Simulator(cat, demand, EnvParams(forecast_window=2))
-    sim.reset(np.full(3, 0.5))
+    sim.reset(np.full(3, 0.5), 0, 2)
     first = sim.step(np.full(3, 0.2))
     saved = {k: np.copy(v) for k, v in vars(first).items()
              if isinstance(v, np.ndarray)}
@@ -442,15 +463,20 @@ def test_simulator_validates_at_the_boundary():
                np.array([-np.inf, 0.5]), np.array([1 + 1e-12, 0.5]),
                np.array([0.5, -1e-12])):
         with pytest.raises(ValueError):
-            sim.reset(x0)
-    for start in (-1, 5):
+            sim.reset(x0, 0, 4)
+    for start, length in ((-1, 1), (5, 1), (0, 0), (3, 2), (2, -1)):
         with pytest.raises(ValueError, match="past the demand data"):
-            sim.reset(np.full(2, 0.5), start)
+            sim.reset(np.full(2, 0.5), start, length)
     with pytest.raises(ValueError, match="forecast_window >= 1"):
         Simulator(cat, np.full((4, 2), 0.2), EnvParams(forecast_window=0))
-    sim.reset(np.full(2, 0.5), start=3)
+    sim.reset(np.full(2, 0.5), 3, 1)
     sim.step(np.zeros(2))       # the last period of demand
-    with pytest.raises(IndexError, match="past the end"):
+    with pytest.raises(IndexError, match="past the end of the window"):
+        sim.step(np.zeros(2))
+    sim.reset(np.full(2, 0.5), 0, 2)
+    sim.step(np.zeros(2))
+    sim.step(np.zeros(2))       # the window's last period; demand goes on
+    with pytest.raises(IndexError, match="past the end of the window"):
         sim.step(np.zeros(2))
 
 
@@ -609,7 +635,7 @@ def test_simulator_walks_demand_and_warms_forecast():
     cat = make_catalog(p=2, spoilage=[0.1, 0.1])
     demand = np.tile(np.array([[0.1, 0.2]]), (10, 1))
     sim = Simulator(cat, demand, EnvParams(forecast_window=4))
-    sim.reset(np.array([0.5, 0.5]), start=6)
+    sim.reset(np.array([0.5, 0.5]), 6, 1)
     np.testing.assert_allclose(sim.forecast, [0.1, 0.2])
     feats = sim.features()
     assert feats.shape == (2, 7)
@@ -622,7 +648,7 @@ def test_simulator_walks_demand_and_warms_forecast():
 def test_simulator_cold_start_has_zero_forecast():
     cat = make_catalog(p=1)
     sim = Simulator(cat, np.full((5, 1), 0.3), EnvParams(forecast_window=4))
-    sim.reset(np.array([0.2]), start=0)
+    sim.reset(np.array([0.2]), 0, 5)
     assert sim.forecast[0] == 0.0
 
 

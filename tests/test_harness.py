@@ -377,12 +377,13 @@ def test_a_seed_alone_matches_its_part_of_a_run(smoke_run, tmp_path):
 
 
 def row_wise_write_csv(path, columns, rows) -> None:
-    """The reference writer: every value formatted alone by ``_fmt``."""
+    """The reference writer: every value formatted alone by
+    ``datagen.format_value``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([harness._fmt(v) for v in row])
+            writer.writerow([datagen.format_value(v) for v in row])
 
 
 def object_read_decisions(path) -> dict[str, np.ndarray]:

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 
 from restock.baselines import build_perfect_info_lp
 from restock.datagen import DatasetSpec, generate, initial_inventories
@@ -290,10 +291,14 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         make_problem([1.0], [[1.0]], ["<"], [1.0], lo=[2.0], hi=[1.0])
     prob = make_problem([1.0], [[1.0]], ["<"], [1.0])
-    for block in ({"b_ub": [1.0, 2.0]}, {"A_eq": [[1.0, 1.0]], "b_eq": [1.0]},
-                  {"b_eq": [[1.0]], "A_eq": [[1.0]]}):
+    for block in ({"b_ub": [1.0, 2.0]},
+                  {"A_eq": sp.csr_matrix([[1.0, 1.0]]), "b_eq": [1.0]},
+                  {"b_eq": [[1.0]], "A_eq": sp.csr_matrix([[1.0]])}):
         with pytest.raises(ValueError, match="row block"):
             dataclasses.replace(prob, **block)
+    # the row blocks are sparse matrices; a dense one is refused
+    with pytest.raises(AttributeError, match="tocsr"):
+        dataclasses.replace(prob, A_ub=np.array([[1.0]]))
     with pytest.raises(ValueError):
         make_problem([np.inf], [[1.0]], ["<"], [1.0])
     with pytest.raises(ValueError):
