@@ -172,6 +172,9 @@ def main(argv=None) -> int:
             algorithm, _, run_dir = item.partition("=")
             if not run_dir:
                 raise SystemExit("--run expects algorithm=run_dir")
+            if algorithm in run_dirs:
+                parser.error(f"--run names {algorithm} twice; give one run "
+                             "directory per algorithm")
             run_dirs[algorithm] = run_dir
         mod = RewardMod(wastage_weight=args.wastage_weight,
                         critical_override=args.critical_override)

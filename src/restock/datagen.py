@@ -157,7 +157,10 @@ def save(dataset: Dataset, path) -> None:
     for i, row in enumerate(zip(*columns)):
         lines.append(" ".join([str(i), *map(format_value, row)]))
     lines.append("[demand]")
-    lines.extend(" ".join(map(repr, row)) for row in dataset.demand.tolist())
+    width = dataset.demand.shape[1]
+    text = format_numbers(dataset.demand.ravel())
+    lines.extend(" ".join(text[k:k + width])
+                 for k in range(0, len(text), width))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -173,6 +176,26 @@ def format_value(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
+
+
+def format_numbers(values: np.ndarray) -> list[str]:
+    """``repr(float(v))`` of each value of a 1-D float array: the same text
+    as ``format_value``, in one pass. orjson's Ryū writes the shortest
+    round-trip digits as ``repr`` does; the values it writes in another
+    form, those ``repr`` writes with an exponent (0 < |v| < 1e-4 or
+    |v| >= 1e16) and NaN and +-inf, go through ``repr``."""
+    import orjson
+    with np.errstate(invalid="ignore"):   # a float32 signalling NaN is NaN
+        values = np.ascontiguousarray(values, dtype=np.float64)
+    if not len(values):
+        return []
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    strings = text[1:-1].decode().split(",")
+    size = np.abs(values)
+    odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (values == 0)))
+    for k, v in zip(odd.tolist(), values[odd].tolist()):
+        strings[k] = repr(v)
+    return strings
 
 
 def _table(section: str, rows: list[str], shape: tuple) -> np.ndarray:

@@ -62,7 +62,9 @@ def run_config(run_dir) -> ExperimentConfig:
     return read_manifest(run_dir)[0]
 
 
-# ints and floats; ``tolist`` turns numpy ones into Python ones
+# ints and floats; a column of one float type is written by
+# ``datagen.format_numbers``, one of one int type by ``tolist`` and ``repr``,
+# so a Python int beyond int64 keeps its digits
 _NUMBER_TYPES = frozenset([int, float, *(np.dtype(c).type
                                          for c in "bhilqBHILQefd")])
 _CSV_BLOCK = 1024  # rows that write_csv turns into columns at a time
@@ -70,11 +72,16 @@ _CSV_BLOCK = 1024  # rows that write_csv turns into columns at a time
 
 def _csv_column(values: tuple) -> tuple[list[str], bool]:
     """One column of a block as the strings ``datagen.format_value`` gives,
-    and whether it holds numbers only. A column of one type in
-    ``_NUMBER_TYPES`` takes one ``tolist`` call and one ``repr`` per
-    value."""
+    and whether it holds numbers only. A column of one float type in
+    ``_NUMBER_TYPES`` is read into an array and written by
+    ``datagen.format_numbers``; one of one int type takes one ``tolist``
+    call and one ``repr`` per value."""
     kinds = set(map(type, values))
     if len(kinds) == 1 and kinds <= _NUMBER_TYPES:
+        kind = kinds.pop()
+        if issubclass(kind, (float, np.floating)):
+            return datagen.format_numbers(
+                np.fromiter(values, kind, len(values))), True
         return list(map(repr, np.array(values).tolist())), True
     return list(map(datagen.format_value, values)), False
 
@@ -82,10 +89,11 @@ def _csv_column(values: tuple) -> tuple[list[str], bool]:
 def write_csv(path, columns, rows) -> None:
     """Writes the header, then ``rows`` in blocks of ``_CSV_BLOCK``, each
     turned into columns, to a file beside ``path`` that replaces it at the
-    end, in a parent directory created if missing. ``csv`` writes a block
-    that holds a non-number; no number needs quoting, so any other block is
-    joined with ``csv``'s line ending. A row whose length is not the
-    header's raises; an error leaves ``path``."""
+    end, in a parent directory created if missing. ``_csv_column`` formats
+    each column of a block, a float column as one array. ``csv`` writes a
+    block that holds a non-number; no number needs quoting, so any other
+    block is joined with ``csv``'s line ending. A row whose length is not
+    the header's raises; an error leaves ``path``."""
     width = len(columns)
     if width == 0:
         raise ValueError(f"{path}: a CSV needs at least one column")
@@ -149,9 +157,13 @@ def lp_bound_row(ds: datagen.Dataset, window: str, seed: int,
 
 def read_decisions(path) -> dict[str, np.ndarray]:
     """A ``decisions.csv`` as one array per column: the header read by
-    ``csv``, the body parsed in one ``np.loadtxt`` call."""
+    ``csv``, the body parsed in one ``np.loadtxt`` call. A file whose header
+    is not ``DECISION_COLUMNS`` is refused."""
     with open(path) as fh:
         columns = next(csv.reader([fh.readline()]), [])
+        if tuple(columns) != DECISION_COLUMNS:
+            raise ValueError(f"{path}: not a decision log: its header is "
+                             f"{columns}, not {list(DECISION_COLUMNS)}")
         body = fh.tell()
         if not fh.readline():
             raise ValueError(f"{path}: empty decision log")

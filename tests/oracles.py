@@ -2,9 +2,10 @@
 them before they were rewritten to work in place, and of the env step, as
 the package composed it from helpers before it became one body, and of the
 dataset generator, as it was when its distributions were spec fields, of
-the format 1 dataset writer, and of the forecast table, as ``reset``
-tabulated it to the end of the demand data: the oracles the rewritten code
-must match bit for bit, Generator state included."""
+the dataset writer, as it wrote format 1 and demand value by value, and of
+the forecast table, as ``reset`` tabulated it to the end of the demand
+data: the oracles the rewritten code must match bit for bit, Generator
+state included."""
 
 import math
 from dataclasses import dataclass, fields
@@ -300,23 +301,29 @@ def reference_generate(spec: DatasetSpec,
     return Dataset(spec=spec, catalog=catalog, demand=demand)
 
 
-def reference_save(dataset: Dataset, path) -> None:
-    """Writes ``dataset`` as a format 1 file, as ``datagen.save`` did when
-    each catalog row also held the product's shelf size. The shelf sizes
-    are redrawn from the spec's seed: they were ``generate``'s first draw."""
+def reference_save(dataset: Dataset, path,
+                   format_version: int = 1) -> None:
+    """Writes ``dataset`` as ``datagen.save`` did with one ``repr`` per
+    demand value. Format 1, the default, is the file of the days when each
+    catalog row also held the product's shelf size; the shelf sizes are
+    redrawn from the spec's seed: they were ``generate``'s first draw.
+    Format 2 is today's file."""
     spec, cat = dataset.spec, dataset.catalog
-    max_shelf = np.random.Generator(np.random.PCG64(spec.seed)).integers(
-        50, 501, spec.products)
-    lines = ["# restock dataset", "format_version 1", "prng pcg64"]
+    lines = ["# restock dataset", f"format_version {format_version}",
+             "prng pcg64"]
     for f in fields(DatasetSpec):
         lines.append(f"{f.name} {format_value(getattr(spec, f.name))}")
     lines.append(f"v_max {format_value(cat.v_max)}")
     lines.append(f"c_max {format_value(cat.c_max)}")
     lines.append("[catalog]")
-    lines.append("# product max_shelf unit_volume unit_weight"
-                 " spoilage_rate critical_level")
-    columns = (max_shelf, cat.unit_volume, cat.unit_weight,
-               cat.spoilage_rate, cat.critical_level)
+    columns = (cat.unit_volume, cat.unit_weight, cat.spoilage_rate,
+               cat.critical_level)
+    names = "unit_volume unit_weight spoilage_rate critical_level"
+    if format_version == 1:
+        columns = (np.random.Generator(np.random.PCG64(spec.seed)).integers(
+            50, 501, spec.products), *columns)
+        names = "max_shelf " + names
+    lines.append(f"# product {names}")
     for i, row in enumerate(zip(*columns)):
         lines.append(" ".join([str(i), *map(format_value, row)]))
     lines.append("[demand]")

@@ -363,6 +363,50 @@ def test_save_writes_demand_as_the_per_value_writer(tmp_path):
     assert np.array_equal(load(path).demand, demand)
 
 
+def repr_text(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.tolist()))
+
+
+def test_format_numbers_is_repr_byte_for_byte():
+    """``format_numbers`` writes each value as ``repr`` does: at the edges
+    where ``repr`` switches to an exponent and one ulp either side, on
+    signed zeros, subnormals, NaN and infinities, on every float16, on
+    float32 columns, and on a million random draws and random bit
+    patterns."""
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072009e-308,
+             2.2250738585072014e-308, 1.7976931348623157e308,
+             np.nan, np.inf]
+    for edge in (1e-4, 1e16):
+        edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+    edges = np.array(edges + [-v for v in edges])
+    assert datagen.format_numbers(edges) == repr_text(edges)
+    assert datagen.format_numbers(np.array([1e16, 1e-5, -0.0, -np.inf])) == \
+        ["1e+16", "1e-05", "-0.0", "-inf"]
+
+    rng = np.random.default_rng(24)
+    bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64)
+    cases = {
+        "random": rng.random(500_000),
+        "normal": rng.normal(size=500_000),
+        "float64 bits": bits.view(np.float64),
+        "float32 bits": bits.view(np.float32),
+        "float32 normal": rng.normal(size=1000).astype(np.float32),
+        "every float16": np.arange(2**16, dtype=np.uint16).view(np.float16),
+        "empty": np.array([]),
+    }
+    for name, values in cases.items():
+        assert datagen.format_numbers(values) == repr_text(values), name
+
+
+@pytest.mark.parametrize("products", [1, 5, 100])
+def test_save_keeps_the_bytes_of_the_per_value_writer(tmp_path, products):
+    ds = generate(DatasetSpec(products=products, seed=products))
+    save(ds, tmp_path / "ds.txt")
+    oracles.reference_save(ds, tmp_path / "oracle.txt", format_version=2)
+    assert (tmp_path / "ds.txt").read_bytes() == \
+        (tmp_path / "oracle.txt").read_bytes()
+
+
 def test_load_parses_each_content_once(tmp_path, monkeypatch):
     """A second load of the same bytes parses nothing and returns the same
     read-only Dataset, with the sha256 of the bytes; a rewritten file is

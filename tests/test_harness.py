@@ -456,6 +456,28 @@ def test_write_csv_matches_the_row_wise_writer(tmp_path, n):
     assert (tmp_path / "iterated.csv").read_bytes() == oracle
 
 
+@pytest.mark.parametrize("column, text", [
+    ([2**70, -2**80, 3], ["1180591620717411303424",
+                          "-1208925819614629174706176", "3"]),
+    ([True, np.bool_(False), True], ["True", "False", "True"]),
+    (["a,b", 0.5, np.float64(1e-5), 2**70],
+     ['"a,b"', "0.5", "1e-05", "1180591620717411303424"]),
+], ids=["int_beyond_int64", "bool", "mixed_str_float"])
+def test_write_csv_keeps_the_bytes_of_ints_bools_and_mixed_columns(
+        tmp_path, column, text):
+    """A column of Python ints beyond int64 keeps every digit, a bool column
+    its names and a column that mixes strings and numbers ``csv``'s quoting,
+    alone and beside a float column."""
+    harness.write_csv(tmp_path / "alone.csv", ["c"], [[v] for v in column])
+    assert (tmp_path / "alone.csv").read_bytes() == \
+        "".join(f"{t}\r\n" for t in ["c", *text]).encode()
+    rows = [[v, k / 3] for k, v in enumerate(column)]
+    harness.write_csv(tmp_path / "pair.csv", ["c", "f"], rows)
+    row_wise_write_csv(tmp_path / "oracle.csv", ["c", "f"], rows)
+    assert (tmp_path / "pair.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
+
+
 @pytest.mark.parametrize("bad", [1, 1024, 1500])
 def test_write_csv_refuses_ragged_rows(tmp_path, bad):
     """A ragged row raises and leaves no file behind: neither a truncated
@@ -517,6 +539,23 @@ def test_read_decisions_refuses_empty_and_ragged_files(tmp_path):
                 read_decisions(path)
     (tmp_path / "ok.csv").write_text(header + row)
     assert read_decisions(tmp_path / "ok.csv")["gvf3"].tolist() == [0.3]
+
+
+def test_read_decisions_refuses_a_file_that_is_not_a_decision_log(
+        smoke_run, tmp_path):
+    """A run's ``eval_metrics.csv`` is refused by its header, with the path
+    and the header found, before its body is parsed; so is ``heatmap`` on
+    it."""
+    _, out = smoke_run
+    metrics = out / "seed_0" / "eval_metrics.csv"
+    with pytest.raises(ValueError, match="not a decision log") as err:
+        read_decisions(metrics)
+    assert str(metrics) in str(err.value)
+    assert "'window_start', 'window_len'" in str(err.value)
+    with pytest.raises(ValueError, match="not a decision log"):
+        cli.main(["heatmap", "--decisions", str(metrics),
+                  "--out", str(tmp_path / "heat.csv")])
+    assert not (tmp_path / "heat.csv").exists()
 
 
 # ------------------------------------------------------------- transfer
@@ -847,6 +886,22 @@ def test_cli_end_to_end(tmp_path):
     assert (tmp_path / "summary.csv").exists()
 
 
+def test_cli_finetune_refuses_an_algorithm_named_twice(smoke_run,
+                                                      smoke_dataset, tmp_path,
+                                                      capsys):
+    """Two ``--run`` of one algorithm would keep only the last run: the
+    command refuses them, naming the algorithm, and writes nothing."""
+    _, run_dir = smoke_run
+    out = tmp_path / "ft.csv"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["finetune", "--run", f"dez_dqn_gvf={run_dir}",
+                  "--run", f"dez_dqn_gvf={tmp_path}", "--dataset",
+                  str(smoke_dataset), "--episodes", "1", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "--run names dez_dqn_gvf twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_out_creates_missing_directories(smoke_run, smoke_dataset,
                                             tmp_path):
     """Every command that writes a CSV creates the ``--out`` file's missing
@@ -897,15 +952,26 @@ def run_python(code: str) -> str:
                           capture_output=True, text=True).stdout
 
 
-def test_importing_every_module_loads_no_scipy_or_yaml():
-    """Each module imports only numpy and the stdlib at top level; scipy
-    and yaml load inside the functions that use them."""
+def test_importing_every_module_loads_no_scipy_or_yaml(tmp_path):
+    """At top level each module imports only numpy, the stdlib and other
+    ``restock`` modules; scipy, yaml and orjson load inside the functions
+    that use them, orjson at the first float column a CSV writes."""
     code = ("import sys\n"
             "from restock import (agents, baselines, cli, config, datagen, "
             "env, harness, nn, simplex)\n"
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'yaml')))")
-    assert run_python(code).strip() == "[]"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'yaml', 'orjson'))\n"
+            "print(loaded())\n"
+            f"harness.write_csv({str(tmp_path / 'ints.csv')!r}, ['n'], "
+            "[[1], [2]])\n"
+            "print(loaded())\n"
+            f"harness.write_csv({str(tmp_path / 'floats.csv')!r}, ['x'], "
+            "[[0.5]])\n"
+            "print(loaded())\n")
+    at_import, after_ints, after_floats = run_python(code).splitlines()
+    assert at_import == after_ints == "[]"
+    assert "'orjson'" in after_floats and "scipy" not in after_floats
 
 
 def test_training_and_scoring_load_scipy_only_for_an_lp(smoke_dataset,
