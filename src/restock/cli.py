@@ -128,8 +128,12 @@ def main(argv=None) -> int:
     if args.command == "train":
         cfg = load_config(args.config)
         if args.seeds is not None:
-            seeds = tuple(int(s) for s in args.seeds.split(","))
-            cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seeds": seeds})
+            try:   # an item that is no integer, or a refused seed
+                seeds = [int(s) for s in args.seeds.split(",")]
+                cfg = ExperimentConfig.from_dict({**cfg.to_dict(),
+                                                  "seeds": seeds})
+            except ValueError as exc:
+                parser.error(f"--seeds {args.seeds!r}: {exc}")
         out = harness.run_experiment(cfg, args.out)
         for row in harness.summarize([out]):
             print(row)

@@ -117,9 +117,11 @@ class ExperimentConfig:
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if not (all(map(_is_int, (*self.seeds, self.episodes)))
-                and self.episodes >= 1 and 0 <= self.heuristic_target <= 1):
-            raise ValueError(f"need integer seeds, an integer episodes >= 1 "
-                             f"and a heuristic_target in [0, 1], got {self}")
+                and min(self.seeds) >= 0 and self.episodes >= 1
+                and 0 <= self.heuristic_target <= 1):
+            raise ValueError(f"need integer seeds >= 0, an integer episodes "
+                             f">= 1 and a heuristic_target in [0, 1], "
+                             f"got {self}")
         if not 0.0 <= (self.lp_time_limit or 0.0) < float("inf"):
             raise ValueError(f"lp_time_limit must be finite and >= 0, "
                              f"got {self.lp_time_limit}")

@@ -157,18 +157,16 @@ def save(dataset: Dataset, path) -> None:
     for i, row in enumerate(zip(*columns)):
         lines.append(" ".join([str(i), *map(format_value, row)]))
     lines.append("[demand]")
-    width = dataset.demand.shape[1]
-    text = format_numbers(dataset.demand.ravel())
-    lines.extend(" ".join(text[k:k + width])
-                 for k in range(0, len(text), width))
+    demand = np.ascontiguousarray(dataset.demand, dtype=np.float64)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n" + format_table(demand, " ", "\n"))
 
 
 def format_value(v) -> str:
     """A value as text in every file the lab writes: a bool as ``True`` or
     ``False``, an integer in decimal, a float as its round-trip ``repr``,
-    anything else as ``str`` gives it."""
+    anything else as ``str`` gives it. ``format_table`` writes a block of
+    ints and float64s as this function does, in one pass."""
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v))
     if isinstance(v, (int, np.integer)):
@@ -178,24 +176,48 @@ def format_value(v) -> str:
     return str(v)
 
 
-def format_numbers(values: np.ndarray) -> list[str]:
-    """``repr(float(v))`` of each value of a 1-D float array: the same text
-    as ``format_value``, in one pass. orjson's Ryū writes the shortest
-    round-trip digits as ``repr`` does; the values it writes in another
-    form, those ``repr`` writes with an exponent (0 < |v| < 1e-4 or
-    |v| >= 1e16) and NaN and +-inf, go through ``repr``."""
+def format_table(rows, sep: str, end: str) -> str:
+    """Equal-length rows of ints and float64s, or a 2-D float64 array, as
+    the ``format_value`` text of each value, joined by ``sep``, each row
+    ended by ``end``. One ``orjson.dumps`` call writes the block: its
+    integers are decimal and its floats the shortest round-trip digits
+    (Ryū), as ``repr`` writes them. A token that ``repr`` writes in
+    another form becomes ``repr(float(token))``: orjson's exponent form (a
+    token holding ``e``) and its plain values in [1e-5, 1e-4), which
+    ``repr`` writes with an exponent (a token that starts with ``0.0000``
+    or ``-0.0000``; ``10.00001`` holds it only in its middle). ``str.find``
+    finds them: a regex backtracks at every digit. A block with a NaN or an
+    infinity (orjson's ``null``), or with a value orjson refuses (an int
+    beyond 64 bits), is written value by value."""
     import orjson
-    with np.errstate(invalid="ignore"):   # a float32 signalling NaN is NaN
-        values = np.ascontiguousarray(values, dtype=np.float64)
-    if not len(values):
-        return []
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
-    strings = text[1:-1].decode().split(",")
-    size = np.abs(values)
-    odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (values == 0)))
-    for k, v in zip(odd.tolist(), values[odd].tolist()):
-        strings[k] = repr(v)
-    return strings
+    if not len(rows):
+        return ""
+    try:
+        text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    except orjson.JSONEncodeError:   # an int beyond 64 bits
+        text = "null"
+    if "null" in text:   # orjson's NaN and +-inf
+        return "".join([sep.join(map(format_value, row)) + end
+                        for row in rows])
+    text = text[2:-2]   # the outer [[ and ]]
+    odd = []   # (start, stop) of each token to rewrite
+    for mark in ("e", "0.0000"):
+        i = text.find(mark)
+        while i >= 0:
+            start = text.rfind(",", 0, i) + 1
+            start += text[start] == "["
+            stop = text.find(",", i)
+            stop = len(text) if stop < 0 else stop - (text[stop - 1] == "]")
+            if mark == "e" or text[start:i] in ("", "-"):
+                odd.append((start, stop))
+            i = text.find(mark, stop)
+    parts, done = [], 0
+    for start, stop in sorted(odd):
+        parts += [text[done:start], repr(float(text[start:stop]))]
+        done = stop
+    text = "".join(parts) + text[done:]
+    text = end.join(text.split("],["))   # a third faster than str.replace
+    return (text if sep == "," else text.replace(",", sep)) + end
 
 
 def _table(section: str, rows: list[str], shape: tuple) -> np.ndarray:

@@ -62,38 +62,24 @@ def run_config(run_dir) -> ExperimentConfig:
     return read_manifest(run_dir)[0]
 
 
-# ints and floats; a column of one float type is written by
-# ``datagen.format_numbers``, one of one int type by ``tolist`` and ``repr``,
-# so a Python int beyond int64 keeps its digits
-_NUMBER_TYPES = frozenset([int, float, *(np.dtype(c).type
-                                         for c in "bhilqBHILQefd")])
-_CSV_BLOCK = 1024  # rows that write_csv turns into columns at a time
-
-
-def _csv_column(values: tuple) -> tuple[list[str], bool]:
-    """One column of a block as the strings ``datagen.format_value`` gives,
-    and whether it holds numbers only. A column of one float type in
-    ``_NUMBER_TYPES`` is read into an array and written by
-    ``datagen.format_numbers``; one of one int type takes one ``tolist``
-    call and one ``repr`` per value."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1 and kinds <= _NUMBER_TYPES:
-        kind = kinds.pop()
-        if issubclass(kind, (float, np.floating)):
-            return datagen.format_numbers(
-                np.fromiter(values, kind, len(values))), True
-        return list(map(repr, np.array(values).tolist())), True
-    return list(map(datagen.format_value, values)), False
+# the value types of a block ``datagen.format_table`` writes: those orjson
+# writes as numbers; bools, which it writes ``true``, and float16/float32,
+# whose shortest digits are not those of their float64, are written value
+# by value
+_NUMBER_TYPES = frozenset([int, float, np.float64, np.int8, np.int16,
+                           np.int32, np.int64, np.uint8, np.uint16,
+                           np.uint32, np.uint64])
+_CSV_BLOCK = 1024  # rows that write_csv formats at a time
 
 
 def write_csv(path, columns, rows) -> None:
-    """Writes the header, then ``rows`` in blocks of ``_CSV_BLOCK``, each
-    turned into columns, to a file beside ``path`` that replaces it at the
-    end, in a parent directory created if missing. ``_csv_column`` formats
-    each column of a block, a float column as one array. ``csv`` writes a
-    block that holds a non-number; no number needs quoting, so any other
-    block is joined with ``csv``'s line ending. A row whose length is not
-    the header's raises; an error leaves ``path``."""
+    """Writes the header, then ``rows`` in blocks of ``_CSV_BLOCK``, to a
+    file beside ``path`` that replaces it at the end, in a parent directory
+    created if missing. A block whose values are all of ``_NUMBER_TYPES``
+    is written by one ``datagen.format_table`` call with ``csv``'s line
+    ending, as no number needs quoting; ``csv`` writes any other block
+    from the ``datagen.format_value`` text of each value. A row whose
+    length is not the header's raises; an error leaves ``path``."""
     width = len(columns)
     if width == 0:
         raise ValueError(f"{path}: a CSV needs at least one column")
@@ -106,17 +92,17 @@ def write_csv(path, columns, rows) -> None:
             writer = csv.writer(fh)
             writer.writerow(columns)
             while chunk := list(itertools.islice(rows, _CSV_BLOCK)):
-                for k, row in enumerate(chunk, done):
-                    if len(row) != width:
-                        raise ValueError(f"{path}: row {k} has {len(row)} "
-                                         f"values for {width} columns: "
-                                         f"{row!r}")
-                strings, numbers = zip(*map(_csv_column, zip(*chunk)))
-                if all(numbers):
-                    fh.write("".join([",".join(row) + "\r\n"
-                                      for row in zip(*strings)]))
+                if set(map(len, chunk)) != {width}:
+                    k, row = next((k, row) for k, row in enumerate(chunk, done)
+                                  if len(row) != width)
+                    raise ValueError(f"{path}: row {k} has {len(row)} values "
+                                     f"for {width} columns: {row!r}")
+                kinds = set(map(type, itertools.chain.from_iterable(chunk)))
+                if kinds <= _NUMBER_TYPES:
+                    fh.write(datagen.format_table(chunk, ",", "\r\n"))
                 else:
-                    writer.writerows(zip(*strings))
+                    writer.writerows([list(map(datagen.format_value, row))
+                                      for row in chunk])
                 done += len(chunk)
         os.replace(tmp, path)
     except BaseException:

@@ -363,39 +363,92 @@ def test_save_writes_demand_as_the_per_value_writer(tmp_path):
     assert np.array_equal(load(path).demand, demand)
 
 
-def repr_text(values: np.ndarray) -> list[str]:
-    return list(map(repr, values.tolist()))
+def table_text(rows, sep: str, end: str) -> str:
+    """The reference of ``format_table``: each value by ``format_value``."""
+    return "".join(sep.join(map(datagen.format_value, row)) + end
+                   for row in rows)
 
 
-def test_format_numbers_is_repr_byte_for_byte():
-    """``format_numbers`` writes each value as ``repr`` does: at the edges
+def orjson_text(rows) -> str:
+    """orjson's text of a block, or ``refused``."""
+    import orjson
+    try:
+        return orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    except orjson.JSONEncodeError:
+        return "refused"
+
+
+def assert_table_is_per_value(values: np.ndarray, name: str):
+    """``format_table`` of ``values`` as one column and as rows of eight,
+    as an array and as lists of Python floats, is ``table_text``."""
+    values = values[:len(values) // 8 * 8]
+    for rows, sep, end in ((values.reshape(-1, 1), ",", "\r\n"),
+                           (values.reshape(-1, 8), " ", "\n"),
+                           (values.reshape(-1, 8).tolist(), ",", "\n")):
+        assert datagen.format_table(rows, sep, end) == \
+            table_text(rows, sep, end), (name, len(rows[0]))
+
+
+def test_format_table_is_repr_byte_for_byte():
+    """``format_table`` writes each value as ``repr`` does: at the edges
     where ``repr`` switches to an exponent and one ulp either side, on
-    signed zeros, subnormals, NaN and infinities, on every float16, on
-    float32 columns, and on a million random draws and random bit
-    patterns."""
+    signed zeros and subnormals, on every finite float16, on random draws
+    and on random float64 and float32 bit patterns. The edges give orjson
+    tokens of both kinds it rewrites, an exponent and a plain value below
+    1e-4, and one that holds ``0.0000`` only in its middle."""
     edges = [0.0, 5e-324, 1e-310, 2.2250738585072009e-308,
-             2.2250738585072014e-308, 1.7976931348623157e308,
-             np.nan, np.inf]
-    for edge in (1e-4, 1e16):
-        edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+             2.2250738585072014e-308, 1.7976931348623157e308]
+    for edge in (1e-5, 1e-4, 1e16, 10.00001, -0.00005):
+        edges += [np.nextafter(edge, -np.inf), edge,
+                  np.nextafter(edge, np.inf)]
     edges = np.array(edges + [-v for v in edges])
-    assert datagen.format_numbers(edges) == repr_text(edges)
-    assert datagen.format_numbers(np.array([1e16, 1e-5, -0.0, -np.inf])) == \
-        ["1e+16", "1e-05", "-0.0", "-inf"]
+    tokens = orjson_text(edges)[1:-1].split(",")
+    assert any("e" in t for t in tokens)
+    assert any(t.lstrip("-").startswith("0.0000") for t in tokens)
+    assert "10.00001" in tokens and "-0.00005" in tokens
+    for rows in (edges.reshape(-1, 1), edges.reshape(-1, 7).tolist()):
+        for sep, end in ((",", "\r\n"), (" ", "\n")):
+            assert datagen.format_table(rows, sep, end) == \
+                table_text(rows, sep, end), sep
+    assert datagen.format_table([[1e16, 1e-5, -0.0],
+                                 [0.00005, 10.00001, 5e-324]], " ", "\n") \
+        == "1e+16 1e-05 -0.0\n5e-05 10.00001 5e-324\n"
 
     rng = np.random.default_rng(24)
-    bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64)
-    cases = {
-        "random": rng.random(500_000),
-        "normal": rng.normal(size=500_000),
-        "float64 bits": bits.view(np.float64),
-        "float32 bits": bits.view(np.float32),
-        "float32 normal": rng.normal(size=1000).astype(np.float32),
-        "every float16": np.arange(2**16, dtype=np.uint16).view(np.float16),
-        "empty": np.array([]),
-    }
+    bits = rng.integers(0, 2**64, 30_000, dtype=np.uint64)
+    with np.errstate(invalid="ignore"):   # a float32 signalling NaN is NaN
+        cases = {
+            "random": rng.random(200_000),
+            "normal": rng.normal(size=200_000),
+            "10^U(-300, 300)": 10.0 ** rng.uniform(-300, 300, 30_000),
+            "float64 bits": bits.view(np.float64),
+            "float32 bits": bits.view(np.float32).astype(np.float64),
+            "every float16": np.arange(2**16, dtype=np.uint16)
+            .view(np.float16).astype(np.float64),
+        }
     for name, values in cases.items():
-        assert datagen.format_numbers(values) == repr_text(values), name
+        assert_table_is_per_value(values[np.isfinite(values)], name)
+    assert datagen.format_table(np.zeros((0, 3)), ",", "\n") == ""
+    assert datagen.format_table([], ",", "\n") == ""
+
+
+@pytest.mark.parametrize("rows, text, orjson_says", [
+    ([[1.0, np.nan], [-np.inf, 5e-324], [np.inf, -0.0]],
+     "1.0,nan\n-inf,5e-324\ninf,-0.0\n", "null"),
+    ([[-2**63, 2**63 - 1, 0.5], [np.int64(3), np.uint8(7), np.float64(1e-5)]],
+     "-9223372036854775808,9223372036854775807,0.5\n3,7,1e-05\n",
+     ",0.00001]"),
+    ([[2**70, 1e-5], [-2**64, 2]],
+     "1180591620717411303424,1e-05\n-18446744073709551616,2\n", "refused"),
+], ids=["nan_and_infinities", "int64_range_and_mixed", "int_beyond_int64"])
+def test_format_table_on_ints_nan_and_infinities(rows, text, orjson_says):
+    """A block with NaN or an infinity (orjson's ``null``) or an int beyond
+    64 bits (which orjson refuses) is written by ``format_value``; ints of
+    the int64 range and floats mix in one row of one ``orjson`` call."""
+    assert orjson_says in orjson_text(rows)
+    assert datagen.format_table(rows, ",", "\n") == text
+    assert datagen.format_table(rows, " ", "\r\n") == \
+        table_text(rows, " ", "\r\n")
 
 
 @pytest.mark.parametrize("products", [1, 5, 100])

@@ -418,6 +418,32 @@ def test_decisions_csv_matches_the_row_wise_writer(smoke_run, smoke_dataset,
     assert oracle.read_bytes() == (out / "seed_0" / "decisions.csv").read_bytes()
 
 
+def test_a_p100_decision_log_matches_the_row_wise_writer(smoke_run,
+                                                         tmp_path):
+    """A 496-period decision log of the smoke checkpoint on a p=100 dataset,
+    the shape a ``score`` op writes, has the reference writer's bytes; it
+    holds values in (0, 1e-4), which orjson writes in plain form and
+    ``repr`` with an exponent."""
+    _, out = smoke_run
+    ds = datagen.generate(datagen.DatasetSpec(products=100, seed=0))
+    _, log = harness.evaluate_checkpoint(out / "seed_0" / "checkpoint.npz",
+                                         ds, seed=0, collect_decisions=True)
+    arrays = log.arrays()
+    assert len(arrays["period"]) == 100 * 496
+    small = sum(int(np.count_nonzero((0 < abs(v)) & (abs(v) < 1e-4)))
+                for v in arrays.values())
+    assert small > 0
+
+    def rows():
+        return zip(*(arrays[c] for c in harness.DECISION_COLUMNS))
+    row_wise_write_csv(tmp_path / "oracle.csv", harness.DECISION_COLUMNS,
+                       rows())
+    harness.write_csv(tmp_path / "decisions.csv", harness.DECISION_COLUMNS,
+                      rows())
+    assert (tmp_path / "decisions.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
+
+
 def mixed_rows(n: int) -> list:
     """Rows of every value type a CSV of the lab can hold, one column per
     type, plus columns that mix types and values ``csv`` must quote."""
@@ -460,14 +486,19 @@ def test_write_csv_matches_the_row_wise_writer(tmp_path, n):
     ([2**70, -2**80, 3], ["1180591620717411303424",
                           "-1208925819614629174706176", "3"]),
     ([True, np.bool_(False), True], ["True", "False", "True"]),
+    ([np.float32(0.1), np.float32(1e-5), np.float32(3e38)],
+     ["0.10000000149011612", "9.999999747378752e-06", "3.0000000054977558e+38"]),
+    ([np.float16(1 / 3), np.float16(1e-5)],
+     ["0.333251953125", "1.0013580322265625e-05"]),
     (["a,b", 0.5, np.float64(1e-5), 2**70],
      ['"a,b"', "0.5", "1e-05", "1180591620717411303424"]),
-], ids=["int_beyond_int64", "bool", "mixed_str_float"])
+], ids=["int_beyond_int64", "bool", "float32", "float16", "mixed_str_float"])
 def test_write_csv_keeps_the_bytes_of_ints_bools_and_mixed_columns(
         tmp_path, column, text):
     """A column of Python ints beyond int64 keeps every digit, a bool column
-    its names and a column that mixes strings and numbers ``csv``'s quoting,
-    alone and beside a float column."""
+    its names, a float32/float16 column the ``repr`` of each value's float64
+    and a column that mixes strings and numbers ``csv``'s quoting, alone and
+    beside a float column."""
     harness.write_csv(tmp_path / "alone.csv", ["c"], [[v] for v in column])
     assert (tmp_path / "alone.csv").read_bytes() == \
         "".join(f"{t}\r\n" for t in ["c", *text]).encode()
@@ -902,6 +933,35 @@ def test_cli_finetune_refuses_an_algorithm_named_twice(smoke_run,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds, item", [
+    ("1,a", "'a'"), ("", "''"), ("1,,2", "''"), ("-1", "seeds >= 0"),
+], ids=["letter", "empty", "empty_item", "negative"])
+def test_cli_train_refuses_bad_seeds(smoke_dataset, tmp_path, capsys,
+                                     seeds, item):
+    """A ``--seeds`` item that is no integer, or a negative seed, is a usage
+    error that names it, before any run directory is made."""
+    cfg_path = tmp_path / "cfg.yaml"
+    save_config(smoke_config(smoke_dataset), cfg_path)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["train", "--config", str(cfg_path), "--seeds", seeds,
+                  "--out", str(tmp_path / "run")])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seeds" in err and item in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_seeds_are_refused_before_a_run_directory(smoke_dataset,
+                                                          tmp_path):
+    """``np.random.SeedSequence`` takes no negative seed: the config refuses
+    one, so ``run_experiment`` never writes the manifest or a seed
+    directory."""
+    with pytest.raises(ValueError, match="seeds >= 0"):
+        run_experiment(smoke_config(smoke_dataset, seeds=(0, -1)),
+                       tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_out_creates_missing_directories(smoke_run, smoke_dataset,
                                             tmp_path):
     """Every command that writes a CSV creates the ``--out`` file's missing
@@ -955,7 +1015,8 @@ def run_python(code: str) -> str:
 def test_importing_every_module_loads_no_scipy_or_yaml(tmp_path):
     """At top level each module imports only numpy, the stdlib and other
     ``restock`` modules; scipy, yaml and orjson load inside the functions
-    that use them, orjson at the first float column a CSV writes."""
+    that use them, orjson at the first all-number block a CSV writes and
+    not for a text-only one."""
     code = ("import sys\n"
             "from restock import (agents, baselines, cli, config, datagen, "
             "env, harness, nn, simplex)\n"
@@ -963,15 +1024,15 @@ def test_importing_every_module_loads_no_scipy_or_yaml(tmp_path):
             "    return sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'yaml', 'orjson'))\n"
             "print(loaded())\n"
-            f"harness.write_csv({str(tmp_path / 'ints.csv')!r}, ['n'], "
-            "[[1], [2]])\n"
+            f"harness.write_csv({str(tmp_path / 'text.csv')!r}, ['s'], "
+            "[['a'], ['b']])\n"
             "print(loaded())\n"
-            f"harness.write_csv({str(tmp_path / 'floats.csv')!r}, ['x'], "
+            f"harness.write_csv({str(tmp_path / 'numbers.csv')!r}, ['x'], "
             "[[0.5]])\n"
             "print(loaded())\n")
-    at_import, after_ints, after_floats = run_python(code).splitlines()
-    assert at_import == after_ints == "[]"
-    assert "'orjson'" in after_floats and "scipy" not in after_floats
+    at_import, after_text, after_numbers = run_python(code).splitlines()
+    assert at_import == after_text == "[]"
+    assert "'orjson'" in after_numbers and "scipy" not in after_numbers
 
 
 def test_training_and_scoring_load_scipy_only_for_an_lp(smoke_dataset,
