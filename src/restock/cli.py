@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 from pathlib import Path
@@ -14,10 +15,24 @@ from . import datagen, harness
 from .config import ExperimentConfig, RewardMod, load_config
 
 
+def _number(kind, low, high=math.inf):
+    """An argparse type: a finite ``kind`` (int or float) in [low, high],
+    so a bad flag value is a usage error before any file is touched."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and low <= value <= high):
+            span = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(
+                f"need a finite {kind.__name__} {span}, got {text}")
+        return value
+    parse.__name__ = kind.__name__   # argparse names it for a non-number
+    return parse
+
+
 def _add_datagen(sub):
     p = sub.add_parser("datagen", help="generate a synthetic dataset")
-    p.add_argument("--products", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--products", type=_number(int, 1), required=True)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--theta", type=float, default=0.9,
                    help="capacity tightness in (0, 1)")
     p.add_argument("--horizon", type=int, default=1396)
@@ -43,7 +58,7 @@ def _add_eval(sub):
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--out", default=None, help="optional metrics CSV path")
 
 
@@ -70,8 +85,8 @@ def _add_finetune(sub):
     p.add_argument("--dataset", required=True)
     p.add_argument("--wastage-weight", type=float, default=1.0)
     p.add_argument("--critical-override", type=float, default=None)
-    p.add_argument("--episodes", type=int, default=100)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--episodes", type=_number(int, 1), default=100)
+    p.add_argument("--epsilon", type=_number(float, 0, 1), default=0.1)
     p.add_argument("--out", required=True)
 
 
@@ -84,8 +99,8 @@ def _add_lp_bound(sub):
                    help="run directory whose reward mod to score with "
                         "(default: RewardMod())")
     p.add_argument("--window", choices=("train", "test"), default="test")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
+    p.add_argument("--time-limit", type=_number(float, 0), default=None)
     p.add_argument("--out", default=None)
 
 
@@ -191,7 +206,7 @@ def main(argv=None) -> int:
     if args.command == "lp-bound":
         if args.run is None and args.dataset is None:
             parser.error("lp-bound needs --dataset or --run")
-        cfg = harness.run_config(args.run) if args.run else None
+        cfg = harness.read_manifest(args.run)[0] if args.run else None
         row = harness.lp_bound_row(
             datagen.load(args.dataset or cfg.dataset), args.window, args.seed,
             cfg.reward_mod if cfg else RewardMod(), args.time_limit)

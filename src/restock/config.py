@@ -9,10 +9,6 @@ from dataclasses import asdict, dataclass, fields
 
 ALGORITHMS = ("heuristic", "dqn", "dqn_gvf", "dez_dqn_gvf", "lp_bound")
 
-# keys of older manifests that chose or sized a second LP engine; they are
-# accepted and dropped so those manifests still replay
-_RETIRED_KEYS = ("lp_engine", "lp_max_iters")
-
 
 def _is_int(n) -> bool:
     # isinstance counts a bool as an int; a float would act truncated
@@ -116,12 +112,14 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
-        if not (all(map(_is_int, (*self.seeds, self.episodes)))
-                and min(self.seeds) >= 0 and self.episodes >= 1
-                and 0 <= self.heuristic_target <= 1):
-            raise ValueError(f"need integer seeds >= 0, an integer episodes "
-                             f">= 1 and a heuristic_target in [0, 1], "
-                             f"got {self}")
+        if not (all(map(_is_int, self.seeds)) and min(self.seeds) >= 0):
+            raise ValueError(f"need integer seeds >= 0, got {self.seeds}")
+        if not (_is_int(self.episodes) and self.episodes >= 1):
+            raise ValueError(f"need an integer episodes >= 1, "
+                             f"got {self.episodes!r}")
+        if not 0 <= self.heuristic_target <= 1:
+            raise ValueError(f"need a heuristic_target in [0, 1], "
+                             f"got {self.heuristic_target!r}")
         if not 0.0 <= (self.lp_time_limit or 0.0) < float("inf"):
             raise ValueError(f"lp_time_limit must be finite and >= 0, "
                              f"got {self.lp_time_limit}")
@@ -131,7 +129,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
+        data = dict(data)   # the caller's dict stays as it is
         for key, kind in (("env", EnvParams), ("agent", AgentParams),
                           ("reward_mod", RewardMod)):
             if isinstance(data.get(key), dict):
@@ -149,7 +147,10 @@ def load_config(path) -> ExperimentConfig:
         data = yaml.safe_load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a mapping at top level")
-    return ExperimentConfig.from_dict(data)
+    try:
+        return ExperimentConfig.from_dict(data)
+    except ValueError as exc:   # the error names the file
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def config_hash(config: ExperimentConfig) -> str:

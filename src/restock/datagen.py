@@ -8,8 +8,8 @@ average demanded volume/weight so the shared constraints stay active.
 
 Datasets round-trip exactly through a plain-text format: a key/value
 header, a ``[catalog]`` table and a ``[demand]`` matrix. Floats are written
-with shortest round-trip repr, so save/load is byte-stable. Format 1 files,
-whose catalog rows also hold a shelf size, still load.
+with shortest round-trip repr, so save/load is byte-stable. ``load`` reads
+``FORMAT_VERSION`` only; a file of another format, such as 1, is refused.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .config import _is_int
 from .env import ProductCatalog
 
 FORMAT_VERSION = 2
-_CATALOG_WIDTH = {"1": 6, "2": 5}   # values per catalog row, by format
 PRNG_NAME = "pcg64"  # np.random.PCG64; stable across platforms
 
 
@@ -249,7 +248,11 @@ def load_with_digest(path) -> tuple[Dataset, str]:
     with open(path, "rb") as fh:
         data = fh.read()
     digest = hashlib.sha256(data).hexdigest()
-    dataset = _LOADED.pop(digest, None) or _parse(data.decode())
+    try:
+        dataset = _LOADED.pop(digest, None) or _parse(data.decode())
+    except DatasetFormatError as exc:
+        exc.args = (f"{path}: {exc}",)   # the error names the file
+        raise
     _LOADED[digest] = dataset
     if len(_LOADED) > 4:
         del _LOADED[next(iter(_LOADED))]
@@ -271,8 +274,7 @@ def _parse(text: str) -> Dataset:
         raise DatasetFormatError("header", "missing [catalog] section")
 
     version = header.get("format_version")
-    width = _CATALOG_WIDTH.get(version)
-    if width is None:
+    if version != str(FORMAT_VERSION):
         raise DatasetFormatError("header", f"unsupported format_version {version}")
     try:
         kwargs = {}
@@ -290,7 +292,7 @@ def _parse(text: str) -> Dataset:
 
     idx += 1  # past [catalog]
     p = spec.products
-    table = _table("catalog", lines[idx:idx + p], (p, width))
+    table = _table("catalog", lines[idx:idx + p], (p, 5))
     if not np.array_equal(table[:, 0], np.arange(p)):
         raise DatasetFormatError("catalog", f"product indices must run 0..{p - 1}")
     idx += p
@@ -302,8 +304,8 @@ def _parse(text: str) -> Dataset:
         raise DatasetFormatError("demand", "demand values must be finite "
                                  "and lie in [0, 1]")
 
-    try:   # the last four columns hold the catalog's vectors, in field order
-        catalog = ProductCatalog(*table[:, -4:].T, v_max=v_max, c_max=c_max)
+    try:   # after the product index, the catalog's vectors in field order
+        catalog = ProductCatalog(*table[:, 1:].T, v_max=v_max, c_max=c_max)
     except ValueError as exc:
         raise DatasetFormatError("catalog", str(exc)) from exc
     for array in (demand, *vars(catalog).values()):

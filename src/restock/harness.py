@@ -28,10 +28,12 @@ import numpy as np
 
 from . import __version__, agents, baselines, datagen
 from .agents import DecisionLog, EpisodeMetrics
-from .config import EnvParams, ExperimentConfig, RewardMod, config_hash
+from .config import (EnvParams, ExperimentConfig, RewardMod, _is_int,
+                     config_hash)
 from .env import Simulator
 
 MANIFEST_NAME = "manifest.json"
+MANIFEST_FORMAT = 2   # written by run_experiment, required by read_manifest
 
 # purposes for deriving initial-inventory seeds; shared across algorithms
 _PURPOSE_TRAIN, _PURPOSE_EVAL, _PURPOSE_FINETUNE = 0, 1, 2
@@ -43,23 +45,23 @@ def episode_inventories(p: int, seed: int, purpose: int, episode: int) -> np.nda
         p, np.random.SeedSequence([seed, purpose, episode]))
 
 
-def read_manifest(run_dir) -> tuple[ExperimentConfig, str | None]:
-    """A run's config and the dataset sha256 its manifest pins, if any. The
-    config's dataset path is as seen from the current directory: a format-2
-    manifest stores it relative to the run directory, a format-1 one as
-    it was given."""
-    with open(Path(run_dir) / MANIFEST_NAME) as fh:
+def read_manifest(run_dir) -> tuple[ExperimentConfig, str]:
+    """A run's config, its dataset path resolved against the run directory,
+    and the dataset sha256 the manifest pins. A manifest of another format
+    than ``MANIFEST_FORMAT``, or one without the pin, is refused."""
+    path = Path(run_dir) / MANIFEST_NAME
+    with open(path) as fh:
         manifest = json.load(fh)
-    cfg = ExperimentConfig.from_dict(manifest["config"])
-    if manifest["format"] == 2:
-        cfg = replace(cfg, dataset=os.path.normpath(
-            os.path.join(run_dir, cfg.dataset)))
-    return cfg, manifest.get("dataset_sha256")
-
-
-def run_config(run_dir) -> ExperimentConfig:
-    """The config a run directory's manifest was written from."""
-    return read_manifest(run_dir)[0]
+    fmt, pinned = manifest.get("format"), manifest.get("dataset_sha256")
+    if fmt != MANIFEST_FORMAT or pinned is None:
+        raise ValueError(f"{path}: need manifest format {MANIFEST_FORMAT} and "
+                         f"a dataset_sha256, got {fmt} and {pinned}")
+    try:
+        cfg = ExperimentConfig.from_dict(manifest["config"])
+    except ValueError as exc:   # e.g. a key this version no longer knows
+        raise ValueError(f"{path}: {exc}") from exc
+    return replace(cfg, dataset=os.path.normpath(
+        os.path.join(run_dir, cfg.dataset))), pinned
 
 
 # the value types of a block ``datagen.format_table`` writes: those orjson
@@ -182,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
     stored = replace(cfg, dataset=os.path.relpath(cfg.dataset, out))
 
     manifest = {
-        "format": 2,
+        "format": MANIFEST_FORMAT,
         "config": stored.to_dict(),
         "config_hash": config_hash(stored),
         "package_version": __version__,
@@ -337,13 +339,12 @@ def _run_seed(cfg: ExperimentConfig, ds, seed: int, seed_dir: Path) -> dict:
 
 
 def replay_manifest(run_dir, out_dir) -> Path:
-    """Re-execute a run from its manifest into a fresh directory.
-
-    A manifest that pins its dataset's sha256 refuses a dataset file whose
-    bytes have changed since the run.
+    """Re-execute a run from its manifest into a fresh directory. A
+    dataset file whose bytes have changed since the run, as the sha256 its
+    manifest pins tells, is refused.
     """
     cfg, pinned = read_manifest(run_dir)
-    if pinned not in (None, datagen.load_with_digest(cfg.dataset)[1]):
+    if pinned != datagen.load_with_digest(cfg.dataset)[1]:
         raise ValueError(f"{cfg.dataset}: dataset sha256 differs from the "
                          f"one pinned in {Path(run_dir) / MANIFEST_NAME}")
     return run_experiment(cfg, out_dir)
@@ -380,8 +381,7 @@ def transfer_rows(run_dir, dataset_path):
     the env and reward mod each checkpoint stores. Rows name datasets by
     file sha256, the run's own as its manifest pins it."""
     run_dir = Path(run_dir)
-    cfg, pinned = read_manifest(run_dir)
-    trained_on = pinned or datagen.load_with_digest(cfg.dataset)[1]
+    cfg, trained_on = read_manifest(run_dir)
     ds, evaluated_on = datagen.load_with_digest(dataset_path)
     rows = []
     for seed in cfg.seeds:
@@ -472,6 +472,9 @@ def run_finetune_suite(run_dirs: dict[str, Path], dataset_path,
     algorithms and seeds share per-episode initial inventories. Each run
     keeps the env and agent hyperparameters it was trained with.
     """
+    if not (_is_int(episodes) and episodes >= 1 and 0.0 <= epsilon <= 1.0):
+        raise ValueError(f"need an integer episodes >= 1 and an epsilon in "
+                         f"[0, 1], got {episodes!r} and {epsilon!r}")
     ds = datagen.load(dataset_path)
     p = ds.spec.products
     train_start, train_len = ds.train_window
@@ -479,7 +482,7 @@ def run_finetune_suite(run_dirs: dict[str, Path], dataset_path,
     rows = []
     for algorithm, run_dir in run_dirs.items():
         run_dir = Path(run_dir)
-        cfg = run_config(run_dir)
+        cfg = read_manifest(run_dir)[0]
         if cfg.algorithm != algorithm:
             raise ValueError(f"{run_dir} holds {cfg.algorithm!r}, "
                              f"not {algorithm!r}")
@@ -523,7 +526,7 @@ def summarize(run_dirs, out_path=None):
     summary = []
     for run_dir in run_dirs:
         run_dir = Path(run_dir)
-        cfg = run_config(run_dir)
+        cfg = read_manifest(run_dir)[0]
         per_window: dict[str, list[float]] = {"train": [], "test": []}
         for seed in cfg.seeds:
             seed_dir = run_dir / f"seed_{seed}"

@@ -301,29 +301,20 @@ def reference_generate(spec: DatasetSpec,
     return Dataset(spec=spec, catalog=catalog, demand=demand)
 
 
-def reference_save(dataset: Dataset, path,
-                   format_version: int = 1) -> None:
+def reference_save(dataset: Dataset, path) -> None:
     """Writes ``dataset`` as ``datagen.save`` did with one ``repr`` per
-    demand value. Format 1, the default, is the file of the days when each
-    catalog row also held the product's shelf size; the shelf sizes are
-    redrawn from the spec's seed: they were ``generate``'s first draw.
-    Format 2 is today's file."""
+    demand value."""
     spec, cat = dataset.spec, dataset.catalog
-    lines = ["# restock dataset", f"format_version {format_version}",
-             "prng pcg64"]
+    lines = ["# restock dataset", "format_version 2", "prng pcg64"]
     for f in fields(DatasetSpec):
         lines.append(f"{f.name} {format_value(getattr(spec, f.name))}")
     lines.append(f"v_max {format_value(cat.v_max)}")
     lines.append(f"c_max {format_value(cat.c_max)}")
     lines.append("[catalog]")
+    lines.append("# product unit_volume unit_weight spoilage_rate "
+                 "critical_level")
     columns = (cat.unit_volume, cat.unit_weight, cat.spoilage_rate,
                cat.critical_level)
-    names = "unit_volume unit_weight spoilage_rate critical_level"
-    if format_version == 1:
-        columns = (np.random.Generator(np.random.PCG64(spec.seed)).integers(
-            50, 501, spec.products), *columns)
-        names = "max_shelf " + names
-    lines.append(f"# product {names}")
     for i, row in enumerate(zip(*columns)):
         lines.append(" ".join([str(i), *map(format_value, row)]))
     lines.append("[demand]")

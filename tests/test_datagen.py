@@ -148,15 +148,28 @@ def test_a_file_with_the_old_header_loads(tmp_path):
     assert same_dataset(load(tmp_path / "old.txt"), generate(spec))
 
 
-def test_a_format_1_file_loads(tmp_path):
-    """A file written by the format 1 writer, whose catalog rows also hold
-    shelf sizes, loads to the dataset it was written from."""
-    for spec in (small_spec(seed=29), small_spec(products=1, seed=0)):
-        ds = generate(spec)
-        path = tmp_path / f"v1_{spec.products}.txt"
-        oracles.reference_save(ds, path)
-        assert "format_version 1" in header_lines(path)
-        assert same_dataset(load(path), ds)
+def with_shelf_sizes(path, version: str) -> str:
+    """A saved file's text under ``format_version {version}``, each catalog
+    row holding a shelf size after its product index, as format 1 files
+    did."""
+    lines = path.read_text().splitlines()
+    for k in range(lines.index("[catalog]") + 2, lines.index("[demand]")):
+        product, rest = lines[k].split(" ", 1)
+        lines[k] = f"{product} {50 + k} {rest}"
+    lines[lines.index("format_version 2")] = f"format_version {version}"
+    return "\n".join(lines) + "\n"
+
+
+def test_a_format_1_file_is_refused(tmp_path):
+    """A format 1 file, whose catalog rows also hold shelf sizes, fails in
+    its header with an error that names the file and the version."""
+    path = tmp_path / "ds.txt"
+    save(generate(small_spec(seed=29)), path)
+    (tmp_path / "v1.txt").write_text(with_shelf_sizes(path, "1"))
+    with pytest.raises(DatasetFormatError, match="format_version 1") as err:
+        load(tmp_path / "v1.txt")
+    assert err.value.section == "header"
+    assert str(tmp_path / "v1.txt") in str(err.value)
 
 
 def test_saved_catalog_rows_hold_five_values(tmp_path):
@@ -183,11 +196,9 @@ def test_an_unknown_format_version_is_refused(tmp_path, version):
 
 def test_a_format_2_file_with_format_1_catalog_rows_is_refused(tmp_path):
     """Catalog rows of six values, shelf sizes included, are format 1's."""
-    path = tmp_path / "v1.txt"
-    oracles.reference_save(generate(small_spec()), path)
-    lines = path.read_text().splitlines()
-    lines[lines.index("format_version 1")] = "format_version 2"
-    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    path = tmp_path / "ds.txt"
+    save(generate(small_spec()), path)
+    (tmp_path / "bad.txt").write_text(with_shelf_sizes(path, "2"))
     with pytest.raises(DatasetFormatError) as err:
         load(tmp_path / "bad.txt")
     assert err.value.section == "catalog"
@@ -455,7 +466,7 @@ def test_format_table_on_ints_nan_and_infinities(rows, text, orjson_says):
 def test_save_keeps_the_bytes_of_the_per_value_writer(tmp_path, products):
     ds = generate(DatasetSpec(products=products, seed=products))
     save(ds, tmp_path / "ds.txt")
-    oracles.reference_save(ds, tmp_path / "oracle.txt", format_version=2)
+    oracles.reference_save(ds, tmp_path / "oracle.txt")
     assert (tmp_path / "ds.txt").read_bytes() == \
         (tmp_path / "oracle.txt").read_bytes()
 

@@ -18,7 +18,7 @@ from restock import agents, cli, datagen, harness, nn
 from restock.config import (AgentParams, EnvParams, ExperimentConfig,
                             RewardMod, config_hash, load_config)
 from restock.harness import (extract_heatmaps, heatmap_rows, read_decisions,
-                             replay_manifest, run_config, run_experiment,
+                             read_manifest, replay_manifest, run_experiment,
                              summarize, t_interval_halfwidth, transfer_rows)
 
 
@@ -137,11 +137,37 @@ def test_replay_refuses_a_changed_dataset(smoke_dataset, tmp_path):
     with pytest.raises(ValueError, match="sha256"):
         replay_manifest(out, tmp_path / "replay")
 
-    # a manifest written before datasets were pinned replays as before
-    del manifest["dataset_sha256"]
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    replayed = replay_manifest(out, tmp_path / "replay")
-    assert (replayed / "seed_0" / "eval_metrics.csv").exists()
+
+@pytest.mark.parametrize("key, value", [
+    ("format", 1), ("format", 3), ("format", None), ("dataset_sha256", None)],
+    ids=["format_1", "format_3", "no_format", "no_pin"])
+def test_a_manifest_of_another_format_or_without_a_pin_is_refused(
+        smoke_run, smoke_dataset, tmp_path, monkeypatch, key, value):
+    """A manifest of another format than the one a run writes, or without
+    its dataset's sha256, is refused by replay and transfer with an error
+    that names the file and what it holds. Its dataset path is not opened,
+    not even one that the current directory would resolve."""
+    _, run = smoke_run
+    shutil.copy(smoke_dataset, tmp_path / "d.txt")
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    copy = tmp_path / "runs" / "run"
+    shutil.copytree(run, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    manifest["config"]["dataset"] = "../d.txt"   # from the current directory
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    for call in (lambda: replay_manifest(copy, tmp_path / "replay"),
+                 lambda: transfer_rows(copy, smoke_dataset)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(copy / "manifest.json") in str(err.value)
+        assert f" {manifest.get('format')} and " in str(err.value)
+        assert f" and {manifest.get('dataset_sha256')}" in str(err.value)
+    assert not (tmp_path / "replay").exists()
 
 
 def test_cli_replay_reproduces_a_run_and_refuses_a_changed_dataset(
@@ -179,7 +205,7 @@ def test_replay_opens_the_dataset_from_any_directory(smoke_dataset, tmp_path,
     monkeypatch.chdir(tmp_path)
     run = run_experiment(smoke_config("data/ds.txt", seeds=(0,), episodes=2),
                          "run")
-    assert os.path.samefile(run_config(run).dataset, "data/ds.txt")
+    assert os.path.samefile(read_manifest(run)[0].dataset, "data/ds.txt")
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path / "elsewhere")
     assert cli.main(["replay", "--run", str(tmp_path / "run"),
@@ -245,17 +271,6 @@ def test_lp_bound_run(smoke_dataset, tmp_path):
         assert r[cols.index("solver_status")] == "optimal"
         assert float(r[cols.index("mean_surrogate")]) <= 1.0
         assert 0.0 <= float(r[cols.index("kkt_residual")]) < 1e-7
-
-    # a manifest written before the LP engine options were retired
-    # still replays, to the same bytes
-    old = tmp_path / "old"
-    old.mkdir()
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["config"].update(lp_engine="own", lp_max_iters=500_000)
-    (old / "manifest.json").write_text(json.dumps(manifest))
-    replayed = replay_manifest(old, tmp_path / "replay")
-    assert (replayed / "seed_0" / "lp_bound.csv").read_bytes() == \
-        (out / "seed_0" / "lp_bound.csv").read_bytes()
 
 
 def test_smoke_run_completes_quickly(smoke_dataset, tmp_path):
@@ -681,8 +696,7 @@ def test_transfer_csv_does_not_depend_on_where_the_files_are(
         smoke_run, smoke_dataset, tmp_path):
     """One run and its datasets copied to two directories give the same
     ``transfer.csv`` bytes from the CLI: both datasets go by their sha256,
-    the run's own as its manifest pins it, or hashed from its file when an
-    older manifest does not."""
+    the run's own as its manifest pins it."""
     _, run = smoke_run
     written = []
     for home in (tmp_path / "a", tmp_path / "b"):
@@ -692,21 +706,12 @@ def test_transfer_csv_does_not_depend_on_where_the_files_are(
         assert cli.main(["transfer", "--run", str(home / "run"), "--dataset",
                          str(home / "data.txt"), "--out", str(out)]) == 0
         written.append(out.read_bytes())
-    manifest = json.loads((tmp_path / "b" / "run" / "manifest.json")
-                          .read_text())
-    digest = manifest.pop("dataset_sha256")
-    # a manifest from before the pin is format 1, with an absolute path
-    manifest["format"] = 1
-    manifest["config"]["dataset"] = os.path.abspath(smoke_dataset)
-    (tmp_path / "b" / "run" / "manifest.json").write_text(
-        json.dumps(manifest))
-    rows = transfer_rows(tmp_path / "b" / "run", tmp_path / "b" / "data.txt")
+    digest = json.loads((run / "manifest.json").read_text())["dataset_sha256"]
     assert written[0] == written[1]
     cols, csv_rows = harness.read_csv(tmp_path / "a" / "transfer.csv")
     assert tuple(cols) == harness.TRANSFER_COLUMNS
     assert cols.index("mean_business_reward") == 4
     assert [r[1:3] for r in csv_rows] == [[digest, digest]] * len(csv_rows)
-    assert [r[1:3] for r in rows] == [[digest, digest]] * len(rows)
 
 
 def test_transfer_rows_on_foreign_dataset(smoke_run, tmp_path):
@@ -800,6 +805,24 @@ def test_finetune_suite_curves(smoke_run, smoke_dataset, tmp_path):
     assert len(rows) == 4 * len(cfg.seeds)
     episodes = [int(r[cols.index("episode")]) for r in rows]
     assert episodes[:4] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("bad", [{"episodes": 0}, {"episodes": -3},
+                                 {"episodes": 2.5}, {"epsilon": 2.0},
+                                 {"epsilon": -0.1}, {"epsilon": float("nan")}])
+def test_finetune_suite_refuses_bad_episodes_and_epsilon(tmp_path, bad):
+    """Fewer than one episode, or an epsilon outside [0, 1], is refused
+    before a run or the dataset is read (neither path exists), and no
+    output is written."""
+    settings = {"episodes": 1, "epsilon": 0.1, **bad}
+    out = tmp_path / "ft.csv"
+    with pytest.raises(ValueError, match="episodes >= 1 and an epsilon") as err:
+        harness.run_finetune_suite({"dqn": tmp_path / "no_run"},
+                                   tmp_path / "no_data.txt", RewardMod(), out,
+                                   **settings)
+    assert str(err.value).endswith(f"got {settings['episodes']!r} and "
+                                   f"{settings['epsilon']!r}")
+    assert not out.exists()
 
 
 def test_finetune_suite_checks_algorithm(smoke_run, smoke_dataset, tmp_path):
@@ -930,6 +953,35 @@ def test_cli_finetune_refuses_an_algorithm_named_twice(smoke_run,
                   str(smoke_dataset), "--episodes", "1", "--out", str(out)])
     assert exit_.value.code == 2
     assert "--run names dez_dqn_gvf twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--seed", "-1"), ("lp-bound", "--seed", "-1"),
+    ("lp-bound", "--time-limit", "-1"), ("lp-bound", "--time-limit", "inf"),
+    ("datagen", "--seed", "-1"), ("datagen", "--products", "0"),
+    ("finetune", "--episodes", "0"), ("finetune", "--episodes", "-3"),
+    ("finetune", "--epsilon", "2"), ("finetune", "--epsilon", "nan")])
+def test_cli_refuses_a_number_out_of_range(smoke_run, smoke_dataset,
+                                           tmp_path, capsys, command, flag,
+                                           value):
+    """A seed, count, time limit or epsilon out of its range is a usage
+    error that names the flag and the value, raised while the arguments
+    are parsed: before any input is read or the ``--out`` file written."""
+    _, run_dir = smoke_run
+    args = {"eval": ["--checkpoint", str(run_dir / "seed_0" /
+                                         "checkpoint.npz"),
+                     "--dataset", str(smoke_dataset)],
+            "lp-bound": ["--dataset", str(smoke_dataset)],
+            "datagen": ["--products", "3"],
+            "finetune": [f"--run=dez_dqn_gvf={run_dir}",
+                         "--dataset", str(smoke_dataset)]}[command]
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, *args, flag, value, "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and f"got {value}\n" in err
     assert not out.exists()
 
 
@@ -1157,10 +1209,14 @@ def test_config_validation(smoke_dataset, tmp_path):
                 {"seeds": (True, 2)}, {"episodes": True},
                 {"episodes": 0}, {"heuristic_target": float("nan")},
                 {"heuristic_target": -0.1}, {"heuristic_target": 1.5},
-                {"heuristic_target": float("inf")}):
-        with pytest.raises(ValueError, match=next(iter(bad))):
+                {"heuristic_target": float("inf")}, {"seeds": (-1,)},
+                {"heuristic_target": 2.0}):
+        # the message names the field and its value, not the whole config
+        with pytest.raises(ValueError, match=next(iter(bad))) as err:
             ExperimentConfig.from_dict({"dataset": "x", "algorithm": "dqn",
                                         **bad})
+        assert "ExperimentConfig(" not in str(err.value)
+        assert len(str(err.value)) < 60, str(err.value)
     path = tmp_path / "seeds.yaml"
     path.write_text("dataset: x\nalgorithm: dqn\nseeds: [1.5]\n")
     with pytest.raises(ValueError, match="seeds"):
@@ -1222,12 +1278,20 @@ def test_config_accepts_env_and_reward_mod_bounds():
     RewardMod(critical_override=0.999)
 
 
-def test_config_drops_retired_lp_keys():
-    base = {"dataset": "x", "algorithm": "lp_bound"}
-    old = ExperimentConfig.from_dict(
-        {**base, "lp_engine": "own", "lp_max_iters": 500000})
-    assert old == ExperimentConfig.from_dict(base)
-    assert "lp_engine" not in old.to_dict()
-    assert "lp_max_iters" not in old.to_dict()
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_dict({**base, "lp_engine": "own", "bogus": 1})
+@pytest.mark.parametrize("key", ["lp_engine", "lp_max_iters"])
+def test_config_refuses_the_retired_lp_keys(tmp_path, key):
+    """The keys that chose or sized a second LP engine are unknown keys. A
+    config file or a manifest that names one is refused with its path."""
+    config = {"dataset": "x", "algorithm": "lp_bound", key: 500_000}
+    refused = f"unknown config keys: .*{key}"
+    with pytest.raises(ValueError, match=refused):
+        ExperimentConfig.from_dict(config)
+    (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(config))
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"format": 2, "dataset_sha256": "0" * 64, "config": config}))
+    for path, call in ((tmp_path / "cfg.yaml", load_config),
+                       (tmp_path / "manifest.json",
+                        lambda path: read_manifest(path.parent))):
+        with pytest.raises(ValueError, match=refused) as err:
+            call(path)
+        assert str(err.value).startswith(f"{path}: ")
